@@ -2,9 +2,7 @@
 
 Group elements are flat tuples of small non-negative ints.  A model is a
 sequence of block descriptors; each block owns a contiguous slice of the
-coordinate tuple and carries its own multiplication law.  The compiled
-kernel in _ckernels.pyx implements the same three entry points with the
-same BFS order, so the two backends are interchangeable.
+coordinate tuple and carries its own multiplication law.
 
 Block descriptor: (kind, p, n, q, off, width) with kind one of the codes
 below, q the cyclic modulus (p**n where relevant), off the first

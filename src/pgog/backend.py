@@ -1,41 +1,4 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Name of the arithmetic kernel: the pure-Python one in _kernels_py."""
 
-PGOG_BACKEND=py forces the pure kernel, PGOG_BACKEND=c requires the
-compiled one (ImportError if it was not built).  The compiled closure
-only handles models whose coordinates pack into an int64; others fall
-back to the pure kernel transparently.
-"""
-
-import os
-
-from . import _kernels_py
-
-_choice = os.environ.get("PGOG_BACKEND", "auto")
-_ck = None
-if _choice in ("auto", "c"):
-    try:
-        from . import _ckernels as _ck
-    except ImportError:
-        if _choice == "c":
-            raise
-        _ck = None
-
-BACKEND_NAME = "c" if _ck is not None else "py"
-
-
-def mul(blocks, a, b):
-    if _ck is not None:
-        return _ck.mul(blocks, a, b)
-    return _kernels_py.mul(blocks, a, b)
-
-
-def inv(blocks, a):
-    if _ck is not None:
-        return _ck.inv(blocks, a)
-    return _kernels_py.inv(blocks, a)
-
-
-def closure(blocks, identity, gens, limit):
-    if _ck is not None and _ck.supports(blocks, len(identity)):
-        return _ck.closure(blocks, identity, gens, limit)
-    return _kernels_py.closure(blocks, identity, gens, limit)
+# Kept because the benchmark imports this module and records BACKEND_NAME.
+BACKEND_NAME = "py"

@@ -10,7 +10,7 @@ shortest-word tracking, bounded by a size guard (PGOG_SIZE_GUARD, default
 
 import os
 
-from . import backend
+from . import _kernels_py as kernel
 from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
@@ -158,10 +158,10 @@ class FiniteGroupModel:
         return GroupElement(self, coords)
 
     def multiply(self, a, b):
-        return GroupElement(self, backend.mul(self.blocks, self._own(a), self._own(b)))
+        return GroupElement(self, kernel.mul(self.blocks, self._own(a), self._own(b)))
 
     def inverse(self, a):
-        return GroupElement(self, backend.inv(self.blocks, self._own(a)))
+        return GroupElement(self, kernel.inv(self.blocks, self._own(a)))
 
     def power(self, a, k):
         self._own(a)
@@ -209,7 +209,7 @@ class FiniteGroupModel:
                     items.append((f"g{len(items)}", g))
         names = [n for n, _ in items]
         coords = [e.coords for _, e in items]
-        elements, parent, genidx = backend.closure(
+        elements, parent, genidx = kernel.closure(
             self.blocks, self.identity.coords, coords,
             limit if limit is not None else size_guard())
         table = ClosureTable(self, names, elements, parent, genidx)

@@ -137,10 +137,7 @@ class GroupHom:
         self.name = name
         for g, img in self.mapping.items():
             target._own(img)
-        if isinstance(source, FinitePresentation):
-            missing = set(source.generators) - set(self.mapping)
-        else:
-            missing = set(source.generators) - set(self.mapping)
+        missing = set(source.generators) - set(self.mapping)
         if missing:
             raise ValueError(f"no image for generators {sorted(missing)}")
 

@@ -1,6 +1,6 @@
-"""Kernel-level checks: group laws per block kind, backend parity, closure.
+"""Kernel-level checks: group laws per block kind and BFS closure.
 
-The group-law tests run on raw block descriptors through both kernels, so
+The group-law tests run on raw block descriptors through the kernel, so
 a coordinate-law bug cannot hide behind the model layer.  The frozen
 counterexamples pin down the fact that the stacked twist law stops being
 a group at depth three; the models refuse those parameters, and these
@@ -14,14 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgog import _kernels_py as kpy
-from pgog import backend, models
-
-try:
-    from pgog import _ckernels as kc
-except ImportError:
-    kc = None
-
-needs_c = pytest.mark.skipif(kc is None, reason="compiled kernel not built")
+from pgog import models
 
 
 def coordinate_moduli(blocks, width):
@@ -166,13 +159,27 @@ def test_unknown_block_kind_rejected():
         kpy.inv(bad, (0,))
 
 
-def test_closure_is_deterministic_and_bfs():
-    m = models.GnModel(2, 2)
-    gens = [e.coords for e in m.generators.values()]
-    first = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 12)
-    second = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 12)
+def closure_cases():
+    """Whole models over the GN, LAMP, EN and MOD blocks, and one subgroup."""
+    cases = [pytest.param(m, list(m.generators), order, id=m.name)
+             for m, order in [(models.GnModel(2, 2), 64),
+                              (models.LamplighterLevel(2, 2), 64),
+                              (models.EnWitnessModel(2, 1), 32),
+                              (models.ShiftedChainWitness(2, 1), 64)]]
+    # the widest witness in the suite: 59 coordinates, 2^63 coordinate tuples
+    cases.append(pytest.param(models.ShiftedChainWitness(2, 3), ["k1", "c"],
+                              4, id="SCW(2,3)<k1,c>"))
+    return cases
+
+
+@pytest.mark.parametrize("m,names,order", closure_cases())
+def test_closure_is_deterministic_and_bfs(m, names, order):
+    gens = [m.generators[g].coords for g in names]
+    first = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
+    second = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
     assert first == second
     elements, parent, genidx = first
+    assert len(elements) == order
     assert elements[0] == m.identity.coords
     assert parent[0] == -1 and genidx[0] == -1
     assert len(set(elements)) == len(elements)
@@ -197,37 +204,3 @@ def test_closure_size_guard_raises():
     with pytest.raises(ValueError, match="size guard"):
         kpy.closure(m.blocks, m.identity.coords, gens, 10)
 
-
-@needs_c
-@pytest.mark.parametrize("blocks,width", law_cases())
-def test_backend_parity_mul_inv(blocks, width):
-    mods = coordinate_moduli(blocks, width)
-    rng = random.Random(987)
-    for _ in range(150):
-        a = random_coords(rng, mods)
-        b = random_coords(rng, mods)
-        assert kc.mul(blocks, a, b) == kpy.mul(blocks, a, b)
-        assert kc.inv(blocks, a) == kpy.inv(blocks, a)
-
-
-@needs_c
-def test_backend_parity_closure_order_and_words():
-    for m in [models.GnModel(2, 2), models.LamplighterLevel(2, 2),
-              models.EnWitnessModel(2, 1), models.ShiftedChainWitness(2, 1)]:
-        gens = [e.coords for e in m.generators.values()]
-        if not kc.supports(m.blocks, m.width):
-            continue
-        py = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
-        cc = kc.closure(m.blocks, m.identity.coords, gens, 1 << 16)
-        assert py == cc
-
-
-@needs_c
-def test_backend_falls_back_when_coordinates_do_not_pack():
-    m = models.ShiftedChainWitness(2, 3)   # 67 coordinates, > 63 bits
-    assert not kc.supports(m.blocks, m.width)
-    sub = [m.generators["k1"].coords, m.generators["c"].coords]
-    via_backend = backend.closure(m.blocks, m.identity.coords, sub, 1 << 10)
-    direct = kpy.closure(m.blocks, m.identity.coords, sub, 1 << 10)
-    assert via_backend == direct
-    assert len(via_backend[0]) == 4
