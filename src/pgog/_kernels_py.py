@@ -191,7 +191,8 @@ def inv(blocks, a):
 def closure(blocks, identity, gens, limit):
     """Breadth-first closure of the subgroup generated by gens.
 
-    Returns (elements, parent, genidx): elements[0] is the identity;
+    Returns (elements, index, parent, genidx): elements[0] is the
+    identity; index maps each element to its position in elements;
     elements[i] == mul(elements[parent[i]], gens[genidx[i]]) for i > 0,
     giving a shortest word for every element.  Deterministic: FIFO over
     discovery order, generators scanned in the given order.
@@ -216,4 +217,4 @@ def closure(blocks, identity, gens, limit):
                 parent.append(head)
                 genidx.append(gi)
         head += 1
-    return elements, parent, genidx
+    return elements, index, parent, genidx

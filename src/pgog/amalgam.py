@@ -13,6 +13,7 @@ the level's verified finite quotient, and returns that quotient as an
 explicit separation certificate.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -137,10 +138,15 @@ def build_transversals(gog):
 
 
 class _PathTables:
-    """Path layout plus transversal tables, built once per graph."""
+    """Path layout plus transversal tables, built once per graph.
+
+    Holds the graph's Graph, not the GraphOfGroups: _TABLES is keyed
+    weakly by the latter, and a value referring to its key would keep it
+    alive.
+    """
 
     def __init__(self, gog):
-        self.gog = gog
+        self.graph = gog.graph
         self.order = _path_order(gog)
         self.position = {v: i for i, v in enumerate(self.order)}
         self.edge_between = {}
@@ -151,25 +157,24 @@ class _PathTables:
         self.transversals = build_transversals(gog)
 
     def end_table(self, eid, vertex):
-        a, _ = self.gog.graph.ends(eid)
+        a, _ = self.graph.ends(eid)
         return self.transversals[(eid, 0 if vertex == a else 1)]
 
     def cross(self, eid, from_vertex, element):
         """Carry an edge-image element to the edge's other endpoint."""
-        a, b = self.gog.graph.ends(eid)
+        a, b = self.graph.ends(eid)
         other = b if from_vertex == a else a
         k = self.end_table(eid, from_vertex).pull_back(element)
         return self.end_table(eid, other).hom.apply_element(k)
 
 
-_TABLES = {}
+_TABLES = weakref.WeakKeyDictionary()
 
 
 def _tables(gog):
-    entry = _TABLES.get(id(gog))
-    if entry is None or entry.gog is not gog:
-        entry = _PathTables(gog)
-        _TABLES[id(gog)] = entry
+    entry = _TABLES.get(gog)
+    if entry is None:
+        entry = _TABLES[gog] = _PathTables(gog)
     return entry
 
 
@@ -223,9 +228,9 @@ class ReducedWord:
 class _Accumulator:
     """Right-multiplies letters into a reduced word, one at a time."""
 
-    def __init__(self, tables):
+    def __init__(self, gog, tables):
         self.tables = tables
-        self.gog = tables.gog
+        self.gog = gog
         self.base = tables.order[0]
         self.head = self.gog.vertices[self.base].model.identity
         self.stack = []     # (vertex, representative, entry edge)
@@ -301,8 +306,7 @@ def normal_form(gog, letters):
     right; the result is empty exactly when the product is trivial in the
     path's fundamental group.
     """
-    tables = _tables(gog)
-    acc = _Accumulator(tables)
+    acc = _Accumulator(gog, _tables(gog))
     for vertex, element in _as_items(gog, letters):
         acc.push(vertex, element)
     return acc.result()
@@ -314,8 +318,7 @@ def nf_multiply(x, y):
         raise ValueError("nf_multiply needs two ReducedWords")
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
-    tables = _tables(x.gog)
-    acc = _Accumulator(tables)
+    acc = _Accumulator(x.gog, _tables(x.gog))
     for vertex, element in list(x.letters()) + list(y.letters()):
         acc.push(vertex, element)
     return acc.result()

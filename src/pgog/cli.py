@@ -314,9 +314,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -92,42 +92,29 @@ def spanning_tree(graph_or_gog):
 
 class VertexData:
     """A vertex group: a model with a certified presentation, or a
-    presentation alone (no finite model, e.g. a bracketed subgraph)."""
+    presentation alone (no finite model, e.g. a bracketed subgraph).
 
-    def __init__(self, model=None, presentation=None, naming=None):
+    A presentation's generator names are its model's generator names.
+    """
+
+    def __init__(self, model=None, presentation=None):
         if model is None and presentation is None:
             raise ValueError("vertex needs a model or a presentation")
         self.model = model
         self.presentation = presentation
-        if naming is None and presentation is not None:
-            naming = {g: g for g in presentation.generators}
-        self.naming = naming
 
     @property
     def is_model(self):
         return self.model is not None
 
-    def assignment(self):
-        """Presentation generator -> model element."""
-        return {g: self.model.generators[self.naming[g]]
-                for g in self.presentation.generators}
-
-    def inverse_naming(self):
-        inv = {m: g for g, m in self.naming.items()}
-        if len(inv) != len(self.naming):
-            raise ValueError("vertex naming is not one-to-one")
-        return inv
-
 
 class EdgeData:
-    """Edge group model, optionally with a presentation for hom checks."""
+    """Edge group model, optionally with a presentation for hom checks
+    over the model's generator names."""
 
-    def __init__(self, model, presentation=None, naming=None):
+    def __init__(self, model, presentation=None):
         self.model = model
         self.presentation = presentation
-        if naming is None and presentation is not None:
-            naming = {g: g for g in presentation.generators}
-        self.naming = naming
 
 
 def _rename_word(word, mapping):
@@ -179,8 +166,7 @@ class GraphOfGroups:
                 if missing:
                     raise ValueError(f"edge {eid} end {k}: image word uses "
                                      f"unknown names {sorted(missing)}")
-                element = (vd.model.evaluate(val, vd.assignment())
-                           if vd.is_model else None)
+                element = vd.model.evaluate(val) if vd.is_model else None
                 out[gname] = (element, val)
             else:
                 if not vd.is_model:
@@ -193,8 +179,7 @@ class GraphOfGroups:
     def _certify(self):
         for v, vd in self.vertices.items():
             if vd.is_model and vd.presentation is not None:
-                report = check_model_satisfies(vd.presentation, vd.model,
-                                               vd.naming)
+                report = check_model_satisfies(vd.presentation, vd.model)
                 if report["status"] != "pass":
                     raise ValueError(f"vertex {v}: presentation not satisfied: "
                                      f"{report['violations'][:2]}")
@@ -211,7 +196,7 @@ class GraphOfGroups:
                            for g in ed.model.generators}
                 hom = GroupHom(ed.model, vd.model, mapping,
                                name=f"d{k}({eid})")
-                report = hom.verify(ed.presentation, ed.naming)
+                report = hom.verify(ed.presentation)
                 if report["status"] != "pass":
                     raise ValueError(f"edge {eid} end {k}: map is not a "
                                      f"homomorphism: {report['violations'][:2]}")
@@ -228,8 +213,7 @@ class GraphOfGroups:
             return word
         v = self.graph.ends(eid)[k]
         vd = self.vertices[v]
-        model_word = vd.model.closure().word_for(element)
-        return _rename_word(model_word, vd.inverse_naming())
+        return vd.model.closure().word_for(element)
 
     def image_element(self, eid, k, gname):
         element, _ = self.edge_maps[eid][k][gname]
@@ -340,14 +324,8 @@ class Specialisation:
     def edge_image(self, eid, k, gname):
         """nu_{d_k(e)} applied to the edge generator's image."""
         v = self.gog.graph.ends(eid)[k]
-        vd = self.gog.vertices[v]
-        word = self.gog.image_word(eid, k, gname)
-        if vd.is_model:
-            assignment = {g: self.vertex_maps[v][vd.naming[g]]
-                          for g in vd.presentation.generators}
-        else:
-            assignment = self.vertex_maps[v]
-        return self.target.evaluate(word, assignment)
+        return self.target.evaluate(self.gog.image_word(eid, k, gname),
+                                    self.vertex_maps[v])
 
 
 def verify_specialisation(gog, spec):
@@ -357,7 +335,7 @@ def verify_specialisation(gog, spec):
     for v in gog.graph.vertices:
         vd = gog.vertices[v]
         hom = spec.vertex_hom(v)
-        report = (hom.verify(vd.presentation, vd.naming) if vd.is_model
+        report = (hom.verify(vd.presentation) if vd.is_model
                   else hom.verify())
         for item in report["violations"]:
             violations.append({**item, "kind": "vertex-hom", "vertex": v})

@@ -85,11 +85,11 @@ class GroupElement:
 class ClosureTable:
     """Subgroup elements in BFS order, each with a shortest generator word."""
 
-    def __init__(self, model, gen_names, elements, parent, genidx):
+    def __init__(self, model, gen_names, elements, index, parent, genidx):
         self.model = model
         self.gen_names = tuple(gen_names)
         self._elements = elements
-        self._index = {coords: i for i, coords in enumerate(elements)}
+        self._index = index
         self._parent = parent
         self._genidx = genidx
 
@@ -172,8 +172,9 @@ class FiniteGroupModel:
         while k:
             if k & 1:
                 result = self.multiply(result, square)
-            square = self.multiply(square, square)
             k >>= 1
+            if k:
+                square = self.multiply(square, square)
         return result
 
     def commutator(self, a, b):
@@ -209,10 +210,9 @@ class FiniteGroupModel:
                     items.append((f"g{len(items)}", g))
         names = [n for n, _ in items]
         coords = [e.coords for _, e in items]
-        elements, parent, genidx = kernel.closure(
+        table = ClosureTable(self, names, *kernel.closure(
             self.blocks, self.identity.coords, coords,
-            limit if limit is not None else size_guard())
-        table = ClosureTable(self, names, elements, parent, genidx)
+            limit if limit is not None else size_guard()))
         if generators is None:
             self._full_closure = table
         return table

@@ -155,24 +155,22 @@ class GroupHom:
         """Image of a source-model element (via its stored closure word)."""
         return self.apply(self.source.closure().word_for(element))
 
-    def verify(self, presentation=None, naming=None):
+    def verify(self, presentation=None):
         """Check the hom property; returns a {check, status, violations} report.
 
-        With a presentation (defining relations of the source under
-        `naming`), verifies every relator maps to the identity — by
-        von Dyck's theorem the generator map then extends to a hom.
-        Without one, the source must be a FinitePresentation (its own
-        relators are used) or a small model (all multiplication pairs
-        are enumerated and compared).
+        With a presentation (defining relations of the source, over
+        generator names the mapping covers), verifies every relator maps
+        to the identity — by von Dyck's theorem the generator map then
+        extends to a hom.  Without one, the source must be a
+        FinitePresentation (its own relators are used) or a small model
+        (all multiplication pairs are enumerated and compared).
         """
         if presentation is None and isinstance(self.source, FinitePresentation):
             presentation = self.source
         if presentation is not None:
-            naming = naming or {g: g for g in presentation.generators}
-            assignment = {g: self.mapping[naming[g]] for g in presentation.generators}
             violations = []
             for r in presentation.relators:
-                img = self.target.evaluate(r, assignment)
+                img = self.target.evaluate(r, self.mapping)
                 if not img.is_identity:
                     violations.append({"kind": "relator", "relator": repr(r),
                                        "image": list(img.coords)})
@@ -201,10 +199,6 @@ class GroupHom:
         return _report("hom", violations)
 
 
-def evaluate(word, hom):
-    return hom.apply(word)
-
-
 def hom_injective_on(hom, subgroup_generators):
     """True iff the hom is injective on the subgroup the generators span."""
     src = hom.source
@@ -229,23 +223,33 @@ def hom_injective_on(hom, subgroup_generators):
     return hom.target.closure(images).order == sub.order
 
 
-def check_model_satisfies(presentation, model, naming=None):
-    """Relators hold in the model AND the named generators generate it."""
-    naming = naming or {g: g for g in presentation.generators}
-    assignment = {}
+def check_model_satisfies(presentation, model):
+    """Relators hold on the model generators of the same names, AND those
+    generators generate the model.
+
+    Every presentation generator must name a model generator.  model.order
+    is the order of the closure of all model generators, so the named ones
+    generate the model exactly when every unnamed model generator lies in
+    their closure; when the presentation names them all, nothing is
+    enclosed.
+    """
+    named = set(presentation.generators)
+    missing = named - set(model.generators)
+    if missing:
+        raise ValueError(f"{presentation.name} names generators "
+                         f"{sorted(missing)} that {model.name} lacks")
     violations = []
-    for g in presentation.generators:
-        img = naming[g]
-        assignment[g] = model.generators[img] if isinstance(img, str) else img
     for r in presentation.relators:
-        image = model.evaluate(r, assignment)
+        image = model.evaluate(r)
         if not image.is_identity:
             violations.append({"kind": "relator", "relator": repr(r),
                                "image": list(image.coords)})
-    sub_order = model.closure(list(assignment.values())).order
-    if sub_order != model.order:
-        violations.append({"kind": "generation", "subgroup_order": sub_order,
-                           "model_order": model.order})
+    unnamed = [g for g in model.generators if g not in named]
+    if unnamed:
+        sub = model.closure(list(presentation.generators))
+        if any(model.generators[g] not in sub for g in unnamed):
+            violations.append({"kind": "generation", "subgroup_order": sub.order,
+                               "model_order": model.order})
     return _report("model-satisfies", violations,
                    presentation=presentation.name, model=model.name)
 

@@ -38,15 +38,15 @@ def _ea(p, names):
     return models.ElementaryAbelian(p, names)
 
 
-def _verified(hom, presentation, naming=None):
-    report = hom.verify(presentation, naming)
+def _verified(hom, presentation):
+    report = hom.verify(presentation)
     if report["status"] != "pass":
         raise ValueError(f"{hom.name or 'hom'} failed: {report['violations']}")
     return hom
 
 
-def _injective(hom, presentation, naming=None):
-    _verified(hom, presentation, naming)
+def _injective(hom, presentation):
+    _verified(hom, presentation)
     if not P.hom_injective_on(hom, list(hom.source.generators)):
         raise ValueError(f"{hom.name or 'hom'} is not injective")
     return hom

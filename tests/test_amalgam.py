@@ -1,6 +1,8 @@
 """Transversal tables, path normal forms, and the separation search."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -77,6 +79,15 @@ def test_non_path_graphs_are_rejected():
         {e: ({}, {}) for e in ("e1", "e2", "e3")})
     with pytest.raises(ValueError, match="edge count"):
         build_transversals(triangle)
+
+
+def test_tables_die_with_their_graph():
+    gog = free_product_line(2)
+    normal_form(gog, [("L", gen("a")), ("R", gen("b"))])
+    ref = weakref.ref(gog)
+    del gog
+    gc.collect()
+    assert ref() is None
 
 
 # -- normal forms ------------------------------------------------------------

@@ -178,8 +178,9 @@ def test_closure_is_deterministic_and_bfs(m, names, order):
     first = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
     second = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
     assert first == second
-    elements, parent, genidx = first
+    elements, index, parent, genidx = first
     assert len(elements) == order
+    assert index == {e: i for i, e in enumerate(elements)}
     assert elements[0] == m.identity.coords
     assert parent[0] == -1 and genidx[0] == -1
     assert len(set(elements)) == len(elements)

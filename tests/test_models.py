@@ -333,6 +333,13 @@ def test_power_and_negative_exponents():
     assert m.power(t, 4).is_identity
     assert m.power(t, -3) == m.power(~t, 3)
     assert m.power(t, 0) == m.identity
+    order = m.element_order(t)
+    for k in range(-2 * order, 2 * order + 1):
+        step = t if k >= 0 else ~t
+        expected = m.identity
+        for _ in range(abs(k)):
+            expected = expected * step
+        assert m.power(t, k) == expected, k
 
 
 def test_word_for_round_trip():

@@ -54,12 +54,43 @@ def test_twistless_mutant_fails_the_chain_relator():
 
 
 def test_all_trivial_images_fail_generation_only():
+    # the lamps satisfy their relators, but miss the shift t
     m = models.LamplighterLevel(2, 1)
-    pres = P.lamplighter_presentation(2, 1)
-    naming = {g: m.identity for g in pres.generators}
-    report = P.check_model_satisfies(pres, m, naming)
+    pres = P.elementary_abelian_presentation(2, ["h0", "h1"])
+    report = P.check_model_satisfies(pres, m)
     assert report["status"] == "fail"
     assert [v["kind"] for v in report["violations"]] == ["generation"]
+
+
+def generation_cases():
+    """Every generator subset of five small models (220 subsets)."""
+    for m in [models.LamplighterLevel(2, 1), models.GnModel(2, 2),
+              models.HeisenbergModP(3), models.ChainWitness(2, 2),
+              models.LamplighterLevel(3, 1)]:
+        names = list(m.generators)
+        yield pytest.param(m, [[g for i, g in enumerate(names) if mask >> i & 1]
+                               for mask in range(1 << len(names))], id=m.name)
+
+
+@pytest.mark.parametrize("m,subsets", generation_cases())
+def test_generation_check_agrees_with_subgroup_order(m, subsets):
+    # the membership test must fail exactly when the named generators
+    # enclose a proper subgroup
+    for names in subsets:
+        report = P.check_model_satisfies(P.FinitePresentation(names, []), m)
+        sub_order = m.closure(names).order
+        if sub_order == m.order:
+            assert report["violations"] == [], names
+        else:
+            assert report["violations"] == [
+                {"kind": "generation", "subgroup_order": sub_order,
+                 "model_order": m.order}], names
+
+
+def test_presentation_naming_a_missing_generator_is_rejected():
+    m = models.LamplighterLevel(2, 1)
+    with pytest.raises(ValueError, match=r"\['s'\].*Lamp\(2,1\) lacks"):
+        P.check_model_satisfies(P.FinitePresentation(["h0", "s"], []), m)
 
 
 def test_presentation_validation():
@@ -241,5 +272,5 @@ def test_evaluate_factors_through_name_map():
     for _ in range(50):
         w = Word(tuple((rng.choice(names), rng.choice([-1, 1, 2]))
                        for _ in range(6)))
-        assert P.evaluate(w, hom) == fn.evaluate(w)
-    assert P.evaluate(commutator(gen("k1"), gen("h2")), hom) == fn.generators["k2"]
+        assert hom.apply(w) == fn.evaluate(w)
+    assert hom.apply(commutator(gen("k1"), gen("h2"))) == fn.generators["k2"]
