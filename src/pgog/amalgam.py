@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import models
-from . import presentations as P
 from .gog import verify_specialisation
 from .tower import build_witnesses, joined_witness_specialisation
 from .words import Word, from_letters
@@ -111,11 +110,8 @@ class Transversal:
 
 def _build_transversal(gog, eid, end):
     vertex = gog.graph.ends(eid)[end]
-    model = gog.vertices[vertex].model
-    edge_model = gog.edges[eid].model
-    mapping = {g: gog.image_element(eid, end, g)
-               for g in edge_model.generators}
-    hom = P.GroupHom(edge_model, model, mapping, name=f"{eid}->{vertex}")
+    hom = gog.edge_homs[eid][end]
+    model, edge_model = hom.target, hom.source
     to_edge = {hom.apply_element(k).coords: k for k in edge_model.closure()}
     closure = model.closure()
     elements = sorted(closure, key=lambda e: _word_key(closure.word_for(e)))
@@ -131,8 +127,16 @@ def _build_transversal(gog, eid, end):
 
 
 def build_transversals(gog):
-    """Shortlex coset tables for both ends of every edge of a path."""
+    """Shortlex coset tables for both ends of every edge of a path.
+
+    The tables use the edge maps the graph certified as injective model
+    homomorphisms; a graph built with check=False is rejected.
+    """
     _path_order(gog)
+    for eid in gog.graph.edges:
+        if None in gog.edge_homs.get(eid, (None,)):
+            raise ValueError(f"edge {eid} has no certified model maps; "
+                             "normal forms need injective edge maps")
     return {(eid, end): _build_transversal(gog, eid, end)
             for eid in gog.graph.edges for end in (0, 1)}
 
@@ -397,7 +401,7 @@ def _level_data(p, level):
     verified: fully (per-vertex injectivity) below FULL_WITNESS_BOUND,
     by the homomorphism conditions alone above it."""
     gog, spec = joined_witness_specialisation(p, level)
-    if models.LamplighterLevel(p, level).order <= FULL_WITNESS_BOUND:
+    if p ** (p ** level + level) <= FULL_WITNESS_BOUND:   # |Lamp(p, level)|
         build_witnesses(p, level)
         return gog, spec, True
     report = verify_specialisation(gog, spec)

@@ -216,10 +216,7 @@ def _params(args):
 
 
 def cmd_run(args):
-    try:
-        return registry.run_example(args.id, **_params(args))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return registry.run_example(args.id, **_params(args))
 
 
 def cmd_run_all(args):

@@ -200,7 +200,7 @@ class GraphOfGroups:
                 if report["status"] != "pass":
                     raise ValueError(f"edge {eid} end {k}: map is not a "
                                      f"homomorphism: {report['violations'][:2]}")
-                if not hom_injective_on(hom, list(ed.model.generators)):
+                if not hom_injective_on(hom):
                     raise ValueError(f"edge {eid} end {k}: map is not injective")
                 homs.append(hom)
             self.edge_homs[eid] = tuple(homs)

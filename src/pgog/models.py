@@ -189,12 +189,13 @@ class FiniteGroupModel:
             order *= self.p
         return order
 
-    def closure(self, generators=None, limit=None):
+    def closure(self, generators=None):
         """BFS closure of the subgroup generated by `generators`.
 
         `generators` may be GroupElements or generator names; default is
-        every named generator (the whole model).  Raises ValueError when
-        the subgroup exceeds the size guard.
+        every named generator (the whole model), whose table is cached.
+        Raises ValueError when the subgroup exceeds the size guard
+        (PGOG_SIZE_GUARD).
         """
         if generators is None:
             if self._full_closure is not None:
@@ -211,8 +212,7 @@ class FiniteGroupModel:
         names = [n for n, _ in items]
         coords = [e.coords for _, e in items]
         table = ClosureTable(self, names, *kernel.closure(
-            self.blocks, self.identity.coords, coords,
-            limit if limit is not None else size_guard()))
+            self.blocks, self.identity.coords, coords, size_guard()))
         if generators is None:
             self._full_closure = table
         return table

@@ -168,6 +168,11 @@ class GroupHom:
         if presentation is None and isinstance(self.source, FinitePresentation):
             presentation = self.source
         if presentation is not None:
+            missing = set(presentation.generators) - set(self.mapping)
+            if missing:
+                raise ValueError(f"{presentation.name} names generators "
+                                 f"{sorted(missing)} that {self!r} has no "
+                                 "image for")
             violations = []
             for r in presentation.relators:
                 img = self.target.evaluate(r, self.mapping)
@@ -199,28 +204,18 @@ class GroupHom:
         return _report("hom", violations)
 
 
-def hom_injective_on(hom, subgroup_generators):
-    """True iff the hom is injective on the subgroup the generators span."""
+def hom_injective_on(hom):
+    """True iff the hom is injective on its whole source model.
+
+    The images of the source generators generate the image, so the hom is
+    injective exactly when they span a subgroup of the source's order;
+    that order comes from the source's cached full closure.
+    """
     src = hom.source
     if not isinstance(src, FiniteGroupModel):
         raise ValueError("injectivity check needs a model source")
-    named, elements = [], []
-    for g in subgroup_generators:
-        if isinstance(g, str):
-            named.append(g)
-            elements.append(src.generators[g])
-        else:
-            src._own(g)
-            named.append(None)
-            elements.append(g)
-    sub = src.closure(elements)
-    images = []
-    for name, e in zip(named, elements):
-        if name is not None:
-            images.append(hom.image_of(name))
-        else:
-            images.append(hom.apply(src.closure().word_for(e)))
-    return hom.target.closure(images).order == sub.order
+    images = [hom.image_of(g) for g in src.generators]
+    return hom.target.closure(images).order == src.order
 
 
 def check_model_satisfies(presentation, model):

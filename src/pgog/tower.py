@@ -47,15 +47,13 @@ def _verified(hom, presentation):
 
 def _injective(hom, presentation):
     _verified(hom, presentation)
-    if not P.hom_injective_on(hom, list(hom.source.generators)):
+    if not P.hom_injective_on(hom):
         raise ValueError(f"{hom.name or 'hom'} is not injective")
     return hom
 
 
-def _name_hom(source, target, name="", rename=None):
-    rename = rename or {}
-    mapping = {g: target.generators[rename.get(g, g)]
-               for g in source.generators}
+def _name_hom(source, target, name=""):
+    mapping = {g: target.generators[g] for g in source.generators}
     return P.GroupHom(source, target, mapping, name=name)
 
 
@@ -69,8 +67,6 @@ class TowerLevel:
     edge_group: object        # <k_n> x lamps
     vertex_group: object      # bottom: edge_group x <c>; higher: twisted
     lamplighter: object       # lamps with the cyclic shift t
-    path_witness: object      # quotient all path vertices embed into
-    joined_witness: object    # same, with the lamplighter joined in
     lamp_incl: object         # level n-1 lamps -> lamps        (None at n=1)
     lamp_fold: object         # lamps -> level n-1 lamps        (None at n=1)
     edge_incl_prev: object    # level n-1 edge group -> vertex_group (None at n=1)
@@ -150,20 +146,22 @@ def build_level(p, n):
 
     return TowerLevel(
         p, n, lamps, edge_group, vertex_group,
-        models.LamplighterLevel(p, n),
-        path_witness_model(p, n), joined_witness_model(p, n),
-        lamp_incl, lamp_fold, edge_incl_prev, edge_incl,
-        lamp_to_vertex, vertex_fold)
+        models.LamplighterLevel(p, n), lamp_incl, lamp_fold, edge_incl_prev,
+        edge_incl, lamp_to_vertex, vertex_fold)
 
 
-def check_retraction_square(level, vertex_fold=None):
+def check_retraction_square(level):
     """On every lamp of the level, folding then including into the previous
     edge group must equal including into the vertex group then folding; and
-    the vertex fold must fix the previous edge group pointwise."""
+    the level's vertex fold must fix the previous edge group pointwise.
+
+    To check another fold, pass a copy of the level that carries it:
+    dataclasses.replace(level, vertex_fold=fold).
+    """
     if level.n < 2:
         raise ValueError("the square needs a previous level")
     prev = build_level(level.p, level.n - 1)
-    fold = vertex_fold or level.vertex_fold
+    fold = level.vertex_fold
     lamp_to_edge = _name_hom(prev.lamps, prev.edge_group, "H->K")
     violations = []
     for name in level.lamps.generators:
@@ -252,7 +250,7 @@ def build_graphs(p, n, m=0):
     tail = _tail_gog(p, n, m)
 
     ell = n + m
-    joined_path = _path_gog(p, 1, ell) if ell > 1 else path
+    joined_path = _path_gog(p, 1, ell) if m else path
     vertices = list(joined_path.graph.vertices) + ["W"]
     edges = dict(joined_path.graph.edges)
     edges[f"H{ell}"] = (f"G{ell}", "W")

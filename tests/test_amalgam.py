@@ -6,12 +6,12 @@ import weakref
 
 import pytest
 
-from pgog import models
+from pgog import amalgam, models
 from pgog.amalgam import (build_transversals, lamp_letter, nf_multiply,
                           normal_form, path_letter, separate)
 from pgog.gog import EdgeData, Graph, GraphOfGroups, VertexData
 from pgog.registry import free_product_line
-from pgog.tower import (build_graphs, build_witnesses,
+from pgog.tower import (_path_gog, build_graphs, build_witnesses,
                         path_witness_specialisation)
 from pgog.words import Word, from_letters, gen
 
@@ -56,6 +56,14 @@ def test_trivial_edge_group_gives_the_whole_vertex_group():
     for table in build_transversals(gog).values():
         vertex_order = gog.vertices[table.vertex].model.order
         assert table.coset_count == vertex_order
+
+
+def test_transversals_use_the_certified_edge_maps():
+    gog = p2_path()
+    for (eid, end), table in build_transversals(gog).items():
+        assert table.hom is gog.edge_homs[eid][end]
+    with pytest.raises(ValueError, match="certified"):
+        build_transversals(_path_gog(2, 1, 2, check=False))
 
 
 def _trivial_edge(p):
@@ -276,6 +284,25 @@ def test_separation_at_the_third_level():
     assert cert.level == 3
     assert cert.certified_injective
     assert cert.reevaluate() == cert.image
+
+
+def test_witness_strength_follows_the_lamplighter_order_formula(monkeypatch):
+    # choosing the check encloses nothing: under a 16-element guard any
+    # enclosure of a lamplighter level would raise
+    checks = []
+    monkeypatch.setattr(amalgam, "joined_witness_specialisation",
+                        lambda p, level: ("gog", "spec"))
+    monkeypatch.setattr(amalgam, "build_witnesses",
+                        lambda p, level: checks.append("full"))
+    monkeypatch.setattr(amalgam, "verify_specialisation",
+                        lambda gog, spec: checks.append("hom") or
+                        {"status": "pass"})
+    monkeypatch.setenv("PGOG_SIZE_GUARD", "16")
+    level_data = amalgam._level_data.__wrapped__
+    assert level_data(2, 3) == ("gog", "spec", True)     # 2^11
+    assert level_data(2, 4) == ("gog", "spec", False)    # 2^20
+    assert level_data(3, 2) == ("gog", "spec", False)    # 3^11
+    assert checks == ["full", "hom", "hom"]
 
 
 def test_exhausted_search_reports_inconclusive():

@@ -1,5 +1,6 @@
-"""The names the benchmark wraps and records still exist, and the
-verdicts it pins still come out.
+"""The names the benchmark wraps and records still exist, the verdicts it
+pins still come out, and the closure counts it traces stay under their
+ceilings.
 
 bench/tracer.py wraps the kernel and layer functions by module and
 attribute name, and bench/run.py records pgog.BACKEND_NAME and compares
@@ -9,12 +10,18 @@ bench/selftest.py, which takes minutes.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import pgog
 from pgog import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_benchmark_targets_exist(monkeypatch):
@@ -44,3 +51,22 @@ def test_tower_verify_verdicts_match_the_pinned_list(capsys):
 
 def test_examples_verdicts_match_the_pinned_list(capsys):
     _verdicts(capsys, "examples", ["run-all", "--json"])
+
+
+@pytest.mark.parametrize("argv, calls, elements", [
+    (["tower", "verify-all", "--p", "2", "--max-level", "3", "--json"],
+     66, 13556),
+    (["run-all", "--json"], 114, 4375),
+])
+def test_closure_counts_stay_within_their_ceilings(tmp_path, argv, calls,
+                                                   elements):
+    # a reintroduced redundant enumeration raises these traced counts
+    out = tmp_path / "trace.jsonl"
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "trace", str(out), *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+    assert summary["kernel.closure.calls"] <= calls
+    assert summary["kernel.closure.elements"] <= elements

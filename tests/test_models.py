@@ -391,12 +391,6 @@ def test_size_guard_env_override(monkeypatch):
     assert m.closure().order == 64
 
 
-def test_closure_limit_argument():
-    m = models.GnModel(2, 2)
-    with pytest.raises(ValueError, match="size guard"):
-        m.closure(limit=10)
-
-
 def test_direct_product_orders_multiply_and_names_guarded():
     h = models.HeisenbergModP(2)
     ea = models.ElementaryAbelian(2, ["a", "b"])

@@ -253,15 +253,36 @@ def test_hom_missing_generator_image_rejected():
 
 def test_hom_injective_on():
     gn, fn = models.GnModel(2, 2), models.FnModel(2, 2)
-    ident = name_hom(gn, gn)
-    assert P.hom_injective_on(ident, list(gn.generators))
-    named = name_hom(gn, fn)
-    assert P.hom_injective_on(named, ["k1", "h0", "h1"])
-    assert P.hom_injective_on(named, [gn.generators["k1"] * gn.generators["h0"]])
-    crush = P.GroupHom(gn, models.ElementaryAbelian(2, ["z"]),
-                       {g: models.ElementaryAbelian(2, ["z"]).identity
-                        for g in gn.generators})
-    assert not P.hom_injective_on(crush, ["k1"])
+    assert P.hom_injective_on(name_hom(gn, gn))
+    assert P.hom_injective_on(name_hom(gn, fn))
+    z = models.ElementaryAbelian(2, ["z"])
+    crush = P.GroupHom(gn, z, {g: z.identity for g in gn.generators})
+    assert not P.hom_injective_on(crush)
+
+
+def test_hom_injective_on_encloses_its_source_once(monkeypatch):
+    # the source's order comes from its cached full closure, so a second
+    # hom out of the same source encloses only its image
+    gn, fn = models.GnModel(2, 2), models.FnModel(2, 2)
+    enclosed = []
+    closure = models.kernel.closure
+
+    def counting(blocks, identity, gens, limit):
+        enclosed.append(blocks is gn.blocks)
+        return closure(blocks, identity, gens, limit)
+
+    monkeypatch.setattr(models.kernel, "closure", counting)
+    assert P.hom_injective_on(name_hom(gn, fn))
+    assert P.hom_injective_on(name_hom(gn, fn, "again"))
+    assert enclosed.count(True) == 1
+
+
+def test_verify_rejects_a_presentation_naming_an_unmapped_generator():
+    ea = models.ElementaryAbelian(2, ["a"])
+    hom = name_hom(ea, ea)
+    presentation = P.FinitePresentation(["a", "b"], [gen("b", 2)])
+    with pytest.raises(ValueError, match=r"\['b'\]"):
+        hom.verify(presentation)
 
 
 def test_evaluate_factors_through_name_map():
