@@ -21,6 +21,10 @@ MOD = 7     # square-zero monomial module acted on by commuting unipotent
             # (m[r][subset-of-n-variables], a[var][r], t), t in Z/q
 
 
+class SizeGuardExceeded(ValueError):
+    """A closure outgrew its size guard: the check is undecided, not failed."""
+
+
 def mul(blocks, a, b):
     out = [0] * len(a)
     for kind, p, n, q, off, width in blocks:
@@ -197,7 +201,7 @@ def closure(blocks, identity, gens, limit):
     giving a shortest word for every element.  Deterministic: FIFO over
     discovery order, generators scanned in the given order.
 
-    Raises ValueError when the subgroup exceeds `limit` elements.
+    Raises SizeGuardExceeded when the subgroup exceeds `limit` elements.
     """
     elements = [identity]
     index = {identity: 0}
@@ -210,7 +214,7 @@ def closure(blocks, identity, gens, limit):
             nxt = mul(blocks, cur, g)
             if nxt not in index:
                 if len(elements) >= limit:
-                    raise ValueError(
+                    raise SizeGuardExceeded(
                         f"closure exceeded size guard of {limit} elements")
                 index[nxt] = len(elements)
                 elements.append(nxt)

@@ -13,10 +13,12 @@ import sys
 from pathlib import Path
 
 from . import registry, reports
+from ._kernels_py import SizeGuardExceeded
 from .analysis import check_edge_bound, detect_collapse
 from .dsl import parse_dsl, parse_word
 from .gog import (check_reduced, fundamental_presentation,
                   verify_properness_witness)
+from .models import is_prime
 
 
 class CliError(ValueError):
@@ -35,7 +37,7 @@ def _read(path):
 def _order_or_guard(model):
     try:
         return model.order
-    except ValueError:
+    except SizeGuardExceeded:
         return "exceeds size guard"
 
 
@@ -130,12 +132,14 @@ def _tower_verify_checks(p, max_level):
     checks = []
 
     def guarded(name, thunk):
+        # only a tripped size guard leaves a check undecided; any other
+        # error is a failed verification
         try:
             got = thunk()
+        except SizeGuardExceeded as exc:
+            got = [reports.make_check(name, reports.UNKNOWN, reason=str(exc))]
         except ValueError as exc:
-            checks.append(reports.make_check(name, reports.UNKNOWN,
-                                             reason=str(exc)))
-            return
+            got = [reports.make_check(name, reports.FAIL, reason=str(exc))]
         checks.extend(got)
 
     for n in range(2, max_level + 1):
@@ -171,6 +175,8 @@ def _witness_checks(p, n, build_witnesses):
 
 
 def cmd_tower_verify_all(args):
+    if not is_prime(args.p):
+        raise CliError(f"p must be prime, got {args.p}")
     report = reports.Report(
         "tower verify-all", {"p": args.p, "max_level": args.max_level})
     report.extend(_tower_verify_checks(args.p, args.max_level))

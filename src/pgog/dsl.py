@@ -534,6 +534,14 @@ def parse_dsl(text):
 
 
 def parse_word(text):
-    """Parse a standalone letter sequence like `G1:k1 L1:t`."""
-    doc = parse_dsl(f"word main := {text}")
-    return doc.words["main"]
+    """Parse a standalone letter sequence like `G1:k1 L1:t`.
+
+    The text is read as the body of one `word` statement, so a comment
+    mark or a line break would silently drop the letters after it; both
+    are rejected.  Error columns count from the start of that statement.
+    """
+    line = f"word main := {text}"
+    for column, char in enumerate(line, 1):
+        if char in "#\n\r":
+            raise DslError(f"{char!r} cannot appear in a word", 1, column)
+    return parse_dsl(line).words["main"]

@@ -194,8 +194,8 @@ class FiniteGroupModel:
 
         `generators` may be GroupElements or generator names; default is
         every named generator (the whole model), whose table is cached.
-        Raises ValueError when the subgroup exceeds the size guard
-        (PGOG_SIZE_GUARD).
+        Raises SizeGuardExceeded (a ValueError) when the subgroup exceeds
+        the size guard (PGOG_SIZE_GUARD).
         """
         if generators is None:
             if self._full_closure is not None:

@@ -8,6 +8,11 @@ inclusions and by folding retractions that halve the lamp window; the path
 splittings and the lamp-joined splittings are assembled from these, and the
 explicit finite quotients witnessing their properness are built alongside.
 
+Each vertex group G_i and edge group K_i has one cached constructor
+(_vertex_data, _edge_data), so a level, the three splittings and the
+transition tails share one model per group, and with it one cached
+closure.
+
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
 """
@@ -34,10 +39,6 @@ def lamp_names(p, n):
     return [f"h{j}" for j in range(p ** n)]
 
 
-def _ea(p, names):
-    return models.ElementaryAbelian(p, names)
-
-
 def _verified(hom, presentation):
     report = hom.verify(presentation)
     if report["status"] != "pass":
@@ -45,8 +46,10 @@ def _verified(hom, presentation):
     return hom
 
 
-def _injective(hom, presentation):
-    _verified(hom, presentation)
+def _injective(hom):
+    """Verify an injective hom out of an elementary abelian group."""
+    _verified(hom, P.elementary_abelian_presentation(hom.source.p,
+                                                     hom.source.generators))
     if not P.hom_injective_on(hom):
         raise ValueError(f"{hom.name or 'hom'} is not injective")
     return hom
@@ -94,47 +97,54 @@ def joined_witness_model(p, n):
 
 
 @lru_cache(maxsize=None)
+def _vertex_data(p, i):
+    """G_i with its presentation: elementary abelian on k1, the lamps and c
+    at i = 1, the twisted group Gn(p, i) above."""
+    if i == 1:
+        names = ["k1"] + lamp_names(p, 1) + ["c"]
+        return VertexData(
+            models.ElementaryAbelian(p, names),
+            P.elementary_abelian_presentation(p, names, name=f"G({p},1)"))
+    return VertexData(models.GnModel(p, i), P.gn_presentation(p, i))
+
+
+@lru_cache(maxsize=None)
+def _edge_data(p, i):
+    """K_i = <k_i> x lamps with its elementary abelian presentation."""
+    names = [f"k{i}"] + lamp_names(p, i)
+    return EdgeData(
+        models.ElementaryAbelian(p, names),
+        P.elementary_abelian_presentation(p, names, name=f"K({p},{i})"))
+
+
+@lru_cache(maxsize=None)
 def build_level(p, n):
     """Build level n, verifying every hom and every inclusion's injectivity."""
     models.PrimeLevel(p, n)
-    if n < 1:
-        raise ValueError("levels start at 1")
     hs = lamp_names(p, n)
-    lamps = _ea(p, hs)
-    edge_group = _ea(p, [f"k{n}"] + hs)
-    if n == 1:
-        vertex_group = _ea(p, ["k1"] + hs + ["c"])
-        vertex_pres = P.elementary_abelian_presentation(
-            p, ["k1"] + hs + ["c"], name=f"G({p},1)")
-    else:
-        vertex_group = models.GnModel(p, n)
-        vertex_pres = P.gn_presentation(p, n)
-    lamp_pres = P.elementary_abelian_presentation(p, hs)
-    edge_pres = P.elementary_abelian_presentation(p, [f"k{n}"] + hs)
+    lamps = models.ElementaryAbelian(p, hs)
+    edge_group = _edge_data(p, n).model
+    vertex = _vertex_data(p, n)
+    vertex_group = vertex.model
 
     edge_incl = _injective(
-        _name_hom(edge_group, vertex_group, f"K{n}->G{n}"), edge_pres)
+        _name_hom(edge_group, vertex_group, f"K{n}->G{n}"))
     lamp_to_vertex = _injective(
-        _name_hom(lamps, vertex_group, f"H{n}->G{n}"), lamp_pres)
+        _name_hom(lamps, vertex_group, f"H{n}->G{n}"))
 
     lamp_incl = lamp_fold = edge_incl_prev = vertex_fold = None
     if n > 1:
         prev = build_level(p, n - 1)
-        prev_hs = lamp_names(p, n - 1)
-        prev_lamp_pres = P.elementary_abelian_presentation(p, prev_hs)
         lamp_incl = _injective(
-            _name_hom(prev.lamps, lamps, f"H{n - 1}->H{n}"), prev_lamp_pres)
+            _name_hom(prev.lamps, lamps, f"H{n - 1}->H{n}"))
         lamp_fold = _verified(
             P.GroupHom(lamps, prev.lamps,
                        {f"h{j}": prev.lamps.generators[f"h{mu(p, n - 1, j)}"]
                         for j in range(p ** n)},
                        name=f"H{n}->H{n - 1} fold"),
-            lamp_pres)
-        prev_edge_pres = P.elementary_abelian_presentation(
-            p, [f"k{n - 1}"] + prev_hs)
+            P.elementary_abelian_presentation(p, hs))
         edge_incl_prev = _injective(
-            _name_hom(prev.edge_group, vertex_group, f"K{n - 1}->G{n}"),
-            prev_edge_pres)
+            _name_hom(prev.edge_group, vertex_group, f"K{n - 1}->G{n}"))
         fold_map = {f"k{n}": prev.edge_group.identity,
                     f"k{n - 1}": prev.edge_group.generators[f"k{n - 1}"]}
         for j in range(p ** n):
@@ -142,7 +152,7 @@ def build_level(p, n):
         vertex_fold = _verified(
             P.GroupHom(vertex_group, prev.edge_group, fold_map,
                        name=f"G{n}->K{n - 1} fold"),
-            vertex_pres)
+            vertex.presentation)
 
     return TowerLevel(
         p, n, lamps, edge_group, vertex_group,
@@ -183,35 +193,25 @@ def check_retraction_square(level):
 # -- graphs ---------------------------------------------------------------------
 
 
-def _vertex_data(p, i):
-    if i == 1:
-        names = ["k1"] + lamp_names(p, 1) + ["c"]
-        return VertexData(
-            _ea(p, names),
-            P.elementary_abelian_presentation(p, names, name=f"G({p},1)"))
-    return VertexData(models.GnModel(p, i), P.gn_presentation(p, i))
+def _gog(vertices, edges, edge_data, check=True):
+    """Graph of groups on vertices (id -> VertexData) whose every edge
+    group includes into both ends under its own generator names."""
+    edge_maps = {eid: ({g: gen(g) for g in ed.model.generators},) * 2
+                 for eid, ed in edge_data.items()}
+    return GraphOfGroups(Graph(vertices, edges), vertices, edge_data,
+                         edge_maps, check=check)
 
 
-def _word_map(names):
-    return {g: gen(g) for g in names}
+def _path_parts(p, first, last):
+    vertices = {f"G{i}": _vertex_data(p, i) for i in range(first, last + 1)}
+    edges = {f"K{i}": (f"G{i}", f"G{i + 1}") for i in range(first, last)}
+    edge_data = {f"K{i}": _edge_data(p, i) for i in range(first, last)}
+    return vertices, edges, edge_data
 
 
 def _path_gog(p, first, last, check=True):
     """Path of vertex groups G_first .. G_last glued over the edge groups."""
-    vertices, data = [], {}
-    for i in range(first, last + 1):
-        vertices.append(f"G{i}")
-        data[f"G{i}"] = _vertex_data(p, i)
-    edges, edge_data, edge_maps = {}, {}, {}
-    for i in range(first, last):
-        eid = f"K{i}"
-        edges[eid] = (f"G{i}", f"G{i + 1}")
-        names = [f"k{i}"] + lamp_names(p, i)
-        edge_data[eid] = EdgeData(
-            _ea(p, names), P.elementary_abelian_presentation(p, names))
-        edge_maps[eid] = (_word_map(names), _word_map(names))
-    return GraphOfGroups(Graph(vertices, edges), data, edge_data, edge_maps,
-                         check=check)
+    return _gog(*_path_parts(p, first, last), check=check)
 
 
 def _tail_gog(p, n, m, check=True):
@@ -219,12 +219,9 @@ def _tail_gog(p, n, m, check=True):
     if n == 0 and m == 0:
         raise ValueError("the (0, 0) tail has no level-0 edge group")
     if m == 0:
-        names = [f"k{n}"] + lamp_names(p, n)
-        data = VertexData(
-            _ea(p, names),
-            P.elementary_abelian_presentation(p, names, name=f"K({p},{n})"))
-        return GraphOfGroups(Graph([f"K{n}"], {}), {f"K{n}": data}, {}, {},
-                             check=check)
+        edge = _edge_data(p, n)
+        return _gog({f"K{n}": VertexData(edge.model, edge.presentation)},
+                    {}, {}, check=check)
     return _path_gog(p, n + 1, n + m, check=check)
 
 
@@ -245,82 +242,53 @@ def build_graphs(p, n, m=0):
     """Assemble the level-(n, m) splittings; certification runs on assembly."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    top = build_level(p, n + m)
+    ell = n + m
+    top = build_level(p, ell)
     path = _path_gog(p, 1, n)
     tail = _tail_gog(p, n, m)
-
-    ell = n + m
-    joined_path = _path_gog(p, 1, ell) if m else path
-    vertices = list(joined_path.graph.vertices) + ["W"]
-    edges = dict(joined_path.graph.edges)
+    vertices, edges, edge_data = _path_parts(p, 1, ell)
+    vertices["W"] = VertexData(top.lamplighter,
+                               P.lamplighter_presentation(p, ell))
     edges[f"H{ell}"] = (f"G{ell}", "W")
-    data = dict(joined_path.vertices)
-    data["W"] = VertexData(top.lamplighter, P.lamplighter_presentation(p, ell))
-    edge_data = dict(joined_path.edges)
     edge_data[f"H{ell}"] = EdgeData(
         top.lamps, P.elementary_abelian_presentation(p, lamp_names(p, ell)))
-    edge_maps = {}
-    for i in range(1, ell):
-        names = [f"k{i}"] + lamp_names(p, i)
-        edge_maps[f"K{i}"] = (_word_map(names), _word_map(names))
-    edge_maps[f"H{ell}"] = (_word_map(lamp_names(p, ell)),
-                            _word_map(lamp_names(p, ell)))
-    joined = GraphOfGroups(Graph(vertices, edges), data, edge_data, edge_maps)
-    return TowerGraphs(p, n, m, path, tail, joined)
+    return TowerGraphs(p, n, m, path, tail, _gog(vertices, edges, edge_data))
 
 
 # -- witnesses -------------------------------------------------------------------
 
 
-def _path_vertex_maps(p, levels, target, central_image):
-    maps = {}
-    for i in range(1, levels + 1):
-        if i == 1:
-            names = ["k1"] + lamp_names(p, 1)
-        else:
-            names = [f"k{i - 1}", f"k{i}"] + lamp_names(p, i)
-        maps[f"G{i}"] = {g: target.generators[g] for g in names}
-    maps["G1"]["c"] = central_image
-    return maps
-
-
-def _joined_vertex_maps(p, levels, target):
-    if levels <= 2:
-        def rename(g):
-            return f"{g}_0" if g.startswith("k") else g
-        central = target.generators[f"k{levels}_1"]
-    else:
-        def rename(g):
-            return g
-        central = target.generators["c"]
-    maps = {}
-    for i in range(1, levels + 1):
-        if i == 1:
-            names = ["k1"] + lamp_names(p, 1)
-        else:
-            names = [f"k{i - 1}", f"k{i}"] + lamp_names(p, i)
-        maps[f"G{i}"] = {g: target.generators[rename(g)] for g in names}
-    maps["G1"]["c"] = central
-    maps["W"] = {g: target.generators[g]
-                 for g in lamp_names(p, levels) + ["t"]}
-    return maps
+def _vertex_maps(gog, target, rename):
+    """Send each vertex generator g to the target generator rename(g)."""
+    return {v: {g: target.generators[rename(g)]
+                for g in gog.vertices[v].model.generators}
+            for v in gog.graph.vertices}
 
 
 def path_witness_specialisation(p, levels):
-    graphs = build_graphs(p, levels, 0)
+    path = build_graphs(p, levels, 0).path
     target = path_witness_model(p, levels)
-    central = target.generators["k2" if levels <= 2 else "c"]
-    maps = _path_vertex_maps(p, levels, target, central)
-    return graphs.path, Specialisation(graphs.path, target, maps,
-                                       name=f"P{levels}->{target.name}")
+    central = "k2" if levels <= 2 else "c"
+    maps = _vertex_maps(path, target, lambda g: central if g == "c" else g)
+    return path, Specialisation(path, target, maps,
+                                name=f"P{levels}->{target.name}")
 
 
 def joined_witness_specialisation(p, levels):
-    graphs = build_graphs(p, levels, 0)
+    joined = build_graphs(p, levels, 0).joined
     target = joined_witness_model(p, levels)
-    maps = _joined_vertex_maps(p, levels, target)
-    return graphs.joined, Specialisation(graphs.joined, target, maps,
-                                         name=f"J{levels}->{target.name}")
+    if levels <= 2:
+        # En names its layers k{i}_{r}; c goes to the top layer's orbit 1
+        def rename(g):
+            if g == "c":
+                return f"k{levels}_1"
+            return f"{g}_0" if g.startswith("k") else g
+    else:
+        def rename(g):
+            return g
+    maps = _vertex_maps(joined, target, rename)
+    return joined, Specialisation(joined, target, maps,
+                                  name=f"J{levels}->{target.name}")
 
 
 def build_witnesses(p, levels):
@@ -348,13 +316,14 @@ def _substitute(word, images):
     return out
 
 
-def transition_images(p, n, m):
-    """Generator images of the fold from the (n, m+1) tail onto the (n, m)
-    tail: identity on the first m vertices, the vertex fold on the last."""
-    src = _tail_gog(p, n, m + 1, check=False)
+def _tails(p, n, m, steps):
+    """The unchecked (n, m + steps) and (n, m) tails with their fp namings."""
+    src = _tail_gog(p, n, m + steps, check=False)
     dst = _tail_gog(p, n, m, check=False)
-    src_names = fp_naming(src)
-    dst_names = fp_naming(dst)
+    return src, dst, fp_naming(src), fp_naming(dst)
+
+
+def _transition_images(p, n, m, src, src_names, dst_names):
     last = n + m + 1
     images = {}
     for v in src.graph.vertices:
@@ -375,6 +344,13 @@ def transition_images(p, n, m):
     return images
 
 
+def transition_images(p, n, m):
+    """Generator images of the fold from the (n, m+1) tail onto the (n, m)
+    tail: identity on the first m vertices, the vertex fold on the last."""
+    src, _, src_names, dst_names = _tails(p, n, m, 1)
+    return _transition_images(p, n, m, src, src_names, dst_names)
+
+
 def composed_transition_images(p, n, m):
     """Images of the double fold from the (n, m+2) tail onto the (n, m)
     tail, built by substituting one transition step into the next."""
@@ -387,10 +363,7 @@ def composed_transition_images(p, n, m):
 def double_fold_images(p, n, m):
     """Images of the same double fold written directly: identity below the
     cut, both top shift generators killed, lamps folded modulo p^(n+m)."""
-    src = _tail_gog(p, n, m + 2, check=False)
-    dst = _tail_gog(p, n, m, check=False)
-    src_names = fp_naming(src)
-    dst_names = fp_naming(dst)
+    src, _, src_names, dst_names = _tails(p, n, m, 2)
     cut = n + m
     dv = f"G{cut}" if m else f"K{n}"
     images = {}
@@ -410,16 +383,6 @@ def double_fold_images(p, n, m):
     return images
 
 
-def _dst_vertex_models(dst):
-    """fp generator name -> (vertex model, model generator name)."""
-    names = fp_naming(dst)
-    out = {}
-    for v in dst.graph.vertices:
-        for g, qual in names[v].items():
-            out[qual] = (dst.vertices[v].model, g)
-    return out
-
-
 def check_transition_maps(p, n, m):
     """Certify the fold from the (n, m+1) tail onto the (n, m) tail.
 
@@ -427,13 +390,14 @@ def check_transition_maps(p, n, m):
     of the single destination vertex group they land in.  The fold composed
     with the inclusion must fix the smaller tail's generators.
     """
-    images = transition_images(p, n, m)
-    src = _tail_gog(p, n, m + 1, check=False)
-    dst = _tail_gog(p, n, m, check=False)
+    src, dst, src_names, dst_names = _tails(p, n, m, 1)
+    images = _transition_images(p, n, m, src, src_names, dst_names)
     src_fp = fundamental_presentation(src)
     dst_fp = fundamental_presentation(dst)
     dst_relators = {tuple(r.letters()) for r in dst_fp.relators}
-    owners = _dst_vertex_models(dst)
+    # fp generator name -> (vertex model, model generator name)
+    owners = {qual: (dst.vertices[v].model, g)
+              for v in dst.graph.vertices for g, qual in dst_names[v].items()}
     violations = []
     for relator in src_fp.relators:
         image = _substitute(relator, images)
@@ -454,8 +418,6 @@ def check_transition_maps(p, n, m):
                                "value": list(value.coords)})
     # the fold composed with the inclusion must fix the smaller tail:
     # each of its vertex generators includes upward under its own name
-    src_names = fp_naming(src)
-    dst_names = fp_naming(dst)
     for v in dst.graph.vertices:
         src_vertex = v if m else f"G{n + 1}"
         for g in dst.vertices[v].model.generators:

@@ -1,7 +1,10 @@
 """CLI subcommands, report rendering, and the example registry."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -9,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from pgog import cli, registry, reports
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +131,47 @@ def test_tower_verify_all_command(capsys):
     assert re.search(r"exit 0\s*$", out)
 
 
+def test_failed_tower_check_reads_fail_not_unknown(capsys, monkeypatch):
+    from pgog import tower
+
+    def failing(p, levels):
+        raise ValueError(f"witness P{levels}->Fn(2,2) failed: []")
+
+    monkeypatch.setattr(tower, "build_witnesses", failing)
+    code, out, _ = run_cli(capsys, "tower", "verify-all", "--p", "2",
+                           "--max-level", "1", "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["witnesses-n1"]["status"] == "fail"
+    assert checks["witnesses-n1"]["details"]["reason"] == \
+        "witness P1->Fn(2,2) failed: []"
+    assert checks["two-generation-n1"]["status"] == "pass"
+
+
+def test_tripped_size_guard_reads_unknown():
+    # a fresh process: closures cached by earlier tests never trip the guard
+    done = subprocess.run(
+        [sys.executable, "-m", "pgog.cli", "tower", "verify-all", "--p", "2",
+         "--max-level", "2", "--json"],
+        env={**os.environ, "PGOG_SIZE_GUARD": "32",
+             "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    statuses = {c["name"]: (c["status"], c["details"].get("reason"))
+                for c in json.loads(done.stdout)["checks"]}
+    guard = "closure exceeded size guard of 32 elements"
+    for name in ("retraction-square-n2", "witnesses-n2", "two-generation-n2"):
+        assert statuses[name] == ("unknown", guard)
+    assert "fail" not in {status for status, _ in statuses.values()}
+
+
+def test_verify_all_rejects_a_composite_prime(capsys):
+    code, out, err = run_cli(capsys, "tower", "verify-all", "--p", "4",
+                             "--max-level", "1")
+    assert code == 2 and out == ""
+    assert "p must be prime, got 4" in err
+
+
 def test_separate_command_paths(capsys):
     code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t", "--json")
     assert code == 0
@@ -140,6 +187,9 @@ def test_separate_command_paths(capsys):
 
     code, _, err = run_cli(capsys, "separate", "--word", "G1:zz")
     assert code == 2 and "no image for generator" in err
+
+    code, out, err = run_cli(capsys, "separate", "--word", "G1:k1 #L1:t")
+    assert code == 2 and out == "" and "cannot appear in a word" in err
 
 
 def test_run_and_run_all_commands(capsys):

@@ -87,6 +87,15 @@ def test_word_statement_builds_letters():
     assert len(doc.words["j"]) == 2
 
 
+@pytest.mark.parametrize("text", ["G1:k1 #L1:t", "G1:k1\nL1:t",
+                                  "G1:k1\rL1:t", "G1:k1#"])
+def test_word_rejects_comment_marks_and_line_breaks(text):
+    # pasted into one DSL line, these would drop the letters after them
+    with pytest.raises(DslError, match="cannot appear in a word") as err:
+        parse_word(text)
+    assert err.value.line == 1
+
+
 @pytest.mark.parametrize("text,fragment,line", [
     ("gens a\nrel b", "undeclared", 2),
     ("gens a\nrel a^", "expected an exponent", 2),

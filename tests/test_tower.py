@@ -138,6 +138,23 @@ def test_path_edge_groups_and_reducedness():
     assert check_reduced(graphs.joined)
 
 
+def test_splittings_share_one_model_per_group():
+    # one model per group means one cached closure per group
+    graphs = build_graphs(2, 2, 1)
+    g3 = graphs.tail.vertices["G3"].model
+    assert g3 is graphs.joined.vertices["G3"].model
+    assert g3 is build_level(2, 3).vertex_group
+    assert graphs.path.vertices["G1"].model is graphs.joined.vertices["G1"].model
+    k1 = graphs.path.edges["K1"].model
+    assert k1 is graphs.joined.edges["K1"].model
+    assert k1 is build_level(2, 1).edge_group
+
+
+def test_zero_tail_shares_the_level_edge_group():
+    assert _tail_gog(2, 1, 0).vertices["K1"].model is \
+        build_level(2, 1).edge_group
+
+
 def test_bracketing_the_path_interior_preserves_rank():
     path = build_graphs(2, 3, 0).path
     rank = P.mod_p_rank(fundamental_presentation(path), 2)
