@@ -22,7 +22,12 @@ MOD = 7     # square-zero monomial module acted on by commuting unipotent
 
 
 class SizeGuardExceeded(ValueError):
-    """A closure outgrew its size guard: the check is undecided, not failed."""
+    """A closure outgrew its size guard: the check is undecided, not failed.
+    FiniteGroupModel.closure adds the model's name to the kernel's details."""
+
+    def __init__(self, limit, generators):
+        super().__init__(f"closure exceeded size guard of {limit} elements")
+        self.limit, self.generators, self.model = limit, generators, None
 
 
 def mul(blocks, a, b):
@@ -214,8 +219,7 @@ def closure(blocks, identity, gens, limit):
             nxt = mul(blocks, cur, g)
             if nxt not in index:
                 if len(elements) >= limit:
-                    raise SizeGuardExceeded(
-                        f"closure exceeded size guard of {limit} elements")
+                    raise SizeGuardExceeded(limit, len(gens))
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 parent.append(head)

@@ -9,12 +9,13 @@ the trivial element, solving the word problem at desk scale.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
-the level's verified finite quotient, and returns that quotient as an
-explicit separation certificate.
+the level's verified finite quotient, which certifies the separation, and
+otherwise says the word is trivial or no searched level separates it.
 """
 
 import weakref
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 
 from . import models
@@ -333,9 +334,10 @@ def nf_multiply(x, y):
 
 @dataclass(frozen=True)
 class PathLetter:
-    """A path-side letter: vertex-tagged words multiplied left to right."""
+    """A path-side letter: a word at one path vertex."""
 
-    syllables: tuple    # ((vertex id, Word), ...)
+    vertex: str         # G<i>
+    word: object        # Word over the vertex's generators
 
 
 @dataclass(frozen=True)
@@ -346,17 +348,12 @@ class LampLetter:
     word: object        # Word over the lamp generators and the shift
 
 
-def path_letter(*pairs):
-    """path_letter(("G1", word), ...); a single pair may be passed flat."""
-    if len(pairs) == 2 and isinstance(pairs[0], str):
-        pairs = (pairs,)
-    out = []
-    for vertex, word in pairs:
-        _vertex_index(vertex)
-        if not isinstance(word, Word):
-            raise ValueError(f"path letter at {vertex}: expected a Word")
-        out.append((vertex, word))
-    return PathLetter(tuple(out))
+def path_letter(vertex, word):
+    """A path letter: one Word at the path vertex `G<i>`."""
+    _vertex_index(vertex)
+    if not isinstance(word, Word):
+        raise ValueError(f"path letter at {vertex}: expected a Word")
+    return PathLetter(vertex, word)
 
 
 def lamp_letter(level, item):
@@ -389,12 +386,6 @@ def _fold_lamp_word(p, level, word):
     return from_letters(letters)
 
 
-def _letter_is_empty(letter):
-    if isinstance(letter, PathLetter):
-        return all(not word for _, word in letter.syllables)
-    return not letter.word
-
-
 @lru_cache(maxsize=None)
 def _level_data(p, level):
     """The lamp-joined splitting, its witness map, and how hard it was
@@ -415,7 +406,7 @@ def _level_items(letters, p, level):
     items = []
     for letter in letters:
         if isinstance(letter, PathLetter):
-            items.extend(letter.syllables)
+            items.append((letter.vertex, letter.word))
         else:
             items.append(("W", _fold_lamp_word(p, level, letter.word)))
     return items
@@ -425,8 +416,7 @@ def _direct_image(letters, p, level, spec):
     image = spec.target.identity
     for letter in letters:
         if isinstance(letter, PathLetter):
-            for vertex, word in letter.syllables:
-                image = image * spec.vertex_hom(vertex).apply(word)
+            image = image * spec.vertex_hom(letter.vertex).apply(letter.word)
         else:
             folded = _fold_lamp_word(p, level, letter.word)
             image = image * spec.vertex_hom("W").apply(folded)
@@ -456,6 +446,9 @@ class SeparationCertificate:
                 f"image={tuple(self.image.coords)}>")
 
 
+Verdict = Enum("Verdict", "SEPARATED TRIVIAL INCONCLUSIVE")
+
+
 def separate(letters, p, start_level=1, max_level=4):
     """Find the least level whose joined splitting separates the word.
 
@@ -463,19 +456,21 @@ def separate(letters, p, start_level=1, max_level=4):
     upward unchanged) and LampLetters (folded down from their native
     levels).  A level certifies when the folded word has nonempty normal
     form and a nontrivial image in the level's witness quotient; the search
-    is linear so the reported level is the least one.
+    is linear so the reported level is the least one.  Returns the verdict
+    and, when it is SEPARATED, the certificate (else None): a word that is
+    the identity is TRIVIAL, one no level in the range certifies INCONCLUSIVE.
     """
     letters = tuple(letters)
     for letter in letters:
         if not isinstance(letter, (PathLetter, LampLetter)):
             raise ValueError("letters must be PathLetter or LampLetter")
-    if all(_letter_is_empty(letter) for letter in letters):
-        raise ValueError("trivial element")
+    if all(not letter.word for letter in letters):
+        return Verdict.TRIVIAL, None
     lo, hi = start_level, max_level
     natives = set()
     for letter in letters:
         if isinstance(letter, PathLetter):
-            lo = max(lo, max(_vertex_index(v) for v, _ in letter.syllables))
+            lo = max(lo, _vertex_index(letter.vertex))
         else:
             natives.add(letter.level)
             hi = min(hi, letter.level)
@@ -486,12 +481,11 @@ def separate(letters, p, start_level=1, max_level=4):
             # folding at the letters' own level loses nothing, so an empty
             # form there settles triviality outright
             if not natives or natives == {level}:
-                raise ValueError("trivial element")
+                return Verdict.TRIVIAL, None
             continue
         image = _direct_image(letters, p, level, spec)
         if image.is_identity:
             continue
-        return SeparationCertificate(letters, level, spec, image, nf,
-                                     certified)
-    raise ValueError(f"inconclusive: no level in [{start_level}, "
-                     f"{max_level}] certifies the word")
+        return Verdict.SEPARATED, SeparationCertificate(
+            letters, level, spec, image, nf, certified)
+    return Verdict.INCONCLUSIVE, None

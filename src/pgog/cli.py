@@ -4,8 +4,8 @@ Subcommands parse DSL documents, run the divergence detector and the
 edge-count bound, build and verify tower levels, separate tagged words,
 and execute registered examples.  Every subcommand renders a report as
 text or, with --json, as stable JSON; the exit code is 0 exactly when no
-check failed.  The environment variable PGOG_SIZE_GUARD overrides the
-default 2^20 cap on subgroup enumeration.
+check failed, and 2 without a report for unusable input.  PGOG_SIZE_GUARD
+overrides the default 2^20 cap on subgroup enumeration.
 """
 
 import argparse
@@ -21,17 +21,13 @@ from .gog import (check_reduced, fundamental_presentation,
 from .models import is_prime
 
 
-class CliError(ValueError):
-    """Unusable input: reported on stderr with exit code 2."""
-
-
 def _read(path):
     if path == "-":
         return sys.stdin.read()
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(str(exc)) from None
 
 
 def _order_or_guard(model):
@@ -69,11 +65,11 @@ def _collapse_targets(doc, name):
         targets[n] = fundamental_presentation(gog)
     if name is not None:
         if name not in targets:
-            raise CliError(f"no presentation or graph named {name!r}; "
-                           f"document defines: {', '.join(sorted(targets))}")
+            raise ValueError(f"no presentation or graph named {name!r}; "
+                             f"document defines: {', '.join(sorted(targets))}")
         targets = {name: targets[name]}
     if not targets:
-        raise CliError("document defines no presentations or graphs")
+        raise ValueError("document defines no presentations or graphs")
     return targets
 
 
@@ -93,13 +89,13 @@ def cmd_bound(args):
              else sorted(doc.witnesses))
     report = reports.Report("bound", {"file": args.file})
     if not names:
-        raise CliError("document defines no witnesses; the edge bound "
-                       "requires a certified properness witness")
+        raise ValueError("document defines no witnesses; the edge bound "
+                         "requires a certified properness witness")
     for name in names:
         spec = doc.witnesses.get(name)
         if spec is None:
-            raise CliError(f"no witness named {name!r}; document defines: "
-                           f"{', '.join(sorted(doc.witnesses)) or 'none'}")
+            raise ValueError(f"no witness named {name!r}; document defines: "
+                             f"{', '.join(sorted(doc.witnesses)) or 'none'}")
         witness = verify_properness_witness(spec.gog, spec)
         report.checks.append(
             reports.from_check_dict(witness.report, name=f"witness {name}"))
@@ -130,33 +126,22 @@ def _tower_verify_checks(p, max_level):
     from .tower import (build_level, build_witnesses, check_retraction_square,
                         check_transition_maps, check_two_generation)
     checks = []
-
-    def guarded(name, thunk):
-        # only a tripped size guard leaves a check undecided; any other
-        # error is a failed verification
-        try:
-            got = thunk()
-        except SizeGuardExceeded as exc:
-            got = [reports.make_check(name, reports.UNKNOWN, reason=str(exc))]
-        except ValueError as exc:
-            got = [reports.make_check(name, reports.FAIL, reason=str(exc))]
-        checks.extend(got)
-
     for n in range(2, max_level + 1):
-        guarded(f"retraction-square-n{n}", lambda n=n: [
+        checks += reports.guarded(f"retraction-square-n{n}", lambda n=n: [
             reports.from_check_dict(check_retraction_square(build_level(p, n)),
                                     name=f"retraction-square-n{n}")])
     for n in range(0, max_level):
         for m in range(0, max_level - n):
             if n == 0 and m == 0:
                 continue
-            guarded(f"transition-n{n}-m{m}", lambda n=n, m=m: [
-                reports.from_check_dict(check_transition_maps(p, n, m),
-                                        name=f"transition-n{n}-m{m}")])
+            checks += reports.guarded(
+                f"transition-n{n}-m{m}", lambda n=n, m=m: [
+                    reports.from_check_dict(check_transition_maps(p, n, m),
+                                            name=f"transition-n{n}-m{m}")])
     for n in range(1, max_level + 1):
-        guarded(f"witnesses-n{n}", lambda n=n: _witness_checks(p, n,
-                                                               build_witnesses))
-        guarded(f"two-generation-n{n}", lambda n=n: [
+        checks += reports.guarded(f"witnesses-n{n}", lambda n=n:
+                                  _witness_checks(p, n, build_witnesses))
+        checks += reports.guarded(f"two-generation-n{n}", lambda n=n: [
             reports.from_check_dict(check_two_generation(p, n),
                                     name=f"two-generation-n{n}")])
     return checks
@@ -176,7 +161,7 @@ def _witness_checks(p, n, build_witnesses):
 
 def cmd_tower_verify_all(args):
     if not is_prime(args.p):
-        raise CliError(f"p must be prime, got {args.p}")
+        raise ValueError(f"p must be prime, got {args.p}")
     report = reports.Report(
         "tower verify-all", {"p": args.p, "max_level": args.max_level})
     report.extend(_tower_verify_checks(args.p, args.max_level))
@@ -189,27 +174,32 @@ def cmd_separate(args):
         "separate", {"word": args.word, "p": args.p,
                      "start_level": args.start_level,
                      "max_level": args.max_level})
-    from .amalgam import separate
-    try:
-        cert = separate(letters, args.p, start_level=args.start_level,
-                        max_level=args.max_level)
-    except ValueError as exc:
-        message = str(exc)
-        if message == "trivial element":
-            report.add("separate", reports.PASS, verdict="trivial element")
-            return report
-        if message.startswith("inconclusive"):
-            report.add("separate", reports.UNKNOWN, verdict=message)
-            return report
-        raise CliError(message) from None
-    report.add("separate", reports.PASS,
-               level=cert.level,
-               target=cert.specialisation.target.name,
-               image=list(cert.image.coords),
-               reduced_letters=len(cert.reduced.letters()),
-               certified_injective=cert.certified_injective,
-               reverified=cert.reevaluate() == cert.image)
+    # a verdict is a check; any error but a tripped guard is bad input
+    report.extend(reports.guarded(
+        "separate", lambda: [_separation_check(letters, args)], failures=()))
     return report
+
+
+def _separation_check(letters, args):
+    from .amalgam import Verdict, separate
+    verdict, cert = separate(letters, args.p, start_level=args.start_level,
+                             max_level=args.max_level)
+    if verdict is Verdict.TRIVIAL:
+        return reports.make_check("separate", reports.PASS,
+                                  verdict="trivial element")
+    if verdict is Verdict.INCONCLUSIVE:
+        return reports.make_check(
+            "separate", reports.UNKNOWN,
+            verdict=f"inconclusive: no level in [{args.start_level}, "
+                    f"{args.max_level}] certifies the word")
+    return reports.make_check(
+        "separate", reports.PASS,
+        level=cert.level,
+        target=cert.specialisation.target.name,
+        image=list(cert.image.coords),
+        reduced_letters=len(cert.reduced.letters()),
+        certified_injective=cert.certified_injective,
+        reverified=cert.reevaluate() == cert.image)
 
 
 def _params(args):

@@ -396,7 +396,7 @@ class _Parser:
         if vid in g.vertices:
             ln.error(f"duplicate vertex id {vid!r}")
         ln.take(":")
-        model, pres = _model_ref(self._ctx(), ln)
+        model, pres = _model_ref(self, ln)
         g.vertices[vid] = VertexData(model, pres)
 
     def _edge_end_maps(self, ln, model):
@@ -422,7 +422,7 @@ class _Parser:
         if eid in g.edges:
             ln.error(f"duplicate edge id {eid!r}")
         ln.take(":")
-        model, pres = _model_ref(self._ctx(), ln)
+        model, pres = _model_ref(self, ln)
         ln.take("from")
         v0 = ln.name("a vertex id")
         ln.take("to")
@@ -451,7 +451,7 @@ class _Parser:
         if name in self.doc.witnesses:
             ln.error(f"duplicate witness name {name!r}")
         ln.take(":")
-        target, _ = _model_ref(self._ctx(), ln)
+        target, _ = _model_ref(self, ln)
         ln.take("map")
         vertex_maps = {v: {} for v in gog.graph.vertices}
         while True:
@@ -477,30 +477,12 @@ class _Parser:
         self.doc.witnesses[name] = spec
 
     def stmt_word(self, ln):
-        from .amalgam import lamp_letter, path_letter
         self._close_blocks(ln)
         name = ln.name("a word name")
         if name in self.doc.words:
             ln.error(f"duplicate word name {name!r}")
         ln.take(":=")
-        letters = []
-        while not ln.done():
-            tag = ln.name("a letter tag (G<i> or L<level>)")
-            ln.take(":")
-            word = _expr(ln)
-            try:
-                if tag[:1] == "L" and tag[1:].isdigit():
-                    letters.append(lamp_letter(int(tag[1:]), word))
-                else:
-                    letters.append(path_letter(tag, word))
-            except ValueError as exc:
-                ln.error(str(exc))
-        if not letters:
-            ln.error("word defines no letters")
-        self.doc.words[name] = tuple(letters)
-
-    def _ctx(self):
-        return self
+        self.doc.words[name] = _letters(ln)
 
     def run(self, text):
         handlers = {
@@ -533,15 +515,34 @@ def parse_dsl(text):
     return _Parser().run(text)
 
 
+def _letters(ln):
+    """The tagged letters filling the rest of a line: the body of a word."""
+    from .amalgam import lamp_letter, path_letter
+    letters = []
+    while not ln.done():
+        tag = ln.name("a letter tag (G<i> or L<level>)")
+        ln.take(":")
+        word = _expr(ln)
+        try:
+            if tag[:1] == "L" and tag[1:].isdigit():
+                letters.append(lamp_letter(int(tag[1:]), word))
+            else:
+                letters.append(path_letter(tag, word))
+        except ValueError as exc:
+            ln.error(str(exc))
+    if not letters:
+        ln.error("word defines no letters")
+    return tuple(letters)
+
+
 def parse_word(text):
     """Parse a standalone letter sequence like `G1:k1 L1:t`.
 
-    The text is read as the body of one `word` statement, so a comment
-    mark or a line break would silently drop the letters after it; both
-    are rejected.  Error columns count from the start of that statement.
+    The text is the body of one `word` statement.  A comment mark or a
+    line break, which would end that statement in a document, is
+    rejected.  Error columns count from the start of the text.
     """
-    line = f"word main := {text}"
-    for column, char in enumerate(line, 1):
+    for column, char in enumerate(text, 1):
         if char in "#\n\r":
             raise DslError(f"{char!r} cannot appear in a word", 1, column)
-    return parse_dsl(line).words["main"]
+    return _letters(_Line(text, 1))

@@ -33,20 +33,17 @@ def is_prime(p):
 
 
 class PrimeLevel:
-    """Validated (p, n[, m]) parameter bundle: p prime, level n >= 1, p^n small."""
+    """Validated (p, n) parameter bundle: p prime, level n >= 1, p^n small."""
 
-    def __init__(self, p, n=1, m=None):
+    def __init__(self, p, n=1):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
             raise ValueError(f"level n must be >= 1, got {n}")
-        if m is not None and m < 0:
-            raise ValueError(f"level m must be >= 0, got {m}")
         if p ** n > 2 ** 20:
             raise ValueError(f"p^n = {p}^{n} exceeds the 2^20 desk-scale cap")
         self.p = p
         self.n = n
-        self.m = m
 
 
 class GroupElement:
@@ -194,8 +191,8 @@ class FiniteGroupModel:
 
         `generators` may be GroupElements or generator names; default is
         every named generator (the whole model), whose table is cached.
-        Raises SizeGuardExceeded (a ValueError) when the subgroup exceeds
-        the size guard (PGOG_SIZE_GUARD).
+        Raises SizeGuardExceeded (a ValueError), naming this model, when the
+        subgroup exceeds the size guard (PGOG_SIZE_GUARD).
         """
         if generators is None:
             if self._full_closure is not None:
@@ -211,8 +208,12 @@ class FiniteGroupModel:
                     items.append((f"g{len(items)}", g))
         names = [n for n, _ in items]
         coords = [e.coords for _, e in items]
-        table = ClosureTable(self, names, *kernel.closure(
-            self.blocks, self.identity.coords, coords, size_guard()))
+        try:
+            table = ClosureTable(self, names, *kernel.closure(
+                self.blocks, self.identity.coords, coords, size_guard()))
+        except kernel.SizeGuardExceeded as exc:
+            exc.model = self.name
+            raise
         if generators is None:
             self._full_closure = table
         return table

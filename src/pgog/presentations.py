@@ -298,7 +298,7 @@ class CosetTable:
 
     rows[c][2*i] is the coset reached from c by generator i, rows[c][2*i+1]
     by its inverse.  Row 0 is the subgroup's own coset.  An incomplete
-    table carries order None and status "unknown".
+    table carries order None.
     """
 
     def __init__(self, presentation, complete, rows, created):
@@ -311,10 +311,6 @@ class CosetTable:
         for i, g in enumerate(presentation.generators):
             self._col[(g, 1)] = 2 * i
             self._col[(g, -1)] = 2 * i + 1
-
-    @property
-    def status(self):
-        return "complete" if self.complete else "unknown"
 
     def trace(self, word, start=0):
         c = start

@@ -339,7 +339,10 @@ def _separation_runner(params):
     from .amalgam import lamp_letter, path_letter, separate
     p = params.get("p", 2)
     letters = [path_letter("G1", gen("k1")), lamp_letter(1, gen("t"))]
-    cert = separate(letters, p, max_level=params.get("max_level", 4))
+    verdict, cert = separate(letters, p, max_level=params.get("max_level", 4))
+    if cert is None:
+        return [reports.make_check("certificate", reports.FAIL,
+                                   verdict=verdict.name.lower())]
     return [reports.make_check(
         "certificate", _status(not cert.image.is_identity
                                and cert.reevaluate() == cert.image),
@@ -447,23 +450,19 @@ def example_ids():
 
 
 def _aggregate(checks):
-    statuses = {c["status"] for c in checks}
-    if reports.FAIL in statuses:
-        return reports.FAIL
-    if checks and statuses <= {reports.SKIP}:
-        return reports.SKIP
-    return reports.PASS
+    """An example's outcome: fail beats unknown beats pass beats skip."""
+    rank = (reports.FAIL, reports.UNKNOWN, reports.PASS, reports.SKIP).index
+    return min((c["status"] for c in checks), key=rank, default=reports.PASS)
 
 
 def _entry_checks(entry, params):
-    try:
-        checks = entry.run(params)
-    except ValueError as exc:
-        checks = [reports.make_check("execution", reports.FAIL,
-                                     error=str(exc))]
+    checks = reports.guarded("execution", lambda: entry.run(params))
     outcome = _aggregate(checks)
+    # an undecided example neither meets nor misses its expected outcome
+    status = (reports.UNKNOWN if outcome == reports.UNKNOWN
+              else _status(outcome == entry.expected))
     checks.append(reports.make_check(
-        "expected-outcome", _status(outcome == entry.expected),
+        "expected-outcome", status,
         expected=entry.expected, outcome=outcome, claim=entry.claim))
     return checks
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._kernels_py import SizeGuardExceeded
+
 PASS = "pass"
 FAIL = "fail"
 UNKNOWN = "unknown"
@@ -26,11 +28,23 @@ def make_check(name, status, **details):
     return {"name": name, "status": status, "details": details}
 
 
-def from_check_dict(raw, name=None):
-    """Adapt a `{check, status, violations, ...}` dict to a report check."""
+def guarded(name, thunk, failures=ValueError):
+    """The checks thunk() returns; if it raises, one check `name` that is
+    unknown for a tripped size guard, with the guard's details, and fails
+    for any other exception in `failures`.  Anything else propagates."""
+    try:
+        return thunk()
+    except SizeGuardExceeded as exc:
+        return [make_check(name, UNKNOWN, reason=str(exc), limit=exc.limit,
+                           model=exc.model, generators=exc.generators)]
+    except failures as exc:
+        return [make_check(name, FAIL, reason=str(exc))]
+
+
+def from_check_dict(raw, name):
+    """Adapt a `{check, status, violations, ...}` dict to check `name`."""
     details = {k: v for k, v in raw.items() if k not in ("check", "status")}
-    status = raw["status"] if raw["status"] in _STATUSES else FAIL
-    return make_check(name or raw["check"], status, **details)
+    return make_check(name, raw["status"], **details)
 
 
 def collapse_check(name, report):

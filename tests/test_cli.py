@@ -1,5 +1,6 @@
 """CLI subcommands, report rendering, and the example registry."""
 
+import ast
 import json
 import os
 import re
@@ -148,21 +149,46 @@ def test_failed_tower_check_reads_fail_not_unknown(capsys, monkeypatch):
     assert checks["two-generation-n1"]["status"] == "pass"
 
 
-def test_tripped_size_guard_reads_unknown():
-    # a fresh process: closures cached by earlier tests never trip the guard
+def run_guarded(guard, *argv):
+    """Exit code and checks by name of a --json run in a fresh process, so
+    that closures cached by earlier tests cannot hide the guard."""
     done = subprocess.run(
-        [sys.executable, "-m", "pgog.cli", "tower", "verify-all", "--p", "2",
-         "--max-level", "2", "--json"],
-        env={**os.environ, "PGOG_SIZE_GUARD": "32",
+        [sys.executable, "-m", "pgog.cli", *argv, "--json"],
+        env={**os.environ, "PGOG_SIZE_GUARD": str(guard),
              "PYTHONPATH": str(ROOT / "src")},
         cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    statuses = {c["name"]: (c["status"], c["details"].get("reason"))
-                for c in json.loads(done.stdout)["checks"]}
+    assert done.stdout, done.stderr
+    return done.returncode, {c["name"]: c
+                             for c in json.loads(done.stdout)["checks"]}
+
+
+def test_tripped_size_guard_reads_unknown():
+    code, checks = run_guarded(32, "tower", "verify-all", "--p", "2",
+                               "--max-level", "2")
+    assert code == 0
     guard = "closure exceeded size guard of 32 elements"
     for name in ("retraction-square-n2", "witnesses-n2", "two-generation-n2"):
-        assert statuses[name] == ("unknown", guard)
-    assert "fail" not in {status for status, _ in statuses.values()}
+        assert checks[name]["status"] == "unknown"
+        assert checks[name]["details"]["reason"] == guard
+    assert "fail" not in {c["status"] for c in checks.values()}
+
+
+def test_tripped_size_guard_leaves_an_example_undecided():
+    code, checks = run_guarded(32, "run", "tower/bracketing")
+    assert code == 0
+    assert checks["execution"] == {
+        "name": "execution", "status": "unknown",
+        "details": {"reason": "closure exceeded size guard of 32 elements",
+                    "limit": 32, "model": "Gn(2,3)", "generators": 9}}
+    assert checks["expected-outcome"]["status"] == "unknown"
+    assert checks["expected-outcome"]["details"]["outcome"] == "unknown"
+
+
+def test_tripped_size_guard_leaves_a_separation_undecided():
+    code, checks = run_guarded(8, "separate", "--word", "G1:k1 L1:t")
+    assert code == 0
+    assert checks["separate"]["status"] == "unknown"
+    assert checks["separate"]["details"]["limit"] == 8
 
 
 def test_verify_all_rejects_a_composite_prime(capsys):
@@ -254,6 +280,18 @@ def test_run_example_pins_expected_outcome():
     assert report.exit_code == 0
 
 
+@pytest.mark.parametrize("statuses,outcome", [
+    ([], "pass"),
+    (["pass", "skip"], "pass"),
+    (["skip"], "skip"),
+    (["pass", "unknown", "skip"], "unknown"),
+    (["unknown", "fail", "pass"], "fail"),
+])
+def test_aggregate_ranks_fail_over_unknown_over_pass(statuses, outcome):
+    checks = [reports.make_check(f"c{i}", s) for i, s in enumerate(statuses)]
+    assert registry._aggregate(checks) == outcome
+
+
 def test_run_all_aggregates_in_registry_order():
     report = registry.run_all("chains/*")
     names = [c["name"] for c in report.checks]
@@ -293,3 +331,57 @@ def test_every_operation_is_reachable_from_the_cli():
             transitive = re.search(
                 rf"^(?!.*def {name}).*\b{name}\(", source, re.M)
             assert direct or transitive, f"{module}.{name} unreachable"
+
+
+def _handlers(node, function=None):
+    """(enclosing function name, handler) for every except clause."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield function, child
+        inner = (child.name if isinstance(child, ast.FunctionDef)
+                 else function)
+        yield from _handlers(child, inner)
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_statuses_come_from_exception_types_not_messages():
+    # reports.guarded is the one place an exception becomes a status.
+    # Elsewhere only cli._order_or_guard, which yields a detail value, may
+    # catch a tripped guard, and FiniteGroupModel.closure, which names its
+    # model on the exception and re-raises it.
+    allowed = {("cli.py", "_order_or_guard"), ("models.py", "closure")}
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function, handler in _handlers(tree):
+            where = f"{path.name}:{handler.lineno}"
+            if handler.type is not None and \
+                    "SizeGuardExceeded" in _names(handler.type):
+                assert path.name == "reports.py" or \
+                    (path.name, function) in allowed, \
+                    f"{where} catches SizeGuardExceeded"
+            if handler.name is None:
+                continue
+            # the caught exception, and names bound from it in the handler
+            derived = {handler.name}
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Assign) and \
+                        _names(node.value) & derived:
+                    for target in node.targets:
+                        derived |= _names(target)
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Compare):
+                    inspected = node
+                elif isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Attribute) and \
+                        node.func.attr in ("startswith", "endswith", "find",
+                                           "match", "search", "fullmatch"):
+                    inspected = node
+                else:
+                    continue
+                assert not _names(inspected) & derived, \
+                    f"{where} matches on an exception's message"

@@ -90,10 +90,20 @@ def test_word_statement_builds_letters():
 @pytest.mark.parametrize("text", ["G1:k1 #L1:t", "G1:k1\nL1:t",
                                   "G1:k1\rL1:t", "G1:k1#"])
 def test_word_rejects_comment_marks_and_line_breaks(text):
-    # pasted into one DSL line, these would drop the letters after them
+    # in a document these would end the word statement early
     with pytest.raises(DslError, match="cannot appear in a word") as err:
         parse_word(text)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("text,column", [
+    ("G1:k1 ?L1:t", 7), ("?", 1), ("G1:k1 #L1:t", 7), ("G1:k1 L1", 9),
+    ("W:t", 4),
+])
+def test_word_error_columns_count_from_the_start_of_the_word(text, column):
+    with pytest.raises(DslError) as err:
+        parse_word(text)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 @pytest.mark.parametrize("text,fragment,line", [

@@ -391,6 +391,16 @@ def test_size_guard_env_override(monkeypatch):
     assert m.closure().order == 64
 
 
+def test_tripped_guard_names_its_limit_model_and_generators(monkeypatch):
+    monkeypatch.setenv("PGOG_SIZE_GUARD", "8")
+    m = models.GnModel(2, 2)
+    with pytest.raises(kpy.SizeGuardExceeded) as err:
+        m.closure(list(m.generators))
+    assert str(err.value) == "closure exceeded size guard of 8 elements"
+    assert (err.value.limit, err.value.model, err.value.generators) == \
+        (8, "Gn(2,2)", 6)
+
+
 def test_direct_product_orders_multiply_and_names_guarded():
     h = models.HeisenbergModP(2)
     ea = models.ElementaryAbelian(2, ["a", "b"])
@@ -417,9 +427,7 @@ def test_prime_level_validation():
         models.PrimeLevel(1)
     with pytest.raises(ValueError, match="level n"):
         models.PrimeLevel(2, 0)
-    with pytest.raises(ValueError, match="level m"):
-        models.PrimeLevel(2, 1, -1)
     with pytest.raises(ValueError, match="cap"):
         models.PrimeLevel(2, 21)
-    lvl = models.PrimeLevel(3, 2, 0)
-    assert (lvl.p, lvl.n, lvl.m) == (3, 2, 0)
+    lvl = models.PrimeLevel(3, 2)
+    assert (lvl.p, lvl.n) == (3, 2)

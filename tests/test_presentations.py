@@ -105,7 +105,7 @@ def test_presentation_validation():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_single_cyclic_relator(p):
     table = P.coset_enumerate(P.FinitePresentation(["a"], [gen("a", p)]))
-    assert table.status == "complete"
+    assert table.complete
     assert table.order == p
 
 
@@ -149,7 +149,6 @@ def test_free_product_does_not_complete():
     pres = P.FinitePresentation(["a", "b"], [gen("a", 2), gen("b", 2)])
     table = P.coset_enumerate(pres, max_cosets=64)
     assert not table.complete
-    assert table.status == "unknown"
     assert table.order is None
 
 
