@@ -1,4 +1,4 @@
-"""Pure-Python arithmetic kernel.
+"""Pure-Python arithmetic kernel: products, polycyclic series, closure.
 
 Group elements are flat tuples of small non-negative ints.  A model is a
 sequence of block descriptors; each block owns a contiguous slice of the
@@ -226,3 +226,84 @@ def closure(blocks, identity, gens, limit):
                 genidx.append(gi)
         head += 1
     return elements, index, parent, genidx
+
+
+def series(blocks):
+    """The polycyclic series, top first, as (coordinate, place) terms: an
+    element's digit at a term is x[coordinate] // place % p.  Elements
+    whose digits above a term are zero form a subgroup on which the term's
+    digit adds mod p.  Acting coordinates come first, twisted or module
+    ones last; a Z/q coordinate is split into digits, low digit first.
+    """
+    terms = []
+    for kind, p, n, q, off, width in blocks:
+        end = off + width
+        if kind in (EA, HEIS):              # HEIS: (a, b, c)
+            coords = range(off, end)
+        elif kind == GN:                    # (u_{n-1}, lamps, u_n)
+            coords = [off, *range(off + 2, end), off + 1]
+        elif kind == FN:                    # (u_1, lamps, u_2..u_n)
+            coords = [off, *range(off + n, end), *range(off + 1, off + n)]
+        elif kind in (CYC, LAMP):           # (digits of t, lamps)
+            coords = range(off, end - 1)
+        elif kind == EN:                    # (digits of t, u_1, lamps, u_2..u_n)
+            pn = (width - 1) // (n + 1)
+            x0 = off + n * pn
+            coords = [*range(off, off + pn), *range(x0, end - 1),
+                      *range(off + pn, x0)]
+        elif kind == MOD:                   # (digits of t, multipliers, module)
+            a0 = off + q * (1 << n)
+            coords = [*range(a0, end - 1), *range(off, a0)]
+        else:
+            raise ValueError(f"unknown block kind {kind}")
+        place = 1
+        while place < q:                    # q is 0 where there is no Z/q
+            terms.append((end - 1, place))
+            place *= p
+        terms += [(c, 1) for c in coords]
+    return terms
+
+
+def sift(blocks, p, terms, table, g):
+    """Clear g's leading digits with the entries of an induced_pcgs table:
+    None if g lies in the table's subgroup, else (depth, leading exponent,
+    remainder) at the first depth the table has no entry for."""
+    for d, (c, place) in enumerate(terms):
+        e = g[c] // place % p
+        if e:
+            if table[d] is None:
+                return d, e, g
+            g = mul(blocks, table[d][1][e * table[d][2] % p], g)
+    return None
+
+
+def induced_pcgs(blocks, p, terms, gens):
+    """Induced polycyclic sequence of <gens> by noncommutative Gaussian
+    elimination (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 8): per depth, None or (g, back, u), g of leading
+    exponent 1/u mod p there, back[k] = g^-k.  Entries' p-th powers and
+    commutators are sifted in too, so the order is p^(number of entries).
+    """
+    table = [None] * len(terms)
+    fresh, done = [], []
+
+    def insert(g):
+        found = sift(blocks, p, terms, table, g)
+        if found:
+            d, e, g = found
+            back = [None, inv(blocks, g)]
+            while len(back) <= p:
+                back.append(mul(blocks, back[-1], back[1]))
+            table[d] = (g, back, pow(e, -1, p))
+            fresh.append(d)
+
+    for g in gens:
+        insert(g)
+    while fresh:
+        d = fresh.pop()
+        g, back, _ = table[d]
+        insert(back[p])                         # g^-p
+        for h, h_back, _ in map(table.__getitem__, done):   # [g, h]
+            insert(mul(blocks, mul(blocks, mul(blocks, back[1], h_back[1]), g), h))
+        done.append(d)
+    return table

@@ -19,13 +19,8 @@ from enum import Enum
 from functools import lru_cache
 
 from . import models
-from .gog import verify_specialisation
-from .tower import build_witnesses, joined_witness_specialisation
+from .tower import build_witnesses, vertex_data
 from .words import Word, from_letters
-
-# full properness certification closes the whole lamplighter vertex; past
-# this order only the homomorphism property is re-verified
-FULL_WITNESS_BOUND = 1 << 16
 
 
 # -- transversal tables ------------------------------------------------------
@@ -388,18 +383,9 @@ def _fold_lamp_word(p, level, word):
 
 @lru_cache(maxsize=None)
 def _level_data(p, level):
-    """The lamp-joined splitting, its witness map, and how hard it was
-    verified: fully (per-vertex injectivity) below FULL_WITNESS_BOUND,
-    by the homomorphism conditions alone above it."""
-    gog, spec = joined_witness_specialisation(p, level)
-    if p ** (p ** level + level) <= FULL_WITNESS_BOUND:   # |Lamp(p, level)|
-        build_witnesses(p, level)
-        return gog, spec, True
-    report = verify_specialisation(gog, spec)
-    if report["status"] != "pass":
-        raise ValueError(
-            f"witness map failed at level {level}: {report['violations']}")
-    return gog, spec, False
+    """The lamp-joined splitting and its certified properness witness map."""
+    spec = build_witnesses(p, level)[1].specialisation
+    return spec.gog, spec
 
 
 def _level_items(letters, p, level):
@@ -426,14 +412,12 @@ def _direct_image(letters, p, level, spec):
 class SeparationCertificate:
     """A finite p-group quotient where the input word is visibly nontrivial."""
 
-    def __init__(self, letters, level, specialisation, image, reduced,
-                 certified_injective):
+    def __init__(self, letters, level, specialisation, image, reduced):
         self.letters = tuple(letters)
         self.level = level
         self.specialisation = specialisation
         self.image = image
         self.reduced = reduced
-        self.certified_injective = certified_injective
 
     def reevaluate(self):
         """Recompute the image straight from the letters through the map."""
@@ -447,6 +431,20 @@ class SeparationCertificate:
 
 
 Verdict = Enum("Verdict", "SEPARATED TRIVIAL INCONCLUSIVE")
+
+
+def check_search(letters, p, start_level, max_level):
+    """Raise ValueError for input no search can use (p not prime, a start
+    level below 1, a path letter at G_i, i <= max_level, naming a generator
+    G_i lacks), so that a failure inside the search is a failed check."""
+    models.PrimeLevel(p, start_level)
+    for i, letter in enumerate(letters):
+        if isinstance(letter, PathLetter) and \
+                (level := _vertex_index(letter.vertex)) <= max_level:
+            try:
+                vertex_data(p, level).model.evaluate(letter.word)
+            except KeyError as exc:
+                raise ValueError(f"letter {i} at {letter.vertex}: {exc}") from None
 
 
 def separate(letters, p, start_level=1, max_level=4):
@@ -475,7 +473,7 @@ def separate(letters, p, start_level=1, max_level=4):
             natives.add(letter.level)
             hi = min(hi, letter.level)
     for level in range(lo, hi + 1):
-        gog, spec, certified = _level_data(p, level)
+        gog, spec = _level_data(p, level)
         nf = normal_form(gog, _level_items(letters, p, level))
         if nf.is_trivial:
             # folding at the letters' own level loses nothing, so an empty
@@ -487,5 +485,5 @@ def separate(letters, p, start_level=1, max_level=4):
         if image.is_identity:
             continue
         return Verdict.SEPARATED, SeparationCertificate(
-            letters, level, spec, image, nf, certified)
+            letters, level, spec, image, nf)
     return Verdict.INCONCLUSIVE, None

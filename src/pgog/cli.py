@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import registry, reports
-from ._kernels_py import SizeGuardExceeded
 from .analysis import check_edge_bound, detect_collapse
 from .dsl import parse_dsl, parse_word
 from .gog import (check_reduced, fundamental_presentation,
@@ -28,13 +27,6 @@ def _read(path):
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(str(exc)) from None
-
-
-def _order_or_guard(model):
-    try:
-        return model.order
-    except SizeGuardExceeded:
-        return "exceeds size guard"
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -115,9 +107,9 @@ def cmd_tower_build(args):
         report.add(label, reports.PASS,
                    vertices=list(gog.graph.vertices),
                    edges=dict(gog.graph.edges),
-                   vertex_orders={v: _order_or_guard(gog.vertices[v].model)
+                   vertex_orders={v: gog.vertices[v].model.order
                                   for v in gog.graph.vertices},
-                   edge_orders={e: _order_or_guard(gog.edges[e].model)
+                   edge_orders={e: gog.edges[e].model.order
                                 for e in gog.graph.edges})
     return report
 
@@ -169,14 +161,15 @@ def cmd_tower_verify_all(args):
 
 
 def cmd_separate(args):
+    from .amalgam import check_search
     letters = parse_word(args.word)
+    check_search(letters, args.p, args.start_level, args.max_level)
     report = reports.Report(
         "separate", {"word": args.word, "p": args.p,
                      "start_level": args.start_level,
                      "max_level": args.max_level})
-    # a verdict is a check; any error but a tripped guard is bad input
     report.extend(reports.guarded(
-        "separate", lambda: [_separation_check(letters, args)], failures=()))
+        "separate", lambda: [_separation_check(letters, args)]))
     return report
 
 
@@ -198,7 +191,6 @@ def _separation_check(letters, args):
         target=cert.specialisation.target.name,
         image=list(cert.image.coords),
         reduced_letters=len(cert.reduced.letters()),
-        certified_injective=cert.certified_injective,
         reverified=cert.reevaluate() == cert.image)
 
 

@@ -232,7 +232,7 @@ def check_reduced(gog):
                 raise ValueError(f"vertex {v} has no model; cannot compare orders")
             images = [gog.image_element(eid, k, g)
                       for g in gog.edges[eid].model.generators]
-            if vd.model.closure(images).order >= vd.model.order:
+            if vd.model.subgroup(images).order >= vd.model.order:
                 return False
     return True
 
@@ -376,7 +376,7 @@ class PropernessWitness:
 
 
 def verify_properness_witness(gog, spec):
-    """verify_specialisation plus per-vertex injectivity by closure orders."""
+    """verify_specialisation plus per-vertex injectivity by subgroup orders."""
     base = verify_specialisation(gog, spec)
     violations = list(base["violations"])
     orders = {}
@@ -387,7 +387,7 @@ def verify_properness_witness(gog, spec):
                                "detail": "presentation-only vertex cannot be certified"})
             continue
         images = [spec.vertex_maps[v][g] for g in vd.model.generators]
-        image_order = spec.target.closure(images).order
+        image_order = spec.target.subgroup(images).order
         orders[v] = image_order
         if image_order != vd.model.order:
             violations.append({"kind": "injectivity", "vertex": v,

@@ -3,12 +3,13 @@
 Every model is a sequence of coordinate blocks interpreted by the
 arithmetic kernel (see _kernels_py).  Elements are immutable coordinate
 tuples tagged with their model; elements of structurally different
-models never compare equal.  Enumeration is breadth-first closure with
-shortest-word tracking, bounded by a size guard (PGOG_SIZE_GUARD, default
-2**20).
+models never compare equal.  Subgroup orders and membership sift through
+induced polycyclic sequences; only enumeration (breadth-first closure, for
+shortest words) is bounded by a size guard (PGOG_SIZE_GUARD, 2**20).
 """
 
 import os
+from functools import cached_property
 
 from . import _kernels_py as kernel
 from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
@@ -90,15 +91,8 @@ class ClosureTable:
         self._parent = parent
         self._genidx = genidx
 
-    @property
-    def order(self):
-        return len(self._elements)
-
     def __len__(self):
         return len(self._elements)
-
-    def __contains__(self, element):
-        return element.model == self.model and element.coords in self._index
 
     def __iter__(self):
         for coords in self._elements:
@@ -118,6 +112,19 @@ class ClosureTable:
         return Word(tuple(reversed(letters)))
 
 
+class Subgroup:
+    """A subgroup as an induced polycyclic sequence: nothing enumerated."""
+
+    def __init__(self, model, table):
+        self.model, self._table = model, table
+        self.order = model.p ** sum(entry is not None for entry in table)
+
+    def __contains__(self, element):
+        m = self.model
+        return element.model == m and kernel.sift(
+            m.blocks, m.p, m._series, self._table, element.coords) is None
+
+
 class FiniteGroupModel:
     """A finite p-group with executable coordinate arithmetic."""
 
@@ -129,6 +136,7 @@ class FiniteGroupModel:
         self._hash = hash((self.blocks, width, tuple(n for n, _ in gen_items)))
         self.identity = GroupElement(self, (0,) * width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
+        self._series = kernel.series(self.blocks)
         self._full_closure = None
 
     def __eq__(self, other):
@@ -186,6 +194,20 @@ class FiniteGroupModel:
             order *= self.p
         return order
 
+    def subgroup(self, generators=None):
+        """Subgroup generated by GroupElements or generator names; default
+        every named generator (the whole model), whose result is cached."""
+        if generators is None:
+            return self._whole
+        gens = [self.generators[g] if isinstance(g, str) else g
+                for g in generators]
+        return Subgroup(self, kernel.induced_pcgs(
+            self.blocks, self.p, self._series, [self._own(g) for g in gens]))
+
+    @cached_property
+    def _whole(self):
+        return self.subgroup(list(self.generators))
+
     def closure(self, generators=None):
         """BFS closure of the subgroup generated by `generators`.
 
@@ -220,7 +242,7 @@ class FiniteGroupModel:
 
     @property
     def order(self):
-        return self.closure().order
+        return self.subgroup().order
 
     def evaluate(self, word, assignment=None):
         """Evaluate a Word; assignment maps names to elements (default: generators)."""

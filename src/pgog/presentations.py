@@ -2,7 +2,7 @@
 
 A FinitePresentation is the shared currency between concrete models and
 graph-of-groups assembly.  coset_enumerate certifies presentation orders
-independently of model closure: it is a semi-decision procedure, so a
+independently of the models' orders: it is a semi-decision procedure, so a
 non-completing run is reported as unknown, never as failure.  mod_p_rank
 is the dimension of the mod-p abelianization, i.e. the minimal generator
 number of the pro-p completion.
@@ -185,9 +185,9 @@ class GroupHom:
     def _verify_by_pairs(self):
         src = self.source
         table = src.closure()
-        if table.order ** 2 > 1 << 22:
+        if len(table) ** 2 > 1 << 22:
             raise ValueError(
-                f"pair check on {src.name} needs {table.order}^2 products; "
+                f"pair check on {src.name} needs {len(table)}^2 products; "
                 "supply a certified presentation instead")
         images = {}
         for e in table:
@@ -208,25 +208,22 @@ def hom_injective_on(hom):
     """True iff the hom is injective on its whole source model.
 
     The images of the source generators generate the image, so the hom is
-    injective exactly when they span a subgroup of the source's order;
-    that order comes from the source's cached full closure.
+    injective exactly when they span a subgroup of the source's order.
     """
     src = hom.source
     if not isinstance(src, FiniteGroupModel):
         raise ValueError("injectivity check needs a model source")
     images = [hom.image_of(g) for g in src.generators]
-    return hom.target.closure(images).order == src.order
+    return hom.target.subgroup(images).order == src.order
 
 
 def check_model_satisfies(presentation, model):
     """Relators hold on the model generators of the same names, AND those
     generators generate the model.
 
-    Every presentation generator must name a model generator.  model.order
-    is the order of the closure of all model generators, so the named ones
-    generate the model exactly when every unnamed model generator lies in
-    their closure; when the presentation names them all, nothing is
-    enclosed.
+    Every presentation generator must name a model generator.  The named
+    ones generate the model exactly when every unnamed model generator
+    lies in the subgroup they generate.
     """
     named = set(presentation.generators)
     missing = named - set(model.generators)
@@ -241,7 +238,7 @@ def check_model_satisfies(presentation, model):
                                "image": list(image.coords)})
     unnamed = [g for g in model.generators if g not in named]
     if unnamed:
-        sub = model.closure(list(presentation.generators))
+        sub = model.subgroup(list(presentation.generators))
         if any(model.generators[g] not in sub for g in unnamed):
             violations.append({"kind": "generation", "subgroup_order": sub.order,
                                "model_order": model.order})

@@ -347,8 +347,7 @@ def _separation_runner(params):
         "certificate", _status(not cert.image.is_identity
                                and cert.reevaluate() == cert.image),
         level=cert.level, target=cert.specialisation.target.name,
-        image=list(cert.image.coords),
-        certified_injective=cert.certified_injective)]
+        image=list(cert.image.coords))]
 
 
 def _shipped_chain_runner(params):

@@ -28,16 +28,16 @@ def make_check(name, status, **details):
     return {"name": name, "status": status, "details": details}
 
 
-def guarded(name, thunk, failures=ValueError):
+def guarded(name, thunk):
     """The checks thunk() returns; if it raises, one check `name` that is
     unknown for a tripped size guard, with the guard's details, and fails
-    for any other exception in `failures`.  Anything else propagates."""
+    for any other ValueError.  Anything else propagates."""
     try:
         return thunk()
     except SizeGuardExceeded as exc:
         return [make_check(name, UNKNOWN, reason=str(exc), limit=exc.limit,
                            model=exc.model, generators=exc.generators)]
-    except failures as exc:
+    except ValueError as exc:
         return [make_check(name, FAIL, reason=str(exc))]
 
 

@@ -9,9 +9,9 @@ splittings and the lamp-joined splittings are assembled from these, and the
 explicit finite quotients witnessing their properness are built alongside.
 
 Each vertex group G_i and edge group K_i has one cached constructor
-(_vertex_data, _edge_data), so a level, the three splittings and the
+(vertex_data, _edge_data), so a level, the three splittings and the
 transition tails share one model per group, and with it one cached
-closure.
+order and closure.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -97,7 +97,7 @@ def joined_witness_model(p, n):
 
 
 @lru_cache(maxsize=None)
-def _vertex_data(p, i):
+def vertex_data(p, i):
     """G_i with its presentation: elementary abelian on k1, the lamps and c
     at i = 1, the twisted group Gn(p, i) above."""
     if i == 1:
@@ -124,7 +124,7 @@ def build_level(p, n):
     hs = lamp_names(p, n)
     lamps = models.ElementaryAbelian(p, hs)
     edge_group = _edge_data(p, n).model
-    vertex = _vertex_data(p, n)
+    vertex = vertex_data(p, n)
     vertex_group = vertex.model
 
     edge_incl = _injective(
@@ -203,7 +203,7 @@ def _gog(vertices, edges, edge_data, check=True):
 
 
 def _path_parts(p, first, last):
-    vertices = {f"G{i}": _vertex_data(p, i) for i in range(first, last + 1)}
+    vertices = {f"G{i}": vertex_data(p, i) for i in range(first, last + 1)}
     edges = {f"K{i}": (f"G{i}", f"G{i + 1}") for i in range(first, last)}
     edge_data = {f"K{i}": _edge_data(p, i) for i in range(first, last)}
     return vertices, edges, edge_data
@@ -434,7 +434,7 @@ def check_transition_maps(p, n, m):
 def check_two_generation(p, n):
     """The lamplighter level is generated by one lamp and the shift."""
     lamp = build_level(p, n).lamplighter
-    pair = lamp.closure([lamp.generators["h0"], lamp.generators["t"]])
+    pair = lamp.subgroup(["h0", "t"])
     return {"check": "two-generation", "p": p, "n": n,
             "status": "pass" if pair.order == lamp.order else "fail",
             "subgroup_order": pair.order, "model_order": lamp.order}

@@ -9,7 +9,8 @@ import pytest
 from pgog import amalgam, models
 from pgog.amalgam import (Verdict, build_transversals, lamp_letter,
                           nf_multiply, normal_form, path_letter, separate)
-from pgog.gog import EdgeData, Graph, GraphOfGroups, VertexData
+from pgog.gog import (EdgeData, Graph, GraphOfGroups, VertexData,
+                      verify_properness_witness)
 from pgog.registry import free_product_line
 from pgog.tower import (_path_gog, build_graphs, build_witnesses,
                         path_witness_specialisation)
@@ -249,7 +250,6 @@ def test_separation_of_the_basic_mixed_word():
     assert cert.level == 1
     assert cert.specialisation.target.name == "En(2,1)"
     assert not cert.image.is_identity
-    assert cert.certified_injective
     assert not cert.reduced.is_trivial
     assert cert.reevaluate() == cert.image
 
@@ -284,27 +284,20 @@ def test_separation_at_the_third_level():
         [path_letter("G3", gen("k3")), lamp_letter(3, gen("t"))], 2)
     assert verdict is Verdict.SEPARATED
     assert cert.level == 3
-    assert cert.certified_injective
     assert cert.reevaluate() == cert.image
 
 
-def test_witness_strength_follows_the_lamplighter_order_formula(monkeypatch):
-    # choosing the check encloses nothing: under a 16-element guard any
-    # enclosure of a lamplighter level would raise
-    checks = []
-    monkeypatch.setattr(amalgam, "joined_witness_specialisation",
-                        lambda p, level: ("gog", "spec"))
-    monkeypatch.setattr(amalgam, "build_witnesses",
-                        lambda p, level: checks.append("full"))
-    monkeypatch.setattr(amalgam, "verify_specialisation",
-                        lambda gog, spec: checks.append("hom") or
-                        {"status": "pass"})
+@pytest.mark.parametrize("p,level,target", [
+    pytest.param(2, 4, "SCW(2,4)", id="2-4"),
+    pytest.param(3, 2, "En(3,2)", id="3-2")])
+def test_every_level_searches_a_fully_certified_witness(monkeypatch, p,
+                                                       level, target):
+    # past 2^16 lamplighter elements too, and enumerating nothing: under
+    # a 16-element guard any enclosure of a vertex group would raise
     monkeypatch.setenv("PGOG_SIZE_GUARD", "16")
-    level_data = amalgam._level_data.__wrapped__
-    assert level_data(2, 3) == ("gog", "spec", True)     # 2^11
-    assert level_data(2, 4) == ("gog", "spec", False)    # 2^20
-    assert level_data(3, 2) == ("gog", "spec", False)    # 3^11
-    assert checks == ["full", "hom", "hom"]
+    gog, spec = amalgam._level_data.__wrapped__(p, level)
+    assert spec.target.name == target and spec.gog is gog
+    assert verify_properness_witness(gog, spec).valid
 
 
 def test_exhausted_search_reports_inconclusive():

@@ -55,8 +55,8 @@ def test_examples_verdicts_match_the_pinned_list(capsys):
 
 @pytest.mark.parametrize("argv, calls, elements", [
     pytest.param(["tower", "verify-all", "--p", "2", "--max-level", "3",
-                  "--json"], 58, 12324, id="tower-verify"),
-    pytest.param(["run-all", "--json"], 108, 4231, id="examples"),
+                  "--json"], 4, 1108, id="tower-verify"),
+    pytest.param(["run-all", "--json"], 7, 1140, id="examples"),
 ])
 def test_closure_counts_stay_within_their_ceilings(tmp_path, argv, calls,
                                                    elements):

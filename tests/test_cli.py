@@ -1,6 +1,7 @@
 """CLI subcommands, report rendering, and the example registry."""
 
 import ast
+import functools
 import json
 import os
 import re
@@ -166,20 +167,26 @@ def test_tripped_size_guard_reads_unknown():
     code, checks = run_guarded(32, "tower", "verify-all", "--p", "2",
                                "--max-level", "2")
     assert code == 0
-    guard = "closure exceeded size guard of 32 elements"
-    for name in ("retraction-square-n2", "witnesses-n2", "two-generation-n2"):
-        assert checks[name]["status"] == "unknown"
-        assert checks[name]["details"]["reason"] == guard
+    # the square maps elements through their shortest words, which needs
+    # an enumeration; orders, and so the witnesses and two-generation, do not
+    square = checks["retraction-square-n2"]
+    assert square["status"] == "unknown"
+    assert square["details"]["reason"] == \
+        "closure exceeded size guard of 32 elements"
+    for name in ("witness P2->Fn(2,2)", "witness J2->En(2,2)",
+                 "two-generation-n2"):
+        assert checks[name]["status"] == "pass"
     assert "fail" not in {c["status"] for c in checks.values()}
 
 
 def test_tripped_size_guard_leaves_an_example_undecided():
-    code, checks = run_guarded(32, "run", "tower/bracketing")
+    # transversal tables enumerate their vertex groups
+    code, checks = run_guarded(32, "run", "amalgam/normal-forms")
     assert code == 0
     assert checks["execution"] == {
         "name": "execution", "status": "unknown",
         "details": {"reason": "closure exceeded size guard of 32 elements",
-                    "limit": 32, "model": "Gn(2,3)", "generators": 9}}
+                    "limit": 32, "model": "Gn(2,2)", "generators": 6}}
     assert checks["expected-outcome"]["status"] == "unknown"
     assert checks["expected-outcome"]["details"]["outcome"] == "unknown"
 
@@ -216,6 +223,31 @@ def test_separate_command_paths(capsys):
 
     code, out, err = run_cli(capsys, "separate", "--word", "G1:k1 #L1:t")
     assert code == 2 and out == "" and "cannot appear in a word" in err
+
+
+def test_failed_witness_in_separate_reads_fail_not_a_usage_error(
+        capsys, monkeypatch):
+    from pgog import amalgam
+
+    def failing(p, levels):
+        raise ValueError(f"witness P{levels}->Fn(2,2) failed: []")
+
+    monkeypatch.setattr(amalgam, "build_witnesses", failing)
+    # a fresh level cache, so that levels certified earlier are rebuilt
+    monkeypatch.setattr(amalgam, "_level_data", functools.lru_cache(None)(
+        amalgam._level_data.__wrapped__))
+    code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t",
+                           "--json")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "fail"
+    assert check["details"]["reason"] == "witness P1->Fn(2,2) failed: []"
+    # input no search can use is still refused before it starts
+    for argv in (["--word", "G1:zz"], ["--word", "G0:k1"],
+                 ["--word", "L1:t", "--p", "4"],
+                 ["--word", "L1:t", "--start-level", "0"]):
+        code, out, _ = run_cli(capsys, "separate", *argv)
+        assert code == 2 and out == ""
 
 
 def test_run_and_run_all_commands(capsys):
@@ -350,10 +382,9 @@ def _names(node):
 
 def test_statuses_come_from_exception_types_not_messages():
     # reports.guarded is the one place an exception becomes a status.
-    # Elsewhere only cli._order_or_guard, which yields a detail value, may
-    # catch a tripped guard, and FiniteGroupModel.closure, which names its
-    # model on the exception and re-raises it.
-    allowed = {("cli.py", "_order_or_guard"), ("models.py", "closure")}
+    # Elsewhere only FiniteGroupModel.closure, which names its model on the
+    # exception and re-raises it, may catch a tripped guard.
+    allowed = {("models.py", "closure")}
     package = Path(cli.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())

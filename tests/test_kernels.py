@@ -1,4 +1,5 @@
-"""Kernel-level checks: group laws per block kind and BFS closure.
+"""Kernel-level checks: group laws and polycyclic series per block kind,
+and BFS closure.
 
 The group-law tests run on raw block descriptors through the kernel, so
 a coordinate-law bug cannot hide behind the model layer.  The frozen
@@ -7,6 +8,7 @@ a group at depth three; the models refuse those parameters, and these
 tests make sure nobody "fixes" that refusal by reintroducing the law.
 """
 
+import math
 import random
 
 import pytest
@@ -113,6 +115,57 @@ def test_group_laws_property(triple):
     assert lhs == rhs
     e = (0,) * len(a)
     assert kpy.mul(blocks, a, kpy.inv(blocks, a)) == e
+
+
+# -- polycyclic series ----------------------------------------------------------
+
+
+KIND_NAMES = {kpy.EA: "EA", kpy.CYC: "CYC", kpy.HEIS: "HEIS", kpy.GN: "GN",
+              kpy.FN: "FN", kpy.LAMP: "LAMP", kpy.EN: "EN", kpy.MOD: "MOD"}
+
+
+def test_every_block_kind_has_a_series_case():
+    covered = {b[0] for case in law_cases() for b in case.values[0]}
+    assert covered == set(KIND_NAMES)
+
+
+@pytest.mark.parametrize("blocks,width", law_cases())
+def test_series_splits_every_coordinate_into_digits_once(blocks, width):
+    # so p^(series length) is the number of coordinate tuples
+    terms = kpy.series(blocks)
+    assert len(set(terms)) == len(terms)
+    assert blocks[0][1] ** len(terms) == math.prod(
+        coordinate_moduli(blocks, width))
+
+
+def digit(terms, p, x, depth):
+    c, place = terms[depth]
+    return x[c] // place % p
+
+
+@pytest.mark.parametrize("blocks,width", law_cases())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_series_leading_digit_adds_mod_p(blocks, width, data):
+    # the elements zero above depth k form a subgroup, and their digit at
+    # depth k adds mod p under mul: the factor there has order p
+    p, terms = blocks[0][1], kpy.series(blocks)
+    mods = coordinate_moduli(blocks, width)
+    k = data.draw(st.integers(0, len(terms) - 1), label="depth")
+
+    def zero_above_k():
+        x = list(data.draw(st.tuples(*[st.integers(0, m - 1) for m in mods])))
+        for c, place in terms[:k]:
+            x[c] -= x[c] // place % p * place
+        return tuple(x)
+
+    a, b = zero_above_k(), zero_above_k()
+    ab, ia = kpy.mul(blocks, a, b), kpy.inv(blocks, a)
+    for x in (ab, ia):
+        assert all(digit(terms, p, x, d) == 0 for d in range(k))
+    assert digit(terms, p, ab, k) == \
+        (digit(terms, p, a, k) + digit(terms, p, b, k)) % p
+    assert digit(terms, p, ia, k) == -digit(terms, p, a, k) % p
 
 
 def unit(width, *idx):

@@ -172,7 +172,7 @@ def test_lamplighter_relations(p, n):
         for i in range(j):
             assert m.commutator(hs[i], hs[j]).is_identity
     assert m.element_order(t) == pn
-    assert m.closure([f"h{j}" for j in range(pn)]).order == p ** pn
+    assert len(m.closure([f"h{j}" for j in range(pn)])) == p ** pn
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
@@ -265,20 +265,28 @@ def test_shifted_chain_witness_relations(p, n):
 
 
 # -- closed-form orders -------------------------------------------------------
+#
+# model.order comes from an induced polycyclic sequence; the length of the
+# BFS closure checks it exhaustively.
+
+def assert_order(model, expected):
+    assert model.order == expected
+    assert len(model.closure()) == expected
+
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1)])
 def test_order_formulas(p, n):
     pn = p ** n
-    assert models.GnModel(p, n).order == p ** (2 + pn)
-    assert models.LamplighterLevel(p, n).order == p ** (pn + n)
+    assert_order(models.GnModel(p, n), p ** (2 + pn))
+    assert_order(models.LamplighterLevel(p, n), p ** (pn + n))
     if n <= 2:
-        assert models.FnModel(p, n).order == p ** (n + pn)
+        assert_order(models.FnModel(p, n), p ** (n + pn))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
 def test_en_witness_order(p, n):
     pn = p ** n
-    assert models.EnWitnessModel(p, n).order == p ** (n * pn + pn + n)
+    assert_order(models.EnWitnessModel(p, n), p ** (n * pn + pn + n))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -287,14 +295,103 @@ def test_chain_witness_order(p, n):
     # dimensions, and c one more; the multiplier coordinates are locked to
     # the lamp at their twist index, so they add nothing.
     expected = p ** (2 ** (n - 1) + p ** n + 1)
-    assert models.ChainWitness(p, n).order == expected
+    assert_order(models.ChainWitness(p, n), expected)
 
 
 def test_cyclic_model_order_and_generator():
     m = models.CyclicModel(3, 2)
-    assert m.order == 9
+    assert_order(m, 9)
     assert m.element_order(m.generators["z"]) == 9
     assert m.power(m.generators["z"], 9).is_identity
+
+
+# -- polycyclic orders and membership against BFS ----------------------------
+
+# every model constructor, at each size under 2^12 elements the suite uses
+SMALL = [
+    models.ElementaryAbelian(3, ["a", "b", "c"]),
+    models.CyclicModel(2, 3),
+    models.CyclicModel(5, 2),
+    models.HeisenbergModP(2),
+    models.HeisenbergModP(3),
+    models.GnModel(2, 1),
+    models.GnModel(2, 2),
+    models.GnModel(2, 3),
+    models.GnModel(3, 1),
+    models.FnModel(2, 1),
+    models.FnModel(2, 2),
+    models.FnModel(3, 1),
+    models.LamplighterLevel(2, 1),
+    models.LamplighterLevel(2, 2),
+    models.LamplighterLevel(2, 3),
+    models.LamplighterLevel(3, 1),
+    models.EnWitnessModel(2, 1),
+    models.EnWitnessModel(3, 1),
+    models.ChainWitness(2, 1),
+    models.ChainWitness(2, 2),
+    models.ChainWitness(3, 1),
+    models.ShiftedChainWitness(2, 1),
+    models.DirectProduct(models.HeisenbergModP(2),
+                         models.ElementaryAbelian(2, ["d", "e"])),
+]
+
+
+def random_element(m, rng):
+    names = list(m.generators)
+    e = m.identity
+    for _ in range(rng.randint(0, 6)):
+        g = m.generators[rng.choice(names)]
+        e = e * (g if rng.random() < 0.5 else ~g)
+    return e
+
+
+def assert_pc_matches_bfs(m, gens, probes):
+    """Order and membership of <gens> by sifting equal the BFS closure's."""
+    sub, table = m.subgroup(gens), m.closure(gens)
+    assert sub.order == len(table), (m.name, gens)
+    members = {e.coords for e in table}
+    assert all(e in sub for e in table), (m.name, gens)
+    for x in probes:
+        assert (x in sub) == (x.coords in members), (m.name, gens, x)
+
+
+@pytest.mark.parametrize("m", SMALL, ids=lambda m: m.name)
+def test_pc_matches_bfs_on_random_subsets(m):
+    assert m.order < 2 ** 12 and len(m.closure()) == m.order
+    rng = random.Random(m.name)
+    names = list(m.generators)
+    probes = [random_element(m, rng) for _ in range(30)]
+    probes += list(m.generators.values())
+    for _ in range(12):
+        if rng.random() < 0.5:
+            gens = rng.sample(names, rng.randint(1, min(4, len(names))))
+        else:
+            gens = [random_element(m, rng) for _ in range(rng.randint(1, 3))]
+        assert_pc_matches_bfs(m, gens, probes)
+
+
+def test_pc_matches_bfs_on_every_subgroup_the_commands_ask_for(
+        monkeypatch, capsys):
+    from pgog import amalgam, cli, tower
+    for cached in (tower.vertex_data, tower._edge_data, tower.build_level,
+                   tower.build_graphs, amalgam._level_data):
+        cached.cache_clear()    # so that every group is built, and asked, here
+    asked = []
+    subgroup = models.FiniteGroupModel.subgroup
+
+    def recording(self, generators=None):
+        asked.append((self, generators))
+        return subgroup(self, generators)
+
+    monkeypatch.setattr(models.FiniteGroupModel, "subgroup", recording)
+    for argv in (["run-all"], ["tower", "verify-all", "--p", "2",
+                               "--max-level", "3"]):
+        assert cli.main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(asked) > 100
+    for m, gens in asked:
+        assert_pc_matches_bfs(m, gens, list(m.generators.values()))
 
 
 # -- API surface --------------------------------------------------------------
@@ -357,7 +454,7 @@ def test_word_for_round_trip():
 def test_word_for_rejects_foreign_and_missing():
     m = models.GnModel(2, 2)
     table = m.closure(["h0", "h1"])
-    assert table.order == 4
+    assert len(table) == 4
     outside = m.generators["k1"]
     with pytest.raises(KeyError):
         table.word_for(outside)
@@ -370,7 +467,9 @@ def test_closure_accepts_names_and_elements():
     m = models.LamplighterLevel(2, 2)
     by_name = m.closure(["h0", "t"])
     by_elem = m.closure([m.generators["h0"], m.generators["t"]])
-    assert by_name.order == by_elem.order == m.order
+    assert len(by_name) == len(by_elem) == m.order
+    assert m.subgroup(["h0", "t"]).order == m.subgroup(
+        [m.generators["h0"], m.generators["t"]]).order == m.order
 
 
 def test_evaluate_with_assignment_and_missing_name():
@@ -388,7 +487,7 @@ def test_size_guard_env_override(monkeypatch):
     with pytest.raises(ValueError, match="size guard"):
         m.closure()
     monkeypatch.delenv("PGOG_SIZE_GUARD")
-    assert m.closure().order == 64
+    assert len(m.closure()) == 64
 
 
 def test_tripped_guard_names_its_limit_model_and_generators(monkeypatch):
