@@ -265,16 +265,18 @@ def series(blocks):
 
 
 def sift(blocks, p, terms, table, g):
-    """Clear g's leading digits with the entries of an induced_pcgs table:
-    None if g lies in the table's subgroup, else (depth, leading exponent,
-    remainder) at the first depth the table has no entry for."""
+    """Clear g's digits at `terms`, top first, with the entries of an
+    induced_pcgs table.  Returns (depth, leading exponent, remainder) at
+    the first depth the table has no entry for, else (None, 0, remainder).
+    When `terms` is the table's whole series that remainder is the
+    identity: g lies in the table's subgroup."""
     for d, (c, place) in enumerate(terms):
         e = g[c] // place % p
         if e:
             if table[d] is None:
                 return d, e, g
             g = mul(blocks, table[d][1][e * table[d][2] % p], g)
-    return None
+    return None, 0, g
 
 
 def induced_pcgs(blocks, p, terms, gens):
@@ -288,9 +290,8 @@ def induced_pcgs(blocks, p, terms, gens):
     fresh, done = [], []
 
     def insert(g):
-        found = sift(blocks, p, terms, table, g)
-        if found:
-            d, e, g = found
+        d, e, g = sift(blocks, p, terms, table, g)
+        if d is not None:
             back = [None, inv(blocks, g)]
             while len(back) <= p:
                 back.append(mul(blocks, back[-1], back[1]))

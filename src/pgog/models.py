@@ -4,8 +4,12 @@ Every model is a sequence of coordinate blocks interpreted by the
 arithmetic kernel (see _kernels_py).  Elements are immutable coordinate
 tuples tagged with their model; elements of structurally different
 models never compare equal.  Subgroup orders and membership sift through
-induced polycyclic sequences; only enumeration (breadth-first closure, for
-shortest words) is bounded by a size guard (PGOG_SIZE_GUARD, 2**20).
+induced polycyclic sequences, and so do element images under
+homomorphisms (presentations.GroupHom, through the graph of the hom);
+only enumeration (breadth-first closure, for shortest words and element
+lists) is bounded by a size guard (PGOG_SIZE_GUARD, 2**20).  Models with
+a lamp window refuse, before allocating, generators holding more than
+COORDINATE_BUDGET coordinates in all.
 """
 
 import os
@@ -16,6 +20,7 @@ from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
 DEFAULT_SIZE_GUARD = 2 ** 20
+COORDINATE_BUDGET = 2 ** 22
 
 
 def size_guard():
@@ -45,6 +50,14 @@ class PrimeLevel:
             raise ValueError(f"p^n = {p}^{n} exceeds the 2^20 desk-scale cap")
         self.p = p
         self.n = n
+
+
+def _budget(name, gens, width):
+    """Refuse a model whose generator tuples would hold more than
+    COORDINATE_BUDGET coordinates in all, before any is allocated."""
+    if gens * width > COORDINATE_BUDGET:
+        raise ValueError(f"{name} needs {gens} generators of {width} "
+                         "coordinates, over the 2^22 coordinate budget")
 
 
 class GroupElement:
@@ -77,7 +90,7 @@ class GroupElement:
 
     @property
     def is_identity(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
 
 class ClosureTable:
@@ -122,7 +135,7 @@ class Subgroup:
     def __contains__(self, element):
         m = self.model
         return element.model == m and kernel.sift(
-            m.blocks, m.p, m._series, self._table, element.coords) is None
+            m.blocks, m.p, m._series, self._table, element.coords)[0] is None
 
 
 class FiniteGroupModel:
@@ -140,6 +153,8 @@ class FiniteGroupModel:
         self._full_closure = None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FiniteGroupModel)
                 and self.blocks == other.blocks
                 and self.width == other.width
@@ -260,6 +275,7 @@ def ElementaryAbelian(p, names):
     PrimeLevel(p)
     names = list(names)
     k = len(names)
+    _budget(f"EA({p};{k} names)", k, k)
     gens = []
     for i, name in enumerate(names):
         coords = [0] * k
@@ -296,6 +312,7 @@ def GnModel(p, n):
     PrimeLevel(p, n)
     pn = p ** n
     width = 2 + pn
+    _budget(f"Gn({p},{n})", width, width)
     gens = [(f"k{n - 1}", (1, 0) + (0,) * pn), (f"k{n}", (0, 1) + (0,) * pn)]
     for j in range(pn):
         coords = [0] * width
@@ -319,6 +336,7 @@ def FnModel(p, n):
             "use ChainWitness instead")
     pn = p ** n
     width = n + pn
+    _budget(f"Fn({p},{n})", width, width)
     gens = []
     for i in range(n):
         coords = [0] * width
@@ -339,6 +357,7 @@ def LamplighterLevel(p, n):
     PrimeLevel(p, n)
     pn = p ** n
     width = pn + 1
+    _budget(f"Lamp({p},{n})", width, width)
     gens = []
     for j in range(pn):
         coords = [0] * width
@@ -364,6 +383,7 @@ def EnWitnessModel(p, n):
             "n >= 3; use ShiftedChainWitness instead")
     pn = p ** n
     width = n * pn + pn + 1
+    _budget(f"En({p},{n})", width, width)
     gens = []
     for i in range(1, n + 1):
         for r in range(pn):
@@ -409,6 +429,7 @@ def ChainWitness(p, n):
     pn = p ** n
     mwidth = dim + nm + 1
     width = mwidth + pn + 1
+    _budget(f"CW({p},{n})", n + pn + 1, width)
     blocks = [(MOD, p, nm, 1, 0, mwidth), (EA, p, 0, 0, mwidth, pn),
               (EA, p, 0, 0, mwidth + pn, 1)]
     gens = []
@@ -440,6 +461,7 @@ def ShiftedChainWitness(p, n):
     pn = p ** n
     mwidth = pn * dim + pn * nm + 1
     width = mwidth + (pn + 1) + 1
+    _budget(f"SCW({p},{n})", n + pn + 2, width)
     blocks = [(MOD, p, nm, pn, 0, mwidth),
               (LAMP, p, n, pn, mwidth, pn + 1),
               (EA, p, 0, 0, mwidth + pn + 1, 1)]
@@ -469,10 +491,14 @@ def DirectProduct(a, b):
     clash = set(a.generators) & set(b.generators)
     if clash:
         raise ValueError(f"generator names collide: {sorted(clash)}")
-    blocks = list(a.blocks)
-    for kind, p, n, q, off, w in b.blocks:
-        blocks.append((kind, p, n, q, off + a.width, w))
     width = a.width + b.width
     gens = [(name, e.coords + (0,) * b.width) for name, e in a.generators.items()]
     gens += [(name, (0,) * a.width + e.coords) for name, e in b.generators.items()]
-    return FiniteGroupModel(f"{a.name}x{b.name}", a.p, blocks, width, gens)
+    return FiniteGroupModel(f"{a.name}x{b.name}", a.p, product_blocks(a, b),
+                            width, gens)
+
+
+def product_blocks(a, b):
+    """Blocks of a x b: a's blocks, then b's shifted past a's coordinates."""
+    return a.blocks + tuple((kind, p, n, q, off + a.width, w)
+                            for kind, p, n, q, off, w in b.blocks)

@@ -55,12 +55,13 @@ def test_examples_verdicts_match_the_pinned_list(capsys):
 
 @pytest.mark.parametrize("argv, calls, elements", [
     pytest.param(["tower", "verify-all", "--p", "2", "--max-level", "3",
-                  "--json"], 4, 1108, id="tower-verify"),
+                  "--json"], 0, 0, id="tower-verify"),
     pytest.param(["run-all", "--json"], 7, 1140, id="examples"),
 ])
 def test_closure_counts_stay_within_their_ceilings(tmp_path, argv, calls,
                                                    elements):
-    # a reintroduced redundant enumeration raises these traced counts
+    # a reintroduced redundant enumeration raises these traced counts; a
+    # layer that never ran leaves its key out of the summary
     out = tmp_path / "trace.jsonl"
     done = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "trace", str(out), *argv],
@@ -68,5 +69,5 @@ def test_closure_counts_stay_within_their_ceilings(tmp_path, argv, calls,
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(out.read_text().splitlines()[-1])["summary"]
-    assert summary["kernel.closure.calls"] <= calls
-    assert summary["kernel.closure.elements"] <= elements
+    assert summary.get("kernel.closure.calls", 0) <= calls
+    assert summary.get("kernel.closure.elements", 0) <= elements

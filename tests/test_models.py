@@ -530,3 +530,12 @@ def test_prime_level_validation():
         models.PrimeLevel(2, 21)
     lvl = models.PrimeLevel(3, 2)
     assert (lvl.p, lvl.n) == (3, 2)
+
+
+def test_lamp_window_models_refuse_past_the_coordinate_budget():
+    # 2^16 generators of 2^16 + 2 coordinates: refused before allocating
+    with pytest.raises(ValueError, match="coordinate budget"):
+        models.GnModel(2, 16)
+    with pytest.raises(ValueError, match="coordinate budget"):
+        models.LamplighterLevel(2, 11)
+    assert models.GnModel(2, 10).width == 2 ** 10 + 2

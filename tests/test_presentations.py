@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from pgog import models
+from pgog import models, tower
 from pgog import presentations as P
 from pgog.words import Word, commutator, gen
 
@@ -238,10 +238,72 @@ def test_hom_verify_by_pair_enumeration():
 
 
 def test_hom_verify_pair_guard():
-    big = models.EnWitnessModel(2, 2)   # order 2^14: pair check refused
+    # order 2^14, past any pair enumeration: the graph check decides it
+    big = models.EnWitnessModel(2, 2)
     hom = name_hom(big, models.EnWitnessModel(2, 2))
-    with pytest.raises(ValueError, match="certified presentation"):
-        hom.verify()
+    assert hom.verify() == {"check": "hom", "status": "pass", "violations": []}
+
+
+def _pair_check(hom):
+    """Exhaustive hom check: images by shortest closure words, compared
+    on every pair of source elements."""
+    table = hom.source.closure()
+    image = {e: hom.apply(table.word_for(e)) for e in table}
+    return all(image[a * b] == image[a] * image[b]
+               for a in table for b in table)
+
+
+def _small_homs():
+    gn, fn = models.GnModel(2, 2), models.FnModel(2, 2)
+    swapped = {g: fn.generators[g] for g in gn.generators}
+    swapped["k1"], swapped["h0"] = swapped["h0"], swapped["k1"]
+    yield "fail", P.GroupHom(gn, fn, swapped)
+    yield "pass", tower.build_level(2, 2).vertex_fold     # not injective
+    for m in (gn, fn, models.GnModel(3, 1), models.LamplighterLevel(2, 2),
+              models.HeisenbergModP(3), models.CyclicModel(2, 3),
+              models.ChainWitness(2, 2)):
+        yield "pass", name_hom(m, m)
+
+
+def test_graph_hom_check_agrees_with_pair_enumeration():
+    for status, hom in _small_homs():
+        assert hom.source.order <= 2 ** 8
+        assert _pair_check(hom) == (status == "pass")
+        report = hom.verify()
+        assert report["status"] == status
+        if status == "fail":
+            # the graph holds some (1, t), t != 1: t is the violation
+            (violation,) = report["violations"]
+            assert violation["kind"] == "graph" and any(violation["image"])
+            with pytest.raises(ValueError, match="not a homomorphism"):
+                hom.apply_element(hom.source.identity)
+
+
+def _tower_homs():
+    for p, levels in ((2, 1), (2, 2), (2, 3), (3, 1)):
+        gog, spec = tower.joined_witness_specialisation(p, levels)
+        for homs in gog.edge_homs.values():
+            yield from homs
+        for v in gog.graph.vertices:
+            yield spec.vertex_hom(v)
+    for n in (1, 2, 3):
+        level = tower.build_level(2, n)
+        yield from (hom for hom in (
+            level.lamp_incl, level.lamp_fold, level.edge_incl_prev,
+            level.edge_incl, level.lamp_to_vertex, level.vertex_fold)
+            if hom is not None)
+
+
+def test_element_images_equal_the_word_images():
+    mapped = 0
+    for hom in _tower_homs():
+        if hom.source.order >= 2 ** 12:
+            continue
+        table = hom.source.closure()
+        for e in table:
+            assert hom.apply_element(e) == hom.apply(table.word_for(e)), hom
+        mapped += len(table)
+    assert mapped > 4000
 
 
 def test_hom_missing_generator_image_rejected():
