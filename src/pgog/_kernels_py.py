@@ -265,18 +265,25 @@ def series(blocks):
 
 
 def sift(blocks, p, terms, table, g):
-    """Clear g's digits at `terms`, top first, with the entries of an
-    induced_pcgs table.  Returns (depth, leading exponent, remainder) at
-    the first depth the table has no entry for, else (None, 0, remainder).
-    When `terms` is the table's whole series that remainder is the
-    identity: g lies in the table's subgroup."""
+    """Clear g's digits at `terms`, top first, by left-multiplying with
+    the entries of an induced_pcgs table; depths the table has no entry
+    for keep their digits.  Returns (depth, exponent, remainder): the
+    first such depth with a nonzero digit when the sift reached it, with
+    that digit, else (None, 0, remainder).  When `terms` reaches every
+    entry of the table, the remainder depends only on the right coset of
+    the table's subgroup that g lies in: it is that coset's canonical
+    representative (Holt, Eick and O'Brien, 2005, §8.3), and the identity
+    exactly when g lies in the subgroup."""
+    skipped = None, 0
     for d, (c, place) in enumerate(terms):
         e = g[c] // place % p
         if e:
-            if table[d] is None:
-                return d, e, g
-            g = mul(blocks, table[d][1][e * table[d][2] % p], g)
-    return None, 0, g
+            entry = table[d]
+            if entry is not None:
+                g = mul(blocks, entry[1][e * entry[2] % p], g)
+            elif skipped[0] is None:
+                skipped = d, e
+    return (*skipped, g)
 
 
 def induced_pcgs(blocks, p, terms, gens):

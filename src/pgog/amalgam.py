@@ -3,9 +3,12 @@
 Every graph the tower assembles is a path, so elements of its fundamental
 group carry a canonical alternating form: a head element in the leftmost
 vertex group followed by coset-representative syllables walking the path.
-Representatives come from deterministic shortlex transversal tables, which
-makes normal forms reproducible across runs; the form is empty exactly for
-the trivial element, solving the word problem at desk scale.
+A syllable's representative is what is left after sifting it through the
+induced pcgs of the edge image (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, §8.3), and the same sift carries the
+edge-group part across the edge; nothing is enumerated and no table is
+stored, and normal forms are reproducible across runs.  The form is empty
+exactly for the trivial element, solving the word problem.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -18,12 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from . import _kernels_py as kernel
 from . import models
 from .tower import build_witnesses, vertex_data
 from .words import Word, from_letters
 
 
-# -- transversal tables ------------------------------------------------------
+# -- transversals ------------------------------------------------------------
 
 
 def _path_order(gog):
@@ -56,76 +60,68 @@ def _path_order(gog):
     return tuple(order)
 
 
-def _word_key(word):
-    letters = tuple(word.letters())
-    return (len(letters), letters)
-
-
 class Transversal:
-    """Right-coset representatives of one edge-group image in one vertex model.
+    """Right-coset representatives of one edge-group image in one vertex
+    model, read off one sift instead of a table.
 
-    Each coset is represented by its element with the shortlex-least closure
-    word, so tables are identical across runs; the identity represents the
-    edge-image coset itself.
+    Holds the induced pcgs of the graph <(phi(k), psi(k))> in vertex x
+    other end, vertex depths first, where phi is the certified edge map
+    into this end and psi the one into the other end.  phi is injective,
+    so every entry sits at a vertex depth: the image of phi has
+    p^entries elements.
     """
 
-    def __init__(self, edge_id, end, vertex, hom, representatives, rep_of,
-                 to_edge):
+    def __init__(self, edge_id, end, vertex, hom, other):
         self.edge_id = edge_id
         self.end = end
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
-        self.representatives = tuple(representatives)
-        self._rep_of = rep_of               # coords -> representative
-        self._to_edge = to_edge             # image coords -> edge element
+        model, self._other = hom.target, other.target
+        self._blocks = models.product_blocks(model, self._other)
+        terms = kernel.series(self._blocks)
+        self._table = kernel.induced_pcgs(
+            self._blocks, model.p, terms,
+            [hom.image_of(g).coords + other.image_of(g).coords
+             for g in hom.source.generators])
+        self._terms = terms[:len(model._series)]
+        entries = sum(entry is not None for entry in self._table)
+        self.coset_count = model.order // model.p ** entries
+        self._reps = {}                     # coords -> representative
 
-    @property
-    def coset_count(self):
-        return len(self.representatives)
+    def split(self, y):
+        """(s, c) with y = phi(kappa) s for an edge element kappa: s is the
+        canonical representative of y's right coset, c = psi(kappa).
+
+        Sifting (y, 1) through the vertex depths leaves
+        (phi(kappa)^-1 y, psi(kappa)^-1).  Representatives are interned,
+        so reduced words share them."""
+        model, other = self.hom.target, self._other
+        if y.model != model:
+            raise ValueError(
+                f"element does not belong to vertex {self.vertex}")
+        _, _, rest = kernel.sift(self._blocks, model.p, self._terms,
+                                 self._table, y.coords + other.identity.coords)
+        coords, c = rest[:model.width], rest[model.width:]
+        s = self._reps.get(coords)
+        if s is None:
+            s = self._reps[coords] = models.GroupElement(model, coords)
+        if not any(c):
+            return s, other.identity
+        return s, models.GroupElement(other, kernel.inv(other.blocks, c))
 
     def representative(self, element):
         """Canonical representative of the element's right coset."""
-        if element.model != self.hom.target:
-            raise ValueError(
-                f"element does not belong to vertex {self.vertex}")
-        return self._rep_of[element.coords]
-
-    def pull_back(self, element):
-        """The edge-group element mapping onto an edge-image element."""
-        try:
-            return self._to_edge[element.coords]
-        except KeyError:
-            raise ValueError(
-                f"{element!r} is outside the edge image at {self.vertex}"
-            ) from None
+        return self.split(element)[0]
 
     def __repr__(self):
         return (f"<Transversal {self.edge_id}@{self.vertex}: "
                 f"{self.coset_count} cosets>")
 
 
-def _build_transversal(gog, eid, end):
-    vertex = gog.graph.ends(eid)[end]
-    hom = gog.edge_homs[eid][end]
-    model, edge_model = hom.target, hom.source
-    to_edge = {hom.apply_element(k).coords: k for k in edge_model.closure()}
-    closure = model.closure()
-    elements = sorted(closure, key=lambda e: _word_key(closure.word_for(e)))
-    image = [model.element(coords) for coords in to_edge]
-    rep_of, reps = {}, []
-    for e in elements:
-        if e.coords in rep_of:
-            continue
-        reps.append(e)
-        for kappa in image:
-            rep_of[(kappa * e).coords] = e
-    return Transversal(eid, end, vertex, hom, reps, rep_of, to_edge)
-
-
 def build_transversals(gog):
-    """Shortlex coset tables for both ends of every edge of a path.
+    """Coset representatives for both ends of every edge of a path.
 
-    The tables use the edge maps the graph certified as injective model
+    They use the edge maps the graph certified as injective model
     homomorphisms; a graph built with check=False is rejected.
     """
     _path_order(gog)
@@ -133,14 +129,16 @@ def build_transversals(gog):
         if None in gog.edge_homs.get(eid, (None,)):
             raise ValueError(f"edge {eid} has no certified model maps; "
                              "normal forms need injective edge maps")
-    return {(eid, end): _build_transversal(gog, eid, end)
+    homs = gog.edge_homs
+    return {(eid, end): Transversal(eid, end, gog.graph.ends(eid)[end],
+                                    homs[eid][end], homs[eid][1 - end])
             for eid in gog.graph.edges for end in (0, 1)}
 
 
 class _PathTables:
-    """Path layout plus transversal tables, built once per graph.
+    """Path layout plus transversals, built once per graph.
 
-    Holds the graph's Graph, not the GraphOfGroups: _TABLES is keyed
+    Holds the graph's Graph, not the GraphOfGroups: _PATHS is keyed
     weakly by the latter, and a value referring to its key would keep it
     alive.
     """
@@ -160,21 +158,14 @@ class _PathTables:
         a, _ = self.graph.ends(eid)
         return self.transversals[(eid, 0 if vertex == a else 1)]
 
-    def cross(self, eid, from_vertex, element):
-        """Carry an edge-image element to the edge's other endpoint."""
-        a, b = self.graph.ends(eid)
-        other = b if from_vertex == a else a
-        k = self.end_table(eid, from_vertex).pull_back(element)
-        return self.end_table(eid, other).hom.apply_element(k)
+
+_PATHS = weakref.WeakKeyDictionary()
 
 
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def _tables(gog):
-    entry = _TABLES.get(gog)
+def _paths(gog):
+    entry = _PATHS.get(gog)
     if entry is None:
-        entry = _TABLES[gog] = _PathTables(gog)
+        entry = _PATHS[gog] = _PathTables(gog)
     return entry
 
 
@@ -261,16 +252,15 @@ class _Accumulator:
             self.head = self.head * x
             return
         vertex, rep, entry = self.stack.pop()
-        y = rep * x
-        s = self.tables.end_table(entry, vertex).representative(y)
-        kappa = y * ~s
+        # rep * x = phi(kappa) s; psi(kappa) moves back across the entry edge
+        s, c = self.tables.end_table(entry, vertex).split(rep * x)
         if s.is_identity:
-            self._merge(self.tables.cross(entry, vertex, kappa))
+            self._merge(c)
             return
-        if kappa.is_identity:
+        if c.is_identity:
             self.stack.append((vertex, s, entry))
             return
-        self._merge(self.tables.cross(entry, vertex, kappa))
+        self._merge(c)
         self.push(vertex, s)
 
     def result(self):
@@ -306,7 +296,7 @@ def normal_form(gog, letters):
     right; the result is empty exactly when the product is trivial in the
     path's fundamental group.
     """
-    acc = _Accumulator(gog, _tables(gog))
+    acc = _Accumulator(gog, _paths(gog))
     for vertex, element in _as_items(gog, letters):
         acc.push(vertex, element)
     return acc.result()
@@ -318,7 +308,7 @@ def nf_multiply(x, y):
         raise ValueError("nf_multiply needs two ReducedWords")
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
-    acc = _Accumulator(x.gog, _tables(x.gog))
+    acc = _Accumulator(x.gog, _paths(x.gog))
     for vertex, element in list(x.letters()) + list(y.letters()):
         acc.push(vertex, element)
     return acc.result()
@@ -352,11 +342,9 @@ def path_letter(vertex, word):
 
 
 def lamp_letter(level, item):
-    """A lamplighter letter from a Word or a lamplighter model element."""
-    if isinstance(item, models.GroupElement):
-        item = item.model.closure().word_for(item)
+    """A lamplighter letter: one Word over the lamp generators and t."""
     if not isinstance(item, Word):
-        raise ValueError("lamp letter: expected a Word or GroupElement")
+        raise ValueError("lamp letter: expected a Word")
     for name in item.names():
         if name != "t" and not (name.startswith("h") and name[1:].isdigit()):
             raise ValueError(f"lamp letter: unknown generator {name!r}")

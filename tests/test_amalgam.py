@@ -1,4 +1,4 @@
-"""Transversal tables, path normal forms, and the separation search."""
+"""Transversals, path normal forms, and the separation search."""
 
 import gc
 import random
@@ -33,15 +33,83 @@ def test_transversal_counts_on_the_two_vertex_path():
     assert tables[("K1", 0)].coset_count == 2      # 16 / 8
     assert tables[("K1", 1)].coset_count == 8      # 64 / 8
     for table in tables.values():
-        assert table.representatives[0].is_identity
+        assert table.representative(table.hom.target.identity).is_identity
 
 
-def test_transversal_representatives_hit_distinct_cosets():
-    for table in build_transversals(p2_path()).values():
-        reps = table.representatives
-        assert len({table.representative(r).coords for r in reps}) == len(reps)
-        for r in reps:
-            assert table.representative(r) == r
+@pytest.mark.parametrize("gog", [
+    pytest.param(p2_path, id="path-2-2"),
+    *(pytest.param(lambda p=p, n=n: build_graphs(p, n, 0).joined,
+                   id=f"joined-{p}-{n}")
+      for p, n in [(2, 1), (2, 2), (3, 1), (2, 3)]),
+    pytest.param(lambda: free_product_line(2), id="free-line")])
+def test_split_matches_the_enumerated_cosets(gog):
+    # every element g of every vertex group: g s^-1 = phi(kappa) with
+    # c = psi(kappa), s constant on g's coset, one s per coset
+    gog = gog()
+    for (eid, end), table in build_transversals(gog).items():
+        phi, psi = gog.edge_homs[eid][end], gog.edge_homs[eid][1 - end]
+        edge = {phi.apply_element(k): k for k in phi.source.closure()}
+        reps = {}
+        for g in phi.target.closure():
+            s, c = table.split(g)
+            kappa = edge[g * ~s]
+            assert c == psi.apply_element(kappa)
+            reps.setdefault(s, set()).add(g)
+        assert len(reps) == table.coset_count
+        for s, coset in reps.items():
+            assert table.representative(s) == s
+            assert coset == {phi.apply_element(k) * s
+                             for k in phi.source.closure()}
+
+
+class _ShortlexTransversal:
+    """The enumerating transversal: each coset is represented by its
+    element with the shortlex-least closure word."""
+
+    def __init__(self, gog, eid, end):
+        phi, psi = gog.edge_homs[eid][end], gog.edge_homs[eid][1 - end]
+        closure = phi.target.closure()
+
+        def word_key(e):
+            letters = tuple(closure.word_for(e).letters())
+            return len(letters), letters
+
+        edge = [(phi.apply_element(k), psi.apply_element(k))
+                for k in phi.source.closure()]
+        self._split = {}
+        for s in sorted(closure, key=word_key):
+            if s not in self._split:
+                for image, c in edge:
+                    self._split[image * s] = (s, c)
+
+    def split(self, y):
+        return self._split[y]
+
+
+def _shortlex_normal_form(gog, tables, letters):
+    acc = amalgam._Accumulator(gog, tables)
+    for vertex, element in amalgam._as_items(gog, letters):
+        acc.push(vertex, element)
+    return acc.result()
+
+
+def test_sifted_and_shortlex_representatives_give_the_same_forms():
+    gog = p2_joined()
+    tables = amalgam._PathTables(gog)
+    tables.transversals = {key: _ShortlexTransversal(gog, *key)
+                           for key in tables.transversals}
+    letters = [(v, gen(name, sign)) for v in gog.graph.vertices
+               for name in gog.vertices[v].model.generators
+               for sign in (1, -1)]
+    words = [[]]
+    for _ in range(3):
+        words = [w + [x] for w in words for x in letters]
+        for w in words:
+            nf = normal_form(gog, w)
+            old = _shortlex_normal_form(gog, tables, w)
+            assert nf.is_trivial == old.is_trivial
+            assert [v for v, _, _ in nf.syllables] == \
+                [v for v, _, _ in old.syllables]
 
 
 def test_transversal_cosets_cover_the_vertex_group():
@@ -313,6 +381,7 @@ def test_letter_constructors_validate():
     with pytest.raises(ValueError, match="unknown generator"):
         lamp_letter(1, gen("x"))
     element = models.LamplighterLevel(2, 1).generators["t"]
-    assert lamp_letter(1, element).word == gen("t")
+    with pytest.raises(ValueError, match="expected a Word"):
+        lamp_letter(1, element)
     with pytest.raises(ValueError, match="PathLetter or LampLetter"):
         separate([gen("t")], 2)

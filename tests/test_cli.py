@@ -166,7 +166,7 @@ def run_guarded(guard, *argv):
 def test_tripped_size_guard_reads_unknown():
     # orders, element images and the hom checks sift through polycyclic
     # sequences, so the tower enumerates nothing and no guard trips; the
-    # unknown path stays covered by the example and separation tests below
+    # unknown path stays covered by the example test below
     code, checks = run_guarded(32, "tower", "verify-all", "--p", "2",
                                "--max-level", "2")
     assert code == 0
@@ -184,22 +184,28 @@ def test_tower_reaches_past_any_enumeration(p, max_level, passed):
 
 
 def test_tripped_size_guard_leaves_an_example_undecided():
-    # transversal tables enumerate their vertex groups
-    code, checks = run_guarded(32, "run", "amalgam/normal-forms")
+    # collapsing a sub-path writes edge maps given by elements as words,
+    # which encloses the vertex group (GraphOfGroups.image_word)
+    code, checks = run_guarded(4, "run", "tower/bracketing")
     assert code == 0
     assert checks["execution"] == {
         "name": "execution", "status": "unknown",
-        "details": {"reason": "closure exceeded size guard of 32 elements",
-                    "limit": 32, "model": "Gn(2,2)", "generators": 6}}
+        "details": {"reason": "closure exceeded size guard of 4 elements",
+                    "limit": 4, "model": "EA(2;k1,h0,h1,c)", "generators": 4}}
     assert checks["expected-outcome"]["status"] == "unknown"
     assert checks["expected-outcome"]["details"]["outcome"] == "unknown"
 
 
-def test_tripped_size_guard_leaves_a_separation_undecided():
-    code, checks = run_guarded(8, "separate", "--word", "G1:k1 L1:t")
-    assert code == 0
-    assert checks["separate"]["status"] == "unknown"
-    assert checks["separate"]["details"]["limit"] == 8
+def test_separation_reaches_past_any_enumeration():
+    # normal forms sift instead of enumerating, so a 16-element guard
+    # cannot trip on the way to p=3 level 3 or p=2 level 5
+    for p, level in [(3, 3), (2, 5)]:
+        code, checks = run_guarded(
+            16, "separate", "--p", str(p), "--word",
+            f"G{level}:k{level} L{level}:t", "--max-level", str(level))
+        assert code == 0
+        assert checks["separate"]["status"] == "pass"
+        assert checks["separate"]["details"]["level"] == level
 
 
 def test_verify_all_rejects_a_composite_prime(capsys):

@@ -147,22 +147,25 @@ def digit(terms, p, x, depth):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_series_leading_digit_adds_mod_p(blocks, width, data):
-    # the elements zero above depth k form a subgroup, and their digit at
-    # depth k adds mod p under mul: the factor there has order p
+    # the elements zero above depth k form a subgroup, and left-multiplying
+    # any b by one of them keeps b's digits above k and adds at k mod p:
+    # the factor there has order p, and a sift that clears depth k leaves
+    # the depths above it alone
     p, terms = blocks[0][1], kpy.series(blocks)
     mods = coordinate_moduli(blocks, width)
     k = data.draw(st.integers(0, len(terms) - 1), label="depth")
 
-    def zero_above_k():
-        x = list(data.draw(st.tuples(*[st.integers(0, m - 1) for m in mods])))
-        for c, place in terms[:k]:
-            x[c] -= x[c] // place % p * place
-        return tuple(x)
+    def draw():
+        return data.draw(st.tuples(*[st.integers(0, m - 1) for m in mods]))
 
-    a, b = zero_above_k(), zero_above_k()
+    a, b = list(draw()), draw()
+    for c, place in terms[:k]:
+        a[c] -= a[c] // place % p * place
+    a = tuple(a)
     ab, ia = kpy.mul(blocks, a, b), kpy.inv(blocks, a)
-    for x in (ab, ia):
-        assert all(digit(terms, p, x, d) == 0 for d in range(k))
+    assert all(digit(terms, p, ab, d) == digit(terms, p, b, d)
+               for d in range(k))
+    assert all(digit(terms, p, ia, d) == 0 for d in range(k))
     assert digit(terms, p, ab, k) == \
         (digit(terms, p, a, k) + digit(terms, p, b, k)) % p
     assert digit(terms, p, ia, k) == -digit(terms, p, a, k) % p
