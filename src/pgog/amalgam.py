@@ -77,13 +77,10 @@ class Transversal:
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
         model, self._other = hom.target, other.target
-        self._blocks = models.product_blocks(model, self._other)
-        terms = kernel.series(self._blocks)
-        self._table = kernel.induced_pcgs(
-            self._blocks, model.p, terms,
-            [hom.image_of(g).coords + other.image_of(g).coords
+        self._blocks, self._terms, self._table = models.graph_pcgs(
+            model, self._other,
+            [(hom.image_of(g).coords, other.image_of(g).coords)
              for g in hom.source.generators])
-        self._terms = terms[:len(model._series)]
         entries = sum(entry is not None for entry in self._table)
         self.coset_count = model.order // model.p ** entries
         self._reps = {}                     # coords -> representative

@@ -225,7 +225,7 @@ def check_edge_bound(gog, witness):
     if witness.specialisation.gog is not gog:
         raise ValueError("witness certifies a different graph of groups")
     p = witness.specialisation.target.p
-    orders = [gog.edges[eid].model.order for eid in gog.graph.edges]
+    orders = [gog.edges[eid].order for eid in gog.graph.edges]
     edge_count = len(orders)
     max_order = max(orders, default=1)
     rank = mod_p_rank(fundamental_presentation(gog), p)

@@ -17,7 +17,7 @@ from .analysis import check_edge_bound, detect_collapse
 from .dsl import parse_dsl, parse_word
 from .gog import (check_reduced, fundamental_presentation,
                   verify_properness_witness)
-from .models import is_prime
+from .models import PrimeLevel
 
 
 def _read(path):
@@ -109,7 +109,7 @@ def cmd_tower_build(args):
                    edges=dict(gog.graph.edges),
                    vertex_orders={v: gog.vertices[v].model.order
                                   for v in gog.graph.vertices},
-                   edge_orders={e: gog.edges[e].model.order
+                   edge_orders={e: gog.edges[e].order
                                 for e in gog.graph.edges})
     return report
 
@@ -152,8 +152,6 @@ def _witness_checks(p, n, build_witnesses):
 
 
 def cmd_tower_verify_all(args):
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
     report = reports.Report(
         "tower verify-all", {"p": args.p, "max_level": args.max_level})
     report.extend(_tower_verify_checks(args.p, args.max_level))
@@ -298,6 +296,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "p", None) is not None:
+            PrimeLevel(args.p)      # every --p, before any work
         report = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import models
 from . import presentations as P
-from .gog import EdgeData, Graph, GraphOfGroups, Specialisation, VertexData
+from .gog import Graph, GraphOfGroups, Specialisation, VertexData
 from .tower import lamp_names
 from .words import IDENTITY, commutator, gen
 
@@ -289,7 +289,7 @@ class _OpenGraph:
         self.line = line
         self.vertices = {}
         self.edges = {}
-        self.edge_data = {}
+        self.edge_models = {}
         self.edge_maps = {}
 
 
@@ -320,7 +320,7 @@ class _Parser:
             return
         try:
             graph = Graph(list(g.vertices), g.edges)
-            gog = GraphOfGroups(graph, g.vertices, g.edge_data, g.edge_maps)
+            gog = GraphOfGroups(graph, g.vertices, g.edge_models, g.edge_maps)
         except ValueError as exc:
             raise DslError(str(exc), g.line, 1) from None
         self.doc.graphs[g.name] = gog
@@ -337,8 +337,11 @@ class _Parser:
         value = ln.integer("a prime")
         if self.prime is not None:
             ln.error("the prime is already set for this document")
-        if not models.is_prime(value):
-            ln.error(f"{value} is not prime")
+        try:
+            models.PrimeLevel(value)
+        except ValueError as exc:
+            ln.error(str(exc) if value > models.DESK_CAP
+                     else f"{value} is not prime")
         self.prime = self.doc.prime = value
 
     def stmt_group(self, ln):
@@ -422,7 +425,7 @@ class _Parser:
         if eid in g.edges:
             ln.error(f"duplicate edge id {eid!r}")
         ln.take(":")
-        model, pres = _model_ref(self, ln)
+        model, _ = _model_ref(self, ln)
         ln.take("from")
         v0 = ln.name("a vertex id")
         ln.take("to")
@@ -439,7 +442,7 @@ class _Parser:
         ln.take(":")
         d1 = self._edge_end_maps(ln, model)
         g.edges[eid] = (v0, v1)
-        g.edge_data[eid] = EdgeData(model, pres)
+        g.edge_models[eid] = model
         g.edge_maps[eid] = (d0, d1)
 
     def stmt_witness(self, ln):

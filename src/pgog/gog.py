@@ -6,12 +6,16 @@ presentations, and the fundamental-group presentation is produced with
 stable letters for non-tree edges.  Specialisations (target model, vertex
 maps, edge elements) are verified against the two defining conditions,
 and a specialisation injective on every vertex group is packaged as a
-PropernessWitness.
+PropernessWitness.  Every map out of a model, edge map or vertex map, is
+checked by its graph (GroupHom.verify).  Relators are evaluated only to
+certify a vertex presentation and for a map out of a vertex that has no
+model.
 
 Vertex groups are usually concrete models with certified presentations;
 a vertex may instead carry a presentation alone (used by
 bracket_subgraph, where the bracketed group is an amalgam with no finite
-model).
+model).  Edge groups are models alone: their presentations are never
+needed.
 """
 
 from .presentations import (FinitePresentation, GroupHom,
@@ -108,15 +112,6 @@ class VertexData:
         return self.model is not None
 
 
-class EdgeData:
-    """Edge group model, optionally with a presentation for hom checks
-    over the model's generator names."""
-
-    def __init__(self, model, presentation=None):
-        self.model = model
-        self.presentation = presentation
-
-
 def _rename_word(word, mapping):
     return Word(tuple((mapping[n], e) for n, e in word.syllables))
 
@@ -124,16 +119,16 @@ def _rename_word(word, mapping):
 class GraphOfGroups:
     """Graph + vertex/edge groups + verified edge monomorphisms.
 
-    edge_maps[eid] = (map0, map1); each map sends every edge-model
-    generator name to either an element of the end's vertex model or a
-    Word over the end's presentation generators (required when the end
-    vertex is presentation-only).
+    edges[eid] is the edge group's model.  edge_maps[eid] = (map0, map1);
+    each map sends every edge-model generator name to either an element
+    of the end's vertex model or a Word over the end's presentation
+    generators (required when the end vertex is presentation-only).
     """
 
-    def __init__(self, graph, vertex_data, edge_data, edge_maps, check=True):
+    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True):
         self.graph = graph
         self.vertices = dict(vertex_data)
-        self.edges = dict(edge_data)
+        self.edges = dict(edge_models)
         for v in graph.vertices:
             if v not in self.vertices:
                 raise ValueError(f"vertex {v} has no group")
@@ -152,9 +147,8 @@ class GraphOfGroups:
         """Store (element, word) per edge generator; either may be None."""
         v = self.graph.ends(eid)[k]
         vd = self.vertices[v]
-        ed = self.edges[eid]
         out = {}
-        for gname in ed.model.generators:
+        for gname in self.edges[eid].generators:
             if gname not in raw:
                 raise ValueError(f"edge {eid} end {k}: no image for {gname}")
             val = raw[gname]
@@ -191,12 +185,11 @@ class GraphOfGroups:
                 if not vd.is_model:
                     homs.append(None)
                     continue
-                ed = self.edges[eid]
+                edge = self.edges[eid]
                 mapping = {g: self.edge_maps[eid][k][g][0]
-                           for g in ed.model.generators}
-                hom = GroupHom(ed.model, vd.model, mapping,
-                               name=f"d{k}({eid})")
-                report = hom.verify(ed.presentation)
+                           for g in edge.generators}
+                hom = GroupHom(edge, vd.model, mapping, name=f"d{k}({eid})")
+                report = hom.verify()
                 if report["status"] != "pass":
                     raise ValueError(f"edge {eid} end {k}: map is not a "
                                      f"homomorphism: {report['violations'][:2]}")
@@ -231,7 +224,7 @@ def check_reduced(gog):
             if not vd.is_model:
                 raise ValueError(f"vertex {v} has no model; cannot compare orders")
             images = [gog.image_element(eid, k, g)
-                      for g in gog.edges[eid].model.generators]
+                      for g in gog.edges[eid].generators]
             if vd.model.subgroup(images).order >= vd.model.order:
                 return False
     return True
@@ -278,7 +271,7 @@ def fundamental_presentation(gog, tree=None):
     gens += [letters[eid] for eid in gog.graph.edges if eid in letters]
     for eid in gog.graph.edges:
         v0, v1 = gog.graph.ends(eid)
-        for gname in gog.edges[eid].model.generators:
+        for gname in gog.edges[eid].generators:
             w0 = _rename_word(gog.image_word(eid, 0, gname), qual[v0])
             w1 = _rename_word(gog.image_word(eid, 1, gname), qual[v1])
             if eid in letters:
@@ -333,11 +326,7 @@ def verify_specialisation(gog, spec):
     edge images agree up to conjugation by the edge element."""
     violations = []
     for v in gog.graph.vertices:
-        vd = gog.vertices[v]
-        hom = spec.vertex_hom(v)
-        report = (hom.verify(vd.presentation) if vd.is_model
-                  else hom.verify())
-        for item in report["violations"]:
+        for item in spec.vertex_hom(v).verify()["violations"]:
             violations.append({**item, "kind": "vertex-hom", "vertex": v})
     tree = spanning_tree(gog)
     for eid in tree.edge_ids:
@@ -345,7 +334,7 @@ def verify_specialisation(gog, spec):
             violations.append({"kind": "tree-edge", "edge": eid})
     for eid in gog.graph.edges:
         t = spec.edge_elements[eid]
-        for gname in gog.edges[eid].model.generators:
+        for gname in gog.edges[eid].generators:
             lhs = spec.edge_image(eid, 0, gname)
             rhs = t * spec.edge_image(eid, 1, gname) * ~t
             if lhs != rhs:
@@ -415,7 +404,7 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
                             {v: gog.vertices[v] for v in inside},
                             {eid: gog.edges[eid] for eid in inner_edges},
                             {eid: tuple({g: gog.image_word(eid, k, g)
-                                         for g in gog.edges[eid].model.generators}
+                                         for g in gog.edges[eid].generators}
                                         for k in (0, 1))
                              for eid in inner_edges},
                             check=False)
@@ -434,7 +423,7 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
         ends = tuple(bracket_id if v in set(inside) else v for v in (v0, v1))
         maps = []
         for k, v in enumerate((v0, v1)):
-            gnames = gog.edges[eid].model.generators
+            gnames = gog.edges[eid].generators
             if v in set(inside):
                 maps.append({g: _rename_word(gog.image_word(eid, k, g), qual[v])
                              for g in gnames})
@@ -442,6 +431,6 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
                 maps.append({g: gog.image_element(eid, k, g) for g in gnames})
         new_edges[eid] = ends
         new_maps[eid] = tuple(maps)
-    edge_data = {eid: gog.edges[eid] for eid in new_edges}
+    edge_models = {eid: gog.edges[eid] for eid in new_edges}
     return GraphOfGroups(Graph(new_vertices, new_edges), new_data,
-                         edge_data, new_maps, check=False)
+                         edge_models, new_maps, check=False)

@@ -20,6 +20,7 @@ from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
 DEFAULT_SIZE_GUARD = 2 ** 20
+DESK_CAP = 2 ** 20          # largest prime p, and largest p^n, accepted
 COORDINATE_BUDGET = 2 ** 22
 
 
@@ -39,14 +40,19 @@ def is_prime(p):
 
 
 class PrimeLevel:
-    """Validated (p, n) parameter bundle: p prime, level n >= 1, p^n small."""
+    """Validated (p, n) parameter bundle: p prime, level n >= 1, p^n small.
+
+    p and n are bounded before p^n is computed or p is tested for
+    primality, so an outsized input is refused at once."""
 
     def __init__(self, p, n=1):
+        if p > DESK_CAP:
+            raise ValueError(f"p = {p} exceeds the 2^20 desk-scale cap")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
             raise ValueError(f"level n must be >= 1, got {n}")
-        if p ** n > 2 ** 20:
+        if n > 20 or p ** n > DESK_CAP:
             raise ValueError(f"p^n = {p}^{n} exceeds the 2^20 desk-scale cap")
         self.p = p
         self.n = n
@@ -502,3 +508,20 @@ def product_blocks(a, b):
     """Blocks of a x b: a's blocks, then b's shifted past a's coordinates."""
     return a.blocks + tuple((kind, p, n, q, off + a.width, w)
                             for kind, p, n, q, off, w in b.blocks)
+
+
+def graph_pcgs(a, b, pairs):
+    """Induced pcgs of the subgroup of a x b generated by coordinate pairs
+    (x, y), a's depths first: (blocks, a_terms, table).
+
+    Sifting (x, 1) through a_terms, the series terms of a's depths, leaves
+    some (1, y^-1) with (x, y) in the subgroup when x lies in the
+    subgroup's projection to a; an entry at a depth past
+    a_terms is some (1, y) with y != 1 (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005, ch. 8)."""
+    if a.p != b.p:
+        raise ValueError(f"{a.name} and {b.name}: primes differ")
+    blocks = product_blocks(a, b)
+    terms = kernel.series(blocks)
+    table = kernel.induced_pcgs(blocks, a.p, terms, [x + y for x, y in pairs])
+    return blocks, terms[:len(a._series)], table

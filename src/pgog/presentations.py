@@ -1,17 +1,22 @@
 """Finite presentations, homomorphisms, coset enumeration, mod-p rank.
 
 A FinitePresentation is the shared currency between concrete models and
-graph-of-groups assembly.  coset_enumerate certifies presentation orders
-independently of the models' orders: it is a semi-decision procedure, so a
-non-completing run is reported as unknown, never as failure.  mod_p_rank
-is the dimension of the mod-p abelianization, i.e. the minimal generator
-number of the pro-p completion.
+graph-of-groups assembly.  A map out of a model is checked by its graph
+(GroupHom.verify), never by relators: a presentation is only known to
+present a quotient of its model, so its relators vanishing under a map
+does not make the map a homomorphism of the model.  Relators are
+evaluated only for a map out of a presentation, check_model_satisfies
+included.  coset_enumerate certifies presentation orders independently of
+the models' orders: it is a semi-decision procedure, so a non-completing
+run is reported as unknown, never as failure.  mod_p_rank is the
+dimension of the mod-p abelianization, i.e. the minimal generator number
+of the pro-p completion.
 """
 
 from functools import cached_property
 
 from . import _kernels_py as kernel
-from .models import FiniteGroupModel, GroupElement, product_blocks
+from .models import FiniteGroupModel, GroupElement, graph_pcgs
 from .words import Word, commutator, gen
 
 
@@ -161,17 +166,12 @@ class GroupHom:
         An entry at a target depth is some (1, t) with t != 1, so the
         generator map extends to no homomorphism; t is the first such
         entry's target part, None when there is none."""
-        src, tgt = self.source, self.target
+        src = self.source
         if not isinstance(src, FiniteGroupModel):
             raise ValueError(f"{self!r}: element maps need a model source")
-        if src.p != tgt.p:
-            raise ValueError(f"{self!r}: source and target primes differ")
-        blocks = product_blocks(src, tgt)
-        terms = kernel.series(blocks)
-        table = kernel.induced_pcgs(
-            blocks, src.p, terms,
-            [e.coords + self.mapping[g].coords for g, e in src.generators.items()])
-        terms = terms[:len(src._series)]
+        blocks, terms, table = graph_pcgs(
+            src, self.target,
+            [(e.coords, self.mapping[g].coords) for g, e in src.generators.items()])
         t = next((entry[0][src.width:] for entry in table[len(terms):]
                   if entry is not None), None)
         return blocks, terms, table, t
@@ -194,36 +194,35 @@ class GroupHom:
                              f"generators of {src.name} generate")
         return GroupElement(tgt, kernel.inv(tgt.blocks, rest[src.width:]))
 
-    def verify(self, presentation=None):
+    def verify(self):
         """Check the hom property; returns a {check, status, violations} report.
 
-        With a presentation (defining relations of the source, over
-        generator names the mapping covers), verifies every relator maps
-        to the identity — by von Dyck's theorem the generator map then
-        extends to a hom.  Without one, a FinitePresentation source is
-        checked against its own relators, and a model source by its
-        graph: the map extends to a hom exactly when the graph's induced
-        pcgs has no entry at a target depth, and the first such entry's
-        target coordinates are the violation.  Nothing is enclosed.
+        A model source is checked by its graph: the generator map extends
+        to a hom exactly when the graph's induced pcgs has no entry at a
+        target depth, and the first such entry's target coordinates are
+        the violation.  Nothing is enclosed.  Into a group of another
+        prime only the trivial map is a hom, and each nontrivial
+        generator image is a violation.  A FinitePresentation source is
+        checked against its own relators: by von Dyck's theorem the map
+        extends to a hom exactly when every relator maps to the identity.
         """
-        if presentation is None and isinstance(self.source, FinitePresentation):
-            presentation = self.source
-        if presentation is None:
-            t = self._graph[3]
-            return _report("hom", [] if t is None else
-                           [{"kind": "graph", "image": list(t)}])
-        missing = set(presentation.generators) - set(self.mapping)
-        if missing:
-            raise ValueError(f"{presentation.name} names generators "
-                             f"{sorted(missing)} that {self!r} has no "
-                             "image for")
-        violations = []
-        for r in presentation.relators:
-            img = self.target.evaluate(r, self.mapping)
-            if not img.is_identity:
-                violations.append({"kind": "relator", "relator": repr(r),
-                                   "image": list(img.coords)})
-        return _report("hom", violations)
+        src = self.source
+        if isinstance(src, FinitePresentation):
+            violations = []
+            for r in src.relators:
+                img = self.apply(r)
+                if not img.is_identity:
+                    violations.append({"kind": "relator", "relator": repr(r),
+                                       "image": list(img.coords)})
+            return _report("hom", violations)
+        if src.p != self.target.p:
+            return _report("hom", [
+                {"kind": "prime", "generator": g,
+                 "image": list(self.mapping[g].coords)}
+                for g in src.generators if not self.mapping[g].is_identity])
+        t = self._graph[3]
+        return _report("hom", [] if t is None else
+                       [{"kind": "graph", "image": list(t)}])
 
 
 def hom_injective_on(hom):
@@ -241,7 +240,8 @@ def hom_injective_on(hom):
 
 def check_model_satisfies(presentation, model):
     """Relators hold on the model generators of the same names, AND those
-    generators generate the model.
+    generators generate the model: the model is a quotient of the
+    presented group, which does not make the presentation exact.
 
     Every presentation generator must name a model generator.  The named
     ones generate the model exactly when every unnamed model generator
@@ -252,12 +252,8 @@ def check_model_satisfies(presentation, model):
     if missing:
         raise ValueError(f"{presentation.name} names generators "
                          f"{sorted(missing)} that {model.name} lacks")
-    violations = []
-    for r in presentation.relators:
-        image = model.evaluate(r)
-        if not image.is_identity:
-            violations.append({"kind": "relator", "relator": repr(r),
-                               "image": list(image.coords)})
+    images = {g: model.generators[g] for g in presentation.generators}
+    violations = GroupHom(presentation, model, images).verify()["violations"]
     unnamed = [g for g in model.generators if g not in named]
     if unnamed:
         sub = model.subgroup(list(presentation.generators))

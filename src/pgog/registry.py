@@ -19,14 +19,9 @@ from . import models
 from . import presentations as P
 from . import reports
 from .analysis import check_edge_bound, detect_collapse
-from .gog import (EdgeData, Graph, GraphOfGroups, Specialisation, VertexData,
+from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                   fundamental_presentation, verify_properness_witness)
 from .words import commutator, gen
-
-
-def _ea_edge(p, names):
-    return EdgeData(models.ElementaryAbelian(p, names),
-                    P.elementary_abelian_presentation(p, names))
 
 
 def _heis_vertex(p, names):
@@ -43,7 +38,8 @@ def free_product_line(p):
         "R": VertexData(models.ElementaryAbelian(p, ["b"]),
                         P.elementary_abelian_presentation(p, ["b"])),
     }
-    return GraphOfGroups(graph, data, {"e": _ea_edge(p, [])}, {"e": ({}, {})})
+    return GraphOfGroups(graph, data, {"e": models.ElementaryAbelian(p, [])},
+                         {"e": ({}, {})})
 
 
 def improper_heisenberg_chain(p, levels):
@@ -59,15 +55,15 @@ def improper_heisenberg_chain(p, levels):
                 for i, pair in enumerate(names)}
     graph = Graph([f"V{i}" for i in range(1, levels + 1)],
                   {f"e{i}": (f"V{i}", f"V{i + 1}") for i in range(1, levels)})
-    edge_data, edge_maps = {}, {}
+    edge_models, edge_maps = {}, {}
     for i in range(1, levels):
         al, bl = names[i - 1]
         ar, br = names[i]
-        edge_data[f"e{i}"] = _ea_edge(p, ["u", "v"])
+        edge_models[f"e{i}"] = models.ElementaryAbelian(p, ["u", "v"])
         edge_maps[f"e{i}"] = (
             {"u": gen(bl), "v": commutator(gen(al), gen(bl))},
             {"u": commutator(gen(ar), gen(br)), "v": gen(ar)})
-    return GraphOfGroups(graph, vertices, edge_data, edge_maps)
+    return GraphOfGroups(graph, vertices, edge_models, edge_maps)
 
 
 def improper_two_edge_line(p):
@@ -89,8 +85,8 @@ def improper_two_edge_line(p):
         "M": VertexData(mid_model, mid_pres),
         "R": _heis_vertex(p, ("x4", "y4")),
     }
-    edge_data = {"e1": _ea_edge(p, ["u1", "v1"]),
-                 "e2": _ea_edge(p, ["u2", "v2"])}
+    edge_models = {"e1": models.ElementaryAbelian(p, ["u1", "v1"]),
+                   "e2": models.ElementaryAbelian(p, ["u2", "v2"])}
     edge_maps = {
         "e1": ({"u1": gen("x1"),
                 "v1": commutator(gen("x1"), gen("y1"))},
@@ -101,7 +97,7 @@ def improper_two_edge_line(p):
                {"u2": commutator(gen("x4"), gen("y4")),
                 "v2": gen("x4")}),
     }
-    return GraphOfGroups(graph, vertex_data, edge_data, edge_maps)
+    return GraphOfGroups(graph, vertex_data, edge_models, edge_maps)
 
 
 def free_product_witness(p):

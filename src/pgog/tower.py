@@ -11,7 +11,8 @@ explicit finite quotients witnessing their properness are built alongside.
 Each vertex group G_i and edge group K_i has one cached constructor
 (vertex_data, _edge_data), so a level, the three splittings and the
 transition tails share one model per group, and with it one cached
-order and closure.
+order and closure.  Every hom is checked by its graph, so no
+presentation is built to check one.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from . import models
 from . import presentations as P
-from .gog import (EdgeData, Graph, GraphOfGroups, Specialisation, VertexData,
+from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                   fp_naming, fundamental_presentation,
                   verify_properness_witness)
 from .words import IDENTITY, gen
@@ -39,17 +40,16 @@ def lamp_names(p, n):
     return [f"h{j}" for j in range(p ** n)]
 
 
-def _verified(hom, presentation):
-    report = hom.verify(presentation)
+def _verified(hom):
+    report = hom.verify()
     if report["status"] != "pass":
         raise ValueError(f"{hom.name or 'hom'} failed: {report['violations']}")
     return hom
 
 
 def _injective(hom):
-    """Verify an injective hom out of an elementary abelian group."""
-    _verified(hom, P.elementary_abelian_presentation(hom.source.p,
-                                                     hom.source.generators))
+    """Verify a hom and its injectivity."""
+    _verified(hom)
     if not P.hom_injective_on(hom):
         raise ValueError(f"{hom.name or 'hom'} is not injective")
     return hom
@@ -110,9 +110,10 @@ def vertex_data(p, i):
 
 @lru_cache(maxsize=None)
 def _edge_data(p, i):
-    """K_i = <k_i> x lamps with its elementary abelian presentation."""
+    """K_i = <k_i> x lamps with its elementary abelian presentation, the
+    lone vertex of the (i, 0) tail."""
     names = [f"k{i}"] + lamp_names(p, i)
-    return EdgeData(
+    return VertexData(
         models.ElementaryAbelian(p, names),
         P.elementary_abelian_presentation(p, names, name=f"K({p},{i})"))
 
@@ -121,11 +122,9 @@ def _edge_data(p, i):
 def build_level(p, n):
     """Build level n, verifying every hom and every inclusion's injectivity."""
     models.PrimeLevel(p, n)
-    hs = lamp_names(p, n)
-    lamps = models.ElementaryAbelian(p, hs)
+    lamps = models.ElementaryAbelian(p, lamp_names(p, n))
     edge_group = _edge_data(p, n).model
-    vertex = vertex_data(p, n)
-    vertex_group = vertex.model
+    vertex_group = vertex_data(p, n).model
 
     edge_incl = _injective(
         _name_hom(edge_group, vertex_group, f"K{n}->G{n}"))
@@ -141,8 +140,7 @@ def build_level(p, n):
             P.GroupHom(lamps, prev.lamps,
                        {f"h{j}": prev.lamps.generators[f"h{mu(p, n - 1, j)}"]
                         for j in range(p ** n)},
-                       name=f"H{n}->H{n - 1} fold"),
-            P.elementary_abelian_presentation(p, hs))
+                       name=f"H{n}->H{n - 1} fold"))
         edge_incl_prev = _injective(
             _name_hom(prev.edge_group, vertex_group, f"K{n - 1}->G{n}"))
         fold_map = {f"k{n}": prev.edge_group.identity,
@@ -151,8 +149,7 @@ def build_level(p, n):
             fold_map[f"h{j}"] = prev.edge_group.generators[f"h{mu(p, n - 1, j)}"]
         vertex_fold = _verified(
             P.GroupHom(vertex_group, prev.edge_group, fold_map,
-                       name=f"G{n}->K{n - 1} fold"),
-            vertex.presentation)
+                       name=f"G{n}->K{n - 1} fold"))
 
     return TowerLevel(
         p, n, lamps, edge_group, vertex_group,
@@ -193,20 +190,20 @@ def check_retraction_square(level):
 # -- graphs ---------------------------------------------------------------------
 
 
-def _gog(vertices, edges, edge_data, check=True):
+def _gog(vertices, edges, edge_models, check=True):
     """Graph of groups on vertices (id -> VertexData) whose every edge
     group includes into both ends under its own generator names."""
-    edge_maps = {eid: ({g: gen(g) for g in ed.model.generators},) * 2
-                 for eid, ed in edge_data.items()}
-    return GraphOfGroups(Graph(vertices, edges), vertices, edge_data,
+    edge_maps = {eid: ({g: gen(g) for g in model.generators},) * 2
+                 for eid, model in edge_models.items()}
+    return GraphOfGroups(Graph(vertices, edges), vertices, edge_models,
                          edge_maps, check=check)
 
 
 def _path_parts(p, first, last):
     vertices = {f"G{i}": vertex_data(p, i) for i in range(first, last + 1)}
     edges = {f"K{i}": (f"G{i}", f"G{i + 1}") for i in range(first, last)}
-    edge_data = {f"K{i}": _edge_data(p, i) for i in range(first, last)}
-    return vertices, edges, edge_data
+    edge_models = {f"K{i}": _edge_data(p, i).model for i in range(first, last)}
+    return vertices, edges, edge_models
 
 
 def _path_gog(p, first, last, check=True):
@@ -219,9 +216,7 @@ def _tail_gog(p, n, m, check=True):
     if n == 0 and m == 0:
         raise ValueError("the (0, 0) tail has no level-0 edge group")
     if m == 0:
-        edge = _edge_data(p, n)
-        return _gog({f"K{n}": VertexData(edge.model, edge.presentation)},
-                    {}, {}, check=check)
+        return _gog({f"K{n}": _edge_data(p, n)}, {}, {}, check=check)
     return _path_gog(p, n + 1, n + m, check=check)
 
 
@@ -246,13 +241,12 @@ def build_graphs(p, n, m=0):
     top = build_level(p, ell)
     path = _path_gog(p, 1, n)
     tail = _tail_gog(p, n, m)
-    vertices, edges, edge_data = _path_parts(p, 1, ell)
+    vertices, edges, edge_models = _path_parts(p, 1, ell)
     vertices["W"] = VertexData(top.lamplighter,
                                P.lamplighter_presentation(p, ell))
     edges[f"H{ell}"] = (f"G{ell}", "W")
-    edge_data[f"H{ell}"] = EdgeData(
-        top.lamps, P.elementary_abelian_presentation(p, lamp_names(p, ell)))
-    return TowerGraphs(p, n, m, path, tail, _gog(vertices, edges, edge_data))
+    edge_models[f"H{ell}"] = top.lamps
+    return TowerGraphs(p, n, m, path, tail, _gog(vertices, edges, edge_models))
 
 
 # -- witnesses -------------------------------------------------------------------

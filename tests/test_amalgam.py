@@ -9,7 +9,7 @@ import pytest
 from pgog import amalgam, models
 from pgog.amalgam import (Verdict, build_transversals, lamp_letter,
                           nf_multiply, normal_form, path_letter, separate)
-from pgog.gog import (EdgeData, Graph, GraphOfGroups, VertexData,
+from pgog.gog import (Graph, GraphOfGroups, VertexData,
                       verify_properness_witness)
 from pgog.registry import free_product_line
 from pgog.tower import (_path_gog, build_graphs, build_witnesses,
@@ -114,7 +114,7 @@ def test_sifted_and_shortlex_representatives_give_the_same_forms():
 
 def test_transversal_cosets_cover_the_vertex_group():
     gog = p2_path()
-    edge_order = gog.edges["K1"].model.order
+    edge_order = gog.edges["K1"].order
     for (eid, end), table in build_transversals(gog).items():
         vertex_order = gog.vertices[table.vertex].model.order
         assert table.coset_count * edge_order == vertex_order
@@ -136,8 +136,7 @@ def test_transversals_use_the_certified_edge_maps():
 
 
 def _trivial_edge(p):
-    group = models.ElementaryAbelian(p, [])
-    return EdgeData(group, None)
+    return models.ElementaryAbelian(p, [])
 
 
 def test_non_path_graphs_are_rejected():

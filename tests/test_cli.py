@@ -209,10 +209,19 @@ def test_separation_reaches_past_any_enumeration():
 
 
 def test_verify_all_rejects_a_composite_prime(capsys):
-    code, out, err = run_cli(capsys, "tower", "verify-all", "--p", "4",
-                             "--max-level", "1")
-    assert code == 2 and out == ""
-    assert "p must be prime, got 4" in err
+    # every --p is checked, and bounded, before any work: no example runs,
+    # no rank is taken mod 9, no trial division runs up to 10^9
+    for argv, message in [
+            (("tower", "verify-all", "--p", "4", "--max-level", "1"),
+             "p must be prime, got 4"),
+            (("run-all", "--p", "4"), "p must be prime, got 4"),
+            (("collapse", data_path("heisenberg_chain.gog"), "--p", "9"),
+             "p must be prime, got 9"),
+            (("tower", "verify-all", "--p", str(10 ** 18 + 3),
+              "--max-level", "1"), "p = 1000000000000000003 exceeds")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_separate_command_paths(capsys):

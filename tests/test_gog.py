@@ -4,7 +4,7 @@ import pytest
 
 from pgog import models
 from pgog import presentations as P
-from pgog.gog import (EdgeData, Graph, GraphOfGroups, Specialisation,
+from pgog.gog import (Graph, GraphOfGroups, Specialisation,
                       SpanningTree, VertexData, bracket_subgraph,
                       check_reduced, fp_naming, fundamental_presentation,
                       spanning_tree, verify_properness_witness,
@@ -19,8 +19,7 @@ def ea_vertex(p, names):
 
 
 def ea_edge(p, names):
-    return EdgeData(models.ElementaryAbelian(p, names),
-                    P.elementary_abelian_presentation(p, names))
+    return models.ElementaryAbelian(p, names)
 
 
 def small_path_gog(p=2):
@@ -34,10 +33,10 @@ def small_path_gog(p=2):
         "A1": ea_vertex(p, g1_names),
         "A2": VertexData(g2, P.gn_presentation(p, 2)),
     }
-    edge_data = {"e1": ea_edge(p, k1_names)}
+    edge_models = {"e1": ea_edge(p, k1_names)}
     maps0 = {g: vertex_data["A1"].model.generators[g] for g in k1_names}
     maps1 = {g: g2.generators[g] for g in k1_names}
-    return GraphOfGroups(graph, vertex_data, edge_data, {"e1": (maps0, maps1)})
+    return GraphOfGroups(graph, vertex_data, edge_models, {"e1": (maps0, maps1)})
 
 
 # -- graph basics ---------------------------------------------------------------
@@ -254,6 +253,23 @@ def test_witness_injectivity_violation_names_vertex():
     bad = [v for v in witness.report["violations"] if v["kind"] == "injectivity"]
     assert bad and bad[0]["vertex"] == "A1"
     assert bad[0]["image_order"] == 8 and bad[0]["vertex_order"] == 16
+
+
+def test_a_map_satisfying_a_looser_presentation_fails():
+    # <a | a^4> presents Z/4, of which EA(2; a) is only a quotient, so the
+    # vertex certifies; z in Z/4 satisfies a^4, yet a -> z is no hom out of
+    # EA(2; a), and the graph check says so
+    a = models.ElementaryAbelian(2, ["a"])
+    gog = GraphOfGroups(
+        Graph(["V"], {}),
+        {"V": VertexData(a, P.FinitePresentation(["a"], [gen("a", 4)]))},
+        {}, {})
+    target = models.CyclicModel(2, 2)
+    spec = Specialisation(gog, target, {"V": {"a": target.generators["z"]}})
+    report = verify_specialisation(gog, spec)
+    assert report["status"] == "fail"
+    assert report["violations"] == [
+        {"kind": "vertex-hom", "vertex": "V", "image": [2]}]
 
 
 def test_specialisation_requires_total_maps():

@@ -528,6 +528,11 @@ def test_prime_level_validation():
         models.PrimeLevel(2, 0)
     with pytest.raises(ValueError, match="cap"):
         models.PrimeLevel(2, 21)
+    # refused before p^n or a primality test is computed
+    with pytest.raises(ValueError, match="cap"):
+        models.PrimeLevel(3, 10 ** 9)
+    with pytest.raises(ValueError, match="cap"):
+        models.PrimeLevel(10 ** 18 + 3)
     lvl = models.PrimeLevel(3, 2)
     assert (lvl.p, lvl.n) == (3, 2)
 

@@ -135,7 +135,7 @@ def test_zero_tail_is_the_edge_group_alone():
 def test_path_edge_groups_and_reducedness():
     graphs = build_graphs(2, 2, 0)
     assert set(graphs.path.graph.edges) == {"K1"}
-    assert graphs.path.edges["K1"].model.order == 8
+    assert graphs.path.edges["K1"].order == 8
     assert check_reduced(graphs.path)
     assert check_reduced(graphs.joined)
 
@@ -147,8 +147,8 @@ def test_splittings_share_one_model_per_group():
     assert g3 is graphs.joined.vertices["G3"].model
     assert g3 is build_level(2, 3).vertex_group
     assert graphs.path.vertices["G1"].model is graphs.joined.vertices["G1"].model
-    k1 = graphs.path.edges["K1"].model
-    assert k1 is graphs.joined.edges["K1"].model
+    k1 = graphs.path.edges["K1"]
+    assert k1 is graphs.joined.edges["K1"]
     assert k1 is build_level(2, 1).edge_group
 
 
