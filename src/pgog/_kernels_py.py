@@ -91,8 +91,13 @@ def mul(blocks, a, b):
                 row = off + r * dim
                 src = off + ((r + t) % q) * dim
                 # apply the left factor's multipliers at orbit r to the
-                # right factor's shifted module row, then translate
-                tmp = [b[src + s] for s in range(dim)]
+                # right factor's shifted module row, then translate; they
+                # act linearly, so a zero row leaves a's row as it is
+                tmp = b[src:src + dim]
+                if not any(tmp):
+                    out[row:row + dim] = a[row:row + dim]
+                    continue
+                tmp = list(tmp)
                 for v in range(n):
                     coef = a[a0 + v * q + r]
                     if coef:

@@ -16,7 +16,7 @@ from . import registry, reports
 from .analysis import check_edge_bound, detect_collapse
 from .dsl import parse_dsl, parse_word
 from .gog import (check_reduced, fundamental_presentation,
-                  verify_properness_witness)
+                  verify_properness_witness, verify_specialisation)
 from .models import PrimeLevel
 
 
@@ -45,7 +45,8 @@ def cmd_parse(args):
                    edges=dict(gog.graph.edges),
                    reduced=check_reduced(gog))
     for name, spec in doc.witnesses.items():
-        report.add(f"witness {name}", reports.PASS, target=spec.target.name)
+        report.checks.append(reports.from_check_dict(
+            verify_specialisation(spec.gog, spec), name=f"witness {name}"))
     for name, letters in doc.words.items():
         report.add(f"word {name}", reports.PASS, letters=len(letters))
     return report

@@ -3,13 +3,17 @@
 Assembly and certification: every edge map is verified as an injective
 homomorphism at construction, vertex models are certified against their
 presentations, and the fundamental-group presentation is produced with
-stable letters for non-tree edges.  Specialisations (target model, vertex
-maps, edge elements) are verified against the two defining conditions,
-and a specialisation injective on every vertex group is packaged as a
-PropernessWitness.  Every map out of a model, edge map or vertex map, is
-checked by its graph (GroupHom.verify).  Relators are evaluated only to
-certify a vertex presentation and for a map out of a vertex that has no
-model.
+stable letters for non-tree edges.  Certification happens once: a
+vertex's report is kept on its VertexData, however many graphs share
+it, and a graph may be handed the GroupHoms its edge maps already are,
+whose checks it reads instead of redoing.  Specialisations (target
+model, vertex maps, edge elements) are verified against the two
+defining conditions, and a specialisation injective on every vertex
+group is packaged as a PropernessWitness; it keeps one GroupHom per
+vertex, so the hom check and the image order read one graph.  Every map
+out of a model, edge map or vertex map, is checked by its graph
+(GroupHom.verify).  Relators are evaluated only to certify a vertex
+presentation and for a map out of a vertex that has no model.
 
 Vertex groups are usually concrete models with certified presentations;
 a vertex may instead carry a presentation alone (used by
@@ -17,6 +21,8 @@ bracket_subgraph, where the bracketed group is an amalgam with no finite
 model).  Edge groups are models alone: their presentations are never
 needed.
 """
+
+from functools import cached_property
 
 from .presentations import (FinitePresentation, GroupHom,
                             check_model_satisfies, hom_injective_on)
@@ -111,6 +117,12 @@ class VertexData:
     def is_model(self):
         return self.model is not None
 
+    @cached_property
+    def certification(self):
+        """The model-satisfies report, computed once however many graphs
+        share this vertex."""
+        return check_model_satisfies(self.presentation, self.model)
+
 
 def _rename_word(word, mapping):
     return Word(tuple((mapping[n], e) for n, e in word.syllables))
@@ -123,9 +135,14 @@ class GraphOfGroups:
     each map sends every edge-model generator name to either an element
     of the end's vertex model or a Word over the end's presentation
     generators (required when the end vertex is presentation-only).
+    edge_homs[eid] = (hom0, hom1) may hand certification GroupHoms that
+    are these maps already, so that their checks are read, not redone.
+    Certification leaves every edge's two maps in edge_homs (None at a
+    presentation-only end).
     """
 
-    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True):
+    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True,
+                 edge_homs=None):
         self.graph = graph
         self.vertices = dict(vertex_data)
         self.edges = dict(edge_models)
@@ -141,7 +158,7 @@ class GraphOfGroups:
                 self._normalize_map(eid, k, edge_maps[eid][k]) for k in (0, 1))
         self.edge_homs = {}
         if check:
-            self._certify()
+            self._certify(edge_homs or {})
 
     def _normalize_map(self, eid, k, raw):
         """Store (element, word) per edge generator; either may be None."""
@@ -170,10 +187,10 @@ class GraphOfGroups:
                 out[gname] = (val, None)
         return out
 
-    def _certify(self):
+    def _certify(self, given):
         for v, vd in self.vertices.items():
             if vd.is_model and vd.presentation is not None:
-                report = check_model_satisfies(vd.presentation, vd.model)
+                report = vd.certification
                 if report["status"] != "pass":
                     raise ValueError(f"vertex {v}: presentation not satisfied: "
                                      f"{report['violations'][:2]}")
@@ -188,7 +205,13 @@ class GraphOfGroups:
                 edge = self.edges[eid]
                 mapping = {g: self.edge_maps[eid][k][g][0]
                            for g in edge.generators}
-                hom = GroupHom(edge, vd.model, mapping, name=f"d{k}({eid})")
+                hom = given.get(eid, (None, None))[k]
+                if hom is None:
+                    hom = GroupHom(edge, vd.model, mapping, name=f"d{k}({eid})")
+                elif (hom.source, hom.target, hom.mapping) != (
+                        edge, vd.model, mapping):
+                    raise ValueError(f"edge {eid} end {k}: the given hom is "
+                                     "not the edge map")
                 report = hom.verify()
                 if report["status"] != "pass":
                     raise ValueError(f"edge {eid} end {k}: map is not a "
@@ -307,12 +330,18 @@ class Specialisation:
             t = (edge_elements or {}).get(eid, target.identity)
             target._own(t)
             self.edge_elements[eid] = t
+        self._vertex_homs = {}
 
     def vertex_hom(self, v):
-        vd = self.gog.vertices[v]
-        source = vd.model if vd.is_model else vd.presentation
-        return GroupHom(source, self.target, self.vertex_maps[v],
-                        name=f"nu({v})")
+        """nu_v as a GroupHom, one per vertex, so that every check of the
+        specialisation reads the same graph pcgs."""
+        hom = self._vertex_homs.get(v)
+        if hom is None:
+            vd = self.gog.vertices[v]
+            source = vd.model if vd.is_model else vd.presentation
+            hom = self._vertex_homs[v] = GroupHom(
+                source, self.target, self.vertex_maps[v], name=f"nu({v})")
+        return hom
 
     def edge_image(self, eid, k, gname):
         """nu_{d_k(e)} applied to the edge generator's image."""
@@ -365,7 +394,8 @@ class PropernessWitness:
 
 
 def verify_properness_witness(gog, spec):
-    """verify_specialisation plus per-vertex injectivity by subgroup orders."""
+    """verify_specialisation plus per-vertex injectivity by image orders,
+    read off the vertex homs' graph pcgs that verify_specialisation built."""
     base = verify_specialisation(gog, spec)
     violations = list(base["violations"])
     orders = {}
@@ -375,8 +405,7 @@ def verify_properness_witness(gog, spec):
             violations.append({"kind": "injectivity", "vertex": v,
                                "detail": "presentation-only vertex cannot be certified"})
             continue
-        images = [spec.vertex_maps[v][g] for g in vd.model.generators]
-        image_order = spec.target.subgroup(images).order
+        image_order = spec.vertex_hom(v).image_order
         orders[v] = image_order
         if image_order != vd.model.order:
             violations.append({"kind": "injectivity", "vertex": v,

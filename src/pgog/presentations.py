@@ -4,7 +4,10 @@ A FinitePresentation is the shared currency between concrete models and
 graph-of-groups assembly.  A map out of a model is checked by its graph
 (GroupHom.verify), never by relators: a presentation is only known to
 present a quotient of its model, so its relators vanishing under a map
-does not make the map a homomorphism of the model.  Relators are
+does not make the map a homomorphism of the model.  One induced pcgs of
+the graph, target depths first, gives the hom verdict, the image order
+and injectivity; the graph with the source depths first is built only to
+map elements and to report a map that is no hom.  Relators are
 evaluated only for a map out of a presentation, check_model_satisfies
 included.  coset_enumerate certifies presentation orders independently of
 the models' orders: it is a semi-decision procedure, so a non-completing
@@ -159,16 +162,50 @@ class GroupHom:
     def apply(self, word):
         return self.target.evaluate(word, self.mapping)
 
+    def _model_source(self):
+        if not isinstance(self.source, FiniteGroupModel):
+            raise ValueError(f"{self!r} needs a model source")
+        return self.source
+
+    @cached_property
+    def _census(self):
+        """(hom, image order, injective), read off one induced pcgs: that
+        of the graph <(image of g, g)> in target x source, target depths
+        first.  Its entries at target depths are a pcgs of the image, and
+        those at source depths one of the graph's meet with 1 x source.
+        The graph projects onto the source, so the map extends to a hom
+        exactly when the graph has the source's order, and the hom is
+        injective exactly when no entry sits at a source depth.  Into a
+        group of another prime only the trivial map is a hom, and the
+        image order comes from the images alone."""
+        src, tgt = self._model_source(), self.target
+        images = [self.mapping[g] for g in src.generators]
+        if src.p != tgt.p:
+            order = tgt.subgroup(images).order
+            return order == 1, order, order == 1 == src.order
+        _, terms, table = graph_pcgs(
+            tgt, src, [(y.coords, x.coords)
+                       for y, x in zip(images, src.generators.values())])
+        image = sum(entry is not None for entry in table[:len(terms)])
+        kernel = sum(entry is not None for entry in table[len(terms):])
+        hom = tgt.p ** (image + kernel) == src.order
+        return hom, tgt.p ** image, hom and kernel == 0
+
+    @property
+    def image_order(self):
+        """Order of the subgroup the source generators' images generate."""
+        return self._census[1]
+
     @cached_property
     def _graph(self):
         """Induced pcgs of the graph <(g, image of g)> in source x target:
-        (blocks, source terms, table, t).  The source depths come first.
-        An entry at a target depth is some (1, t) with t != 1, so the
-        generator map extends to no homomorphism; t is the first such
-        entry's target part, None when there is none."""
-        src = self.source
-        if not isinstance(src, FiniteGroupModel):
-            raise ValueError(f"{self!r}: element maps need a model source")
+        (blocks, source terms, table, t).  The source depths come first,
+        so it maps elements (apply_element); only that and the report of
+        a map that is no hom build it.  An entry at a target depth is
+        some (1, t) with t != 1, so the generator map extends to no
+        homomorphism; t is the first such entry's target part, None when
+        there is none."""
+        src = self._model_source()
         blocks, terms, table = graph_pcgs(
             src, self.target,
             [(e.coords, self.mapping[g].coords) for g, e in src.generators.items()])
@@ -198,13 +235,15 @@ class GroupHom:
         """Check the hom property; returns a {check, status, violations} report.
 
         A model source is checked by its graph: the generator map extends
-        to a hom exactly when the graph's induced pcgs has no entry at a
-        target depth, and the first such entry's target coordinates are
-        the violation.  Nothing is enclosed.  Into a group of another
-        prime only the trivial map is a hom, and each nontrivial
-        generator image is a violation.  A FinitePresentation source is
-        checked against its own relators: by von Dyck's theorem the map
-        extends to a hom exactly when every relator maps to the identity.
+        to a hom exactly when the graph has the source's order (_census).
+        Nothing is enclosed.  A map that is no hom is reported by the
+        graph with the source depths first: its first entry at a target
+        depth is some (1, t) with t != 1, and t's coordinates are the
+        violation.  Into a group of another prime only the trivial map is
+        a hom, and each nontrivial generator image is a violation.  A
+        FinitePresentation source is checked against its own relators: by
+        von Dyck's theorem the map extends to a hom exactly when every
+        relator maps to the identity.
         """
         src = self.source
         if isinstance(src, FinitePresentation):
@@ -220,22 +259,16 @@ class GroupHom:
                 {"kind": "prime", "generator": g,
                  "image": list(self.mapping[g].coords)}
                 for g in src.generators if not self.mapping[g].is_identity])
-        t = self._graph[3]
-        return _report("hom", [] if t is None else
-                       [{"kind": "graph", "image": list(t)}])
+        if self._census[0]:
+            return _report("hom", [])
+        return _report("hom", [{"kind": "graph", "image": list(self._graph[3])}])
 
 
 def hom_injective_on(hom):
-    """True iff the hom is injective on its whole source model.
-
-    The images of the source generators generate the image, so the hom is
-    injective exactly when they span a subgroup of the source's order.
-    """
-    src = hom.source
-    if not isinstance(src, FiniteGroupModel):
-        raise ValueError("injectivity check needs a model source")
-    images = [hom.image_of(g) for g in src.generators]
-    return hom.target.subgroup(images).order == src.order
+    """True iff the map is a hom, injective on its whole source model: its
+    graph, target depths first, has the source's order and no entry at a
+    source depth (GroupHom._census)."""
+    return hom._census[2]
 
 
 def check_model_satisfies(presentation, model):

@@ -10,9 +10,10 @@ explicit finite quotients witnessing their properness are built alongside.
 
 Each vertex group G_i and edge group K_i has one cached constructor
 (vertex_data, _edge_data), so a level, the three splittings and the
-transition tails share one model per group, and with it one cached
-order and closure.  Every hom is checked by its graph, so no
-presentation is built to check one.
+transition tails share one model per group, and each vertex presentation
+is certified once.  Every hom is checked by its graph, so no
+presentation is built to check one, and each edge inclusion is checked
+once, by build_level: the splittings reuse the level's homs.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -76,6 +77,7 @@ class TowerLevel:
     edge_incl: object         # edge_group -> vertex_group
     lamp_to_vertex: object    # lamps -> vertex_group
     vertex_fold: object       # vertex_group -> level n-1 edge group (None at n=1)
+    lamp_to_lamplighter: object   # lamps -> lamplighter
 
 
 def path_witness_model(p, n):
@@ -125,11 +127,14 @@ def build_level(p, n):
     lamps = models.ElementaryAbelian(p, lamp_names(p, n))
     edge_group = _edge_data(p, n).model
     vertex_group = vertex_data(p, n).model
+    lamplighter = models.LamplighterLevel(p, n)
 
     edge_incl = _injective(
         _name_hom(edge_group, vertex_group, f"K{n}->G{n}"))
     lamp_to_vertex = _injective(
         _name_hom(lamps, vertex_group, f"H{n}->G{n}"))
+    lamp_to_lamplighter = _injective(
+        _name_hom(lamps, lamplighter, f"H{n}->W{n}"))
 
     lamp_incl = lamp_fold = edge_incl_prev = vertex_fold = None
     if n > 1:
@@ -152,9 +157,9 @@ def build_level(p, n):
                        name=f"G{n}->K{n - 1} fold"))
 
     return TowerLevel(
-        p, n, lamps, edge_group, vertex_group,
-        models.LamplighterLevel(p, n), lamp_incl, lamp_fold, edge_incl_prev,
-        edge_incl, lamp_to_vertex, vertex_fold)
+        p, n, lamps, edge_group, vertex_group, lamplighter, lamp_incl,
+        lamp_fold, edge_incl_prev, edge_incl, lamp_to_vertex, vertex_fold,
+        lamp_to_lamplighter)
 
 
 def check_retraction_square(level):
@@ -190,13 +195,15 @@ def check_retraction_square(level):
 # -- graphs ---------------------------------------------------------------------
 
 
-def _gog(vertices, edges, edge_models, check=True):
+def _gog(vertices, edges, edge_models, homs=None, check=True):
     """Graph of groups on vertices (id -> VertexData) whose every edge
-    group includes into both ends under its own generator names."""
+    group includes into both ends under its own generator names.  homs
+    are the certified level inclusions these maps are: certification
+    reads their checks instead of redoing them."""
     edge_maps = {eid: ({g: gen(g) for g in model.generators},) * 2
                  for eid, model in edge_models.items()}
     return GraphOfGroups(Graph(vertices, edges), vertices, edge_models,
-                         edge_maps, check=check)
+                         edge_maps, check=check, edge_homs=homs)
 
 
 def _path_parts(p, first, last):
@@ -206,9 +213,17 @@ def _path_parts(p, first, last):
     return vertices, edges, edge_models
 
 
+def _path_homs(p, first, last):
+    """The certified level inclusions K_i -> G_i and K_i -> G_{i+1}."""
+    return {f"K{i}": (build_level(p, i).edge_incl,
+                      build_level(p, i + 1).edge_incl_prev)
+            for i in range(first, last)}
+
+
 def _path_gog(p, first, last, check=True):
     """Path of vertex groups G_first .. G_last glued over the edge groups."""
-    return _gog(*_path_parts(p, first, last), check=check)
+    homs = _path_homs(p, first, last) if check else None
+    return _gog(*_path_parts(p, first, last), homs, check=check)
 
 
 def _tail_gog(p, n, m, check=True):
@@ -246,7 +261,10 @@ def build_graphs(p, n, m=0):
                                P.lamplighter_presentation(p, ell))
     edges[f"H{ell}"] = (f"G{ell}", "W")
     edge_models[f"H{ell}"] = top.lamps
-    return TowerGraphs(p, n, m, path, tail, _gog(vertices, edges, edge_models))
+    homs = _path_homs(p, 1, ell)
+    homs[f"H{ell}"] = (top.lamp_to_vertex, top.lamp_to_lamplighter)
+    return TowerGraphs(p, n, m, path, tail,
+                       _gog(vertices, edges, edge_models, homs))
 
 
 # -- witnesses -------------------------------------------------------------------

@@ -81,6 +81,26 @@ def test_parse_rejects_bad_documents(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_parse_fails_a_witness_that_is_not_a_homomorphism(capsys, tmp_path):
+    # a witness into a group of another prime parsed as pass before
+    doc = tmp_path / "w.gog"
+    doc.write_text("p 2\ngraph g\nvertex A : EA(a)\n"
+                   "witness W : EA(x, y, p=3) map A.a -> x\n")
+    code, out, _ = run_cli(capsys, "parse", str(doc), "--json")
+    assert code == 1
+    check = json.loads(out)["checks"][-1]
+    assert check == {"name": "witness W", "status": "fail", "details": {
+        "target": "EA(3;x,y)",
+        "violations": [{"kind": "vertex-hom", "generator": "a",
+                        "image": [1, 0], "vertex": "A"}]}}
+    code, out, _ = run_cli(capsys, "parse", data_path("free_line.gog"),
+                           "--json")
+    assert code == 0
+    check = json.loads(out)["checks"][-1]
+    assert check == {"name": "witness W", "status": "pass", "details": {
+        "target": "EA(2;x,y)", "violations": []}}
+
+
 def test_collapse_command_reports_divergence(capsys):
     code, out, _ = run_cli(capsys, "collapse",
                            data_path("heisenberg_chain.gog"), "--json")

@@ -272,6 +272,91 @@ def test_a_map_satisfying_a_looser_presentation_fails():
         {"kind": "vertex-hom", "vertex": "V", "image": [2]}]
 
 
+def _lone_vertex(model, target, images):
+    gog = GraphOfGroups(
+        Graph(["V"], {}),
+        {"V": VertexData(model, P.elementary_abelian_presentation(
+            model.p, list(model.generators)))}, {}, {})
+    spec = Specialisation(gog, target, {"V": images})
+    return verify_properness_witness(gog, spec)
+
+
+def test_failing_vertex_maps_keep_their_reports():
+    # a failing map is reported by its source-first graph, as before the
+    # target-first graph decided hom, image order and injectivity
+    a = models.ElementaryAbelian(2, ["a"])
+    z = models.CyclicModel(2, 2)
+    witness = _lone_vertex(a, z, {"a": z.generators["z"]})
+    assert witness.report["violations"] == [
+        {"kind": "vertex-hom", "image": [2], "vertex": "V"},
+        {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
+         "image_order": 4}]
+    ea3 = models.ElementaryAbelian(3, ["x", "y"])
+    witness = _lone_vertex(a, ea3, {"a": ea3.generators["x"]})
+    assert witness.report["violations"] == [
+        {"kind": "vertex-hom", "generator": "a", "image": [1, 0],
+         "vertex": "V"},
+        {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
+         "image_order": 3}]
+    gog = small_path_gog()
+    fn = models.FnModel(2, 2)
+    maps = witness_maps(gog, fn, fn.generators["k2"])
+    maps["A2"] = dict(maps["A2"])
+    maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
+    witness = verify_properness_witness(gog, Specialisation(gog, fn, maps))
+    assert witness.report["violations"] == [
+        {"kind": "vertex-hom", "image": [0, 1, 0, 0, 0, 0], "vertex": "A2"}]
+    # a hom that is not injective: the image order is the images' span
+    spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
+    witness = verify_properness_witness(gog, spec)
+    assert witness.report["violations"] == [
+        {"kind": "injectivity", "vertex": "A1", "vertex_order": 16,
+         "image_order": 8}]
+    assert witness.vertex_image_orders == {"A1": 8, "A2": 64}
+
+
+def test_a_passing_witness_builds_one_graph_per_vertex_map():
+    gog = small_path_gog()
+    fn = models.FnModel(2, 2)
+    spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]))
+    assert verify_properness_witness(gog, spec).valid
+    for v in gog.graph.vertices:
+        hom = spec.vertex_hom(v)
+        assert hom is spec.vertex_hom(v)
+        # the source-first graph serves apply_element and failure reports
+        assert "_census" in hom.__dict__ and "_graph" not in hom.__dict__
+
+
+def test_certification_reads_given_edge_homs_and_checks_they_match():
+    gog = small_path_gog()
+    hom0, hom1 = gog.edge_homs["e1"]
+    again = GraphOfGroups(gog.graph, gog.vertices, gog.edges,
+                          {"e1": tuple({g: e for g, (e, _) in m.items()}
+                                       for m in gog.edge_maps["e1"])},
+                          edge_homs={"e1": (hom0, hom1)})
+    assert again.edge_homs["e1"][0] is hom0 and again.edge_homs["e1"][1] is hom1
+    with pytest.raises(ValueError, match="not the edge map"):
+        GraphOfGroups(gog.graph, gog.vertices, gog.edges,
+                      {"e1": tuple({g: e for g, (e, _) in m.items()}
+                                   for m in gog.edge_maps["e1"])},
+                      edge_homs={"e1": (hom1, hom0)})
+
+
+def test_a_vertex_presentation_is_certified_once(monkeypatch):
+    calls = []
+    check = P.check_model_satisfies
+
+    def counting(presentation, model):
+        calls.append(model)
+        return check(presentation, model)
+
+    monkeypatch.setattr("pgog.gog.check_model_satisfies", counting)
+    vd = ea_vertex(2, ["a", "b"])
+    for _ in range(3):
+        GraphOfGroups(Graph(["V"], {}), {"V": vd}, {}, {})
+    assert calls == [vd.model]
+
+
 def test_specialisation_requires_total_maps():
     gog = small_path_gog()
     fn = models.FnModel(2, 2)

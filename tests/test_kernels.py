@@ -117,6 +117,53 @@ def test_group_laws_property(triple):
     assert kpy.mul(blocks, a, kpy.inv(blocks, a)) == e
 
 
+def mod_mul_reference(blocks, a, b):
+    """kpy.mul with every MOD row worked out, zero or not: the multipliers
+    of a at orbit r act on b's row shifted by a's t, then a's row adds."""
+    out = list(kpy.mul(blocks, a, b))
+    for kind, p, n, q, off, width in blocks:
+        if kind != kpy.MOD:
+            continue
+        dim, a0, t = 1 << n, off + q * (1 << n), a[off + width - 1]
+        for r in range(q):
+            tmp = list(b[off + (r + t) % q * dim:][:dim])
+            for v in range(n):
+                coef = a[a0 + v * q + r]
+                for s in range(dim):
+                    if s >> v & 1:
+                        tmp[s] = (tmp[s] + coef * tmp[s ^ 1 << v]) % p
+            for s in range(dim):
+                out[off + r * dim + s] = (a[off + r * dim + s] + tmp[s]) % p
+    return tuple(out)
+
+
+def sparse_coords(rng, mods, density):
+    return tuple(rng.randrange(m) if rng.random() < density else 0
+                 for m in mods)
+
+
+@pytest.mark.parametrize("m", [models.ShiftedChainWitness(2, 3),
+                               models.ShiftedChainWitness(3, 2),
+                               models.ChainWitness(2, 4)],
+                         ids=lambda m: m.name)
+def test_mod_mul_skips_zero_rows_exactly(m):
+    mods = coordinate_moduli(m.blocks, m.width)
+    (kind, _, n, q, off, _), *_ = m.blocks
+    assert kind == kpy.MOD
+    dim = 1 << n
+    rng = random.Random(m.name)
+    zero_rows = 0
+    for trial in range(300):
+        a, b = (sparse_coords(rng, mods, (0.05, 0.3, 1.0)[trial % 3])
+                for _ in range(2))
+        zero_rows += sum(not any(b[off + r * dim:][:dim]) for r in range(q))
+        ab = kpy.mul(m.blocks, a, b)
+        assert ab == mod_mul_reference(m.blocks, a, b)
+        assert kpy.inv(m.blocks, ab) == kpy.mul(
+            m.blocks, kpy.inv(m.blocks, b), kpy.inv(m.blocks, a))
+    assert zero_rows > 100      # the skip is taken, and often
+
+
 # -- polycyclic series ----------------------------------------------------------
 
 

@@ -370,28 +370,85 @@ def test_pc_matches_bfs_on_random_subsets(m):
         assert_pc_matches_bfs(m, gens, probes)
 
 
+def extends_to_hom_by_bfs(hom):
+    """Exhaustive hom check over the source closure: walk the source's
+    Cayley graph, give each element the image of the first path to it,
+    and require every other edge into it to agree."""
+    src = hom.source
+    images = {e.coords: None for e in src.closure()}
+    images[src.identity.coords] = hom.target.identity
+    queue = [src.identity]
+    for e in queue:
+        for g, x in src.generators.items():
+            y, image = e * x, images[e.coords] * hom.image_of(g)
+            if images[y.coords] is None:
+                images[y.coords] = image
+                queue.append(y)
+            elif images[y.coords] != image:
+                return False
+    return True
+
+
 def test_pc_matches_bfs_on_every_subgroup_the_commands_ask_for(
         monkeypatch, capsys):
-    from pgog import amalgam, cli, tower
+    from pgog import amalgam, cli, gog, presentations, tower
     for cached in (tower.vertex_data, tower._edge_data, tower.build_level,
                    tower.build_graphs, amalgam._level_data):
         cached.cache_clear()    # so that every group is built, and asked, here
-    asked = []
+    asked, read = [], []
     subgroup = models.FiniteGroupModel.subgroup
+    verify = presentations.GroupHom.verify
+    image_order = presentations.GroupHom.image_order
+    injective = presentations.hom_injective_on
 
     def recording(self, generators=None):
         asked.append((self, generators))
         return subgroup(self, generators)
 
+    def verifying(hom):
+        report = verify(hom)
+        if isinstance(hom.source, models.FiniteGroupModel):
+            read.append(("hom", hom, report["status"] == "pass"))
+        return report
+
+    def ordering(hom):
+        read.append(("order", hom, image_order.fget(hom)))
+        return read[-1][2]
+
+    def injecting(hom):
+        read.append(("injective", hom, injective(hom)))
+        return read[-1][2]
+
     monkeypatch.setattr(models.FiniteGroupModel, "subgroup", recording)
+    monkeypatch.setattr(presentations.GroupHom, "verify", verifying)
+    monkeypatch.setattr(presentations.GroupHom, "image_order",
+                        property(ordering))
+    for module in (presentations, gog):
+        monkeypatch.setattr(module, "hom_injective_on", injecting)
     for argv in (["run-all"], ["tower", "verify-all", "--p", "2",
                                "--max-level", "3"]):
         assert cli.main([*argv, "--json"]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    assert len(asked) > 100
+    assert len(asked) + len(read) > 100
     for m, gens in asked:
         assert_pc_matches_bfs(m, gens, list(m.generators.values()))
+    # every hom reading, once per map: verdict, image order, injectivity
+    verdicts = {}
+    for kind, hom, value in read:
+        if kind == "order":
+            images = [hom.image_of(g) for g in hom.source.generators]
+            assert value == len(hom.target.closure(images)), hom
+            continue
+        if hom not in verdicts:
+            verdicts[hom] = extends_to_hom_by_bfs(hom)
+        if kind == "hom":
+            assert value == verdicts[hom], hom
+        else:
+            images = [hom.image_of(g) for g in hom.source.generators]
+            assert value == (verdicts[hom] and len(hom.target.closure(
+                images)) == len(hom.source.closure())), hom
+    assert {kind for kind, _, _ in read} == {"hom", "order", "injective"}
 
 
 # -- API surface --------------------------------------------------------------

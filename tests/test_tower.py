@@ -152,6 +152,45 @@ def test_splittings_share_one_model_per_group():
     assert k1 is build_level(2, 1).edge_group
 
 
+def test_splittings_reuse_the_level_inclusions():
+    # each edge inclusion is certified once, by build_level
+    graphs = build_graphs(2, 3, 0)
+    levels = {i: build_level(2, i) for i in (1, 2, 3)}
+    for gog in (graphs.path, graphs.joined):
+        for i in (1, 2):
+            first, second = gog.edge_homs[f"K{i}"]
+            assert first is levels[i].edge_incl
+            assert second is levels[i + 1].edge_incl_prev
+    lamp, lamplighter = graphs.joined.edge_homs["H3"]
+    assert lamp is levels[3].lamp_to_vertex
+    assert lamplighter is levels[3].lamp_to_lamplighter
+    assert lamplighter.target is graphs.joined.vertices["W"].model
+    assert build_graphs(2, 2, 0).joined.edge_homs["K1"] == \
+        graphs.joined.edge_homs["K1"]
+
+
+def test_verify_all_certifies_each_vertex_group_once(monkeypatch, capsys):
+    from pgog import amalgam, cli, gog, tower
+    for cached in (tower.vertex_data, tower._edge_data, tower.build_level,
+                   tower.build_graphs, amalgam._level_data):
+        cached.cache_clear()    # so that every vertex is built here
+    certified = []
+    check = gog.check_model_satisfies
+
+    def counting(presentation, model):
+        certified.append(presentation.name)
+        return check(presentation, model)
+
+    monkeypatch.setattr(gog, "check_model_satisfies", counting)
+    assert cli.main(["tower", "verify-all", "--p", "2", "--max-level", "3",
+                     "--json"]) == 0
+    capsys.readouterr()
+    # G1..G3, K1..K3 and the lamplighter levels W1..W3
+    assert sorted(certified) == sorted(
+        ["G(2,1)", "Gn(2,2)", "Gn(2,3)", "K(2,1)", "K(2,2)", "K(2,3)",
+         "Lamp(2,1)", "Lamp(2,2)", "Lamp(2,3)"])
+
+
 def test_zero_tail_shares_the_level_edge_group():
     assert _tail_gog(2, 1, 0).vertices["K1"].model is \
         build_level(2, 1).edge_group
