@@ -1,4 +1,5 @@
-"""Pure-Python arithmetic kernel: products, polycyclic series, closure.
+"""Pure-Python arithmetic kernel: products, polycyclic series, sifts, and
+the exhaustive breadth-first closure that tests check the sifts against.
 
 Group elements are flat tuples of small non-negative ints.  A model is a
 sequence of block descriptors; each block owns a contiguous slice of the
@@ -19,15 +20,6 @@ EN = 6      # (u_{i,r} row-major, x_0..x_{p^n-1}, t), shifted FN-style base
 MOD = 7     # square-zero monomial module acted on by commuting unipotent
             # multipliers, one orbit of each per shift position:
             # (m[r][subset-of-n-variables], a[var][r], t), t in Z/q
-
-
-class SizeGuardExceeded(ValueError):
-    """A closure outgrew its size guard: the check is undecided, not failed.
-    FiniteGroupModel.closure adds the model's name to the kernel's details."""
-
-    def __init__(self, limit, generators):
-        super().__init__(f"closure exceeded size guard of {limit} elements")
-        self.limit, self.generators, self.model = limit, generators, None
 
 
 def mul(blocks, a, b):
@@ -202,16 +194,16 @@ def inv(blocks, a):
     return tuple(out)
 
 
-def closure(blocks, identity, gens, limit):
+def closure(blocks, identity, gens):
     """Breadth-first closure of the subgroup generated by gens.
 
     Returns (elements, index, parent, genidx): elements[0] is the
     identity; index maps each element to its position in elements;
     elements[i] == mul(elements[parent[i]], gens[genidx[i]]) for i > 0,
     giving a shortest word for every element.  Deterministic: FIFO over
-    discovery order, generators scanned in the given order.
-
-    Raises SizeGuardExceeded when the subgroup exceeds `limit` elements.
+    discovery order, generators scanned in the given order.  Unbounded:
+    the exhaustive reference the sifts are tested against, not a path any
+    command takes.
     """
     elements = [identity]
     index = {identity: 0}
@@ -223,8 +215,6 @@ def closure(blocks, identity, gens, limit):
         for gi, g in enumerate(gens):
             nxt = mul(blocks, cur, g)
             if nxt not in index:
-                if len(elements) >= limit:
-                    raise SizeGuardExceeded(limit, len(gens))
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 parent.append(head)

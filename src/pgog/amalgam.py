@@ -418,11 +418,30 @@ class SeparationCertificate:
 Verdict = Enum("Verdict", "SEPARATED TRIVIAL INCONCLUSIVE")
 
 
+def search_levels(letters, start_level, max_level):
+    """The levels a search tries: from the highest path letter's vertex
+    index (at least start_level) to the lowest lamp letter's native level
+    (at most max_level).  Raises ValueError when no level holds them all."""
+    lo, hi = start_level, max_level
+    for letter in letters:
+        if isinstance(letter, PathLetter):
+            lo = max(lo, _vertex_index(letter.vertex))
+        else:
+            hi = min(hi, letter.level)
+    if lo > hi:
+        raise ValueError(f"no level in [{start_level}, {max_level}] holds "
+                         "every letter of the word")
+    return range(lo, hi + 1)
+
+
 def check_search(letters, p, start_level, max_level):
     """Raise ValueError for input no search can use (p not prime, a start
-    level below 1, a path letter at G_i, i <= max_level, naming a generator
-    G_i lacks), so that a failure inside the search is a failed check."""
+    level below 1, no level in range holding every letter, a path letter
+    at G_i, i <= max_level, naming a generator G_i lacks), so that a
+    failure inside the search is a failed check.  Returns the levels the
+    search will try."""
     models.PrimeLevel(p, start_level)
+    levels = search_levels(letters, start_level, max_level)
     for i, letter in enumerate(letters):
         if isinstance(letter, PathLetter) and \
                 (level := _vertex_index(letter.vertex)) <= max_level:
@@ -430,6 +449,7 @@ def check_search(letters, p, start_level, max_level):
                 vertex_data(p, level).model.evaluate(letter.word)
             except KeyError as exc:
                 raise ValueError(f"letter {i} at {letter.vertex}: {exc}") from None
+    return levels
 
 
 def separate(letters, p, start_level=1, max_level=4):
@@ -442,6 +462,7 @@ def separate(letters, p, start_level=1, max_level=4):
     is linear so the reported level is the least one.  Returns the verdict
     and, when it is SEPARATED, the certificate (else None): a word that is
     the identity is TRIVIAL, one no level in the range certifies INCONCLUSIVE.
+    Raises ValueError when no level in the range holds every letter.
     """
     letters = tuple(letters)
     for letter in letters:
@@ -449,15 +470,9 @@ def separate(letters, p, start_level=1, max_level=4):
             raise ValueError("letters must be PathLetter or LampLetter")
     if all(not letter.word for letter in letters):
         return Verdict.TRIVIAL, None
-    lo, hi = start_level, max_level
-    natives = set()
-    for letter in letters:
-        if isinstance(letter, PathLetter):
-            lo = max(lo, _vertex_index(letter.vertex))
-        else:
-            natives.add(letter.level)
-            hi = min(hi, letter.level)
-    for level in range(lo, hi + 1):
+    natives = {letter.level for letter in letters
+               if isinstance(letter, LampLetter)}
+    for level in search_levels(letters, start_level, max_level):
         gog, spec = _level_data(p, level)
         nf = normal_form(gog, _level_items(letters, p, level))
         if nf.is_trivial:

@@ -4,8 +4,7 @@ Subcommands parse DSL documents, run the divergence detector and the
 edge-count bound, build and verify tower levels, separate tagged words,
 and execute registered examples.  Every subcommand renders a report as
 text or, with --json, as stable JSON; the exit code is 0 exactly when no
-check failed, and 2 without a report for unusable input.  PGOG_SIZE_GUARD
-overrides the default 2^20 cap on subgroup enumeration.
+check failed, and 2 without a report for unusable input.
 """
 
 import argparse
@@ -162,17 +161,17 @@ def cmd_tower_verify_all(args):
 def cmd_separate(args):
     from .amalgam import check_search
     letters = parse_word(args.word)
-    check_search(letters, args.p, args.start_level, args.max_level)
+    levels = check_search(letters, args.p, args.start_level, args.max_level)
     report = reports.Report(
         "separate", {"word": args.word, "p": args.p,
                      "start_level": args.start_level,
                      "max_level": args.max_level})
     report.extend(reports.guarded(
-        "separate", lambda: [_separation_check(letters, args)]))
+        "separate", lambda: [_separation_check(letters, args, levels)]))
     return report
 
 
-def _separation_check(letters, args):
+def _separation_check(letters, args, levels):
     from .amalgam import Verdict, separate
     verdict, cert = separate(letters, args.p, start_level=args.start_level,
                              max_level=args.max_level)
@@ -182,8 +181,8 @@ def _separation_check(letters, args):
     if verdict is Verdict.INCONCLUSIVE:
         return reports.make_check(
             "separate", reports.UNKNOWN,
-            verdict=f"inconclusive: no level in [{args.start_level}, "
-                    f"{args.max_level}] certifies the word")
+            verdict=f"inconclusive: no level in [{levels[0]}, "
+                    f"{levels[-1]}] certifies the word")
     return reports.make_check(
         "separate", reports.PASS,
         level=cert.level,
@@ -227,8 +226,7 @@ def _add_params(sp, keys=("p", "n", "m", "max_level")):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pgog",
-        description="Verification tools for finite graphs of finite p-groups.",
-        epilog="PGOG_SIZE_GUARD overrides the 2^20 subgroup enumeration cap.")
+        description="Verification tools for finite graphs of finite p-groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="parse a DSL document and list it")

@@ -19,7 +19,9 @@ Vertex groups are usually concrete models with certified presentations;
 a vertex may instead carry a presentation alone (used by
 bracket_subgraph, where the bracketed group is an amalgam with no finite
 model).  Edge groups are models alone: their presentations are never
-needed.
+needed.  Edge maps are words over the end vertex's generators, so the
+fundamental presentation reads them as given and nothing here
+enumerates a group.
 """
 
 from functools import cached_property
@@ -132,9 +134,11 @@ class GraphOfGroups:
     """Graph + vertex/edge groups + verified edge monomorphisms.
 
     edges[eid] is the edge group's model.  edge_maps[eid] = (map0, map1);
-    each map sends every edge-model generator name to either an element
-    of the end's vertex model or a Word over the end's presentation
-    generators (required when the end vertex is presentation-only).
+    each map sends every edge-model generator name to a Word over the end
+    vertex's generator names, stored beside the element it evaluates to
+    at a model end.  An image given as an element is refused: the
+    fundamental presentation needs words, and reading a word off an
+    element would enumerate the vertex group.
     edge_homs[eid] = (hom0, hom1) may hand certification GroupHoms that
     are these maps already, so that their checks are read, not redone.
     Certification leaves every edge's two maps in edge_homs (None at a
@@ -161,30 +165,25 @@ class GraphOfGroups:
             self._certify(edge_homs or {})
 
     def _normalize_map(self, eid, k, raw):
-        """Store (element, word) per edge generator; either may be None."""
-        v = self.graph.ends(eid)[k]
-        vd = self.vertices[v]
+        """Store (element, word) per edge generator; the element is None at
+        a presentation-only end."""
+        vd = self.vertices[self.graph.ends(eid)[k]]
+        names = (vd.model.generators if vd.is_model
+                 else vd.presentation.generators)
         out = {}
         for gname in self.edges[eid].generators:
             if gname not in raw:
                 raise ValueError(f"edge {eid} end {k}: no image for {gname}")
-            val = raw[gname]
-            if isinstance(val, Word):
-                if vd.presentation is None:
-                    raise ValueError(f"edge {eid} end {k}: word image needs "
-                                     "a vertex presentation")
-                missing = val.names() - set(vd.presentation.generators)
-                if missing:
-                    raise ValueError(f"edge {eid} end {k}: image word uses "
-                                     f"unknown names {sorted(missing)}")
-                element = vd.model.evaluate(val) if vd.is_model else None
-                out[gname] = (element, val)
-            else:
-                if not vd.is_model:
-                    raise ValueError(f"edge {eid} end {k}: presentation-only "
-                                     "vertex needs word images")
-                vd.model._own(val)
-                out[gname] = (val, None)
+            word = raw[gname]
+            if not isinstance(word, Word):
+                raise ValueError(f"edge {eid} end {k}: the image of {gname} "
+                                 "must be a Word")
+            missing = word.names() - set(names)
+            if missing:
+                raise ValueError(f"edge {eid} end {k}: image word uses "
+                                 f"unknown names {sorted(missing)}")
+            element = vd.model.evaluate(word) if vd.is_model else None
+            out[gname] = (element, word)
         return out
 
     def _certify(self, given):
@@ -223,13 +222,8 @@ class GraphOfGroups:
 
     def image_word(self, eid, k, gname):
         """The image of an edge generator as a word over the end vertex's
-        presentation generators (stored word, else shortest model word)."""
-        element, word = self.edge_maps[eid][k][gname]
-        if word is not None:
-            return word
-        v = self.graph.ends(eid)[k]
-        vd = self.vertices[v]
-        return vd.model.closure().word_for(element)
+        generators."""
+        return self.edge_maps[eid][k][gname][1]
 
     def image_element(self, eid, k, gname):
         element, _ = self.edge_maps[eid][k][gname]
@@ -452,12 +446,11 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
         ends = tuple(bracket_id if v in set(inside) else v for v in (v0, v1))
         maps = []
         for k, v in enumerate((v0, v1)):
-            gnames = gog.edges[eid].generators
+            words = {g: gog.image_word(eid, k, g)
+                     for g in gog.edges[eid].generators}
             if v in set(inside):
-                maps.append({g: _rename_word(gog.image_word(eid, k, g), qual[v])
-                             for g in gnames})
-            else:
-                maps.append({g: gog.image_element(eid, k, g) for g in gnames})
+                words = {g: _rename_word(w, qual[v]) for g, w in words.items()}
+            maps.append(words)
         new_edges[eid] = ends
         new_maps[eid] = tuple(maps)
     edge_models = {eid: gog.edges[eid] for eid in new_edges}

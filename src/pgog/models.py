@@ -5,27 +5,22 @@ arithmetic kernel (see _kernels_py).  Elements are immutable coordinate
 tuples tagged with their model; elements of structurally different
 models never compare equal.  Subgroup orders and membership sift through
 induced polycyclic sequences, and so do element images under
-homomorphisms (presentations.GroupHom, through the graph of the hom);
-only enumeration (breadth-first closure, for shortest words and element
-lists) is bounded by a size guard (PGOG_SIZE_GUARD, 2**20).  Models with
-a lamp window refuse, before allocating, generators holding more than
-COORDINATE_BUDGET coordinates in all.
+homomorphisms (presentations.GroupHom, through the graph of the hom).
+Enumeration (breadth-first closure, with a shortest word per element) is
+left only as the exhaustive reference that tests check the sifts
+against; no command calls it.  Models with a lamp window refuse, before
+allocating, generators holding more than COORDINATE_BUDGET coordinates
+in all.
 """
 
-import os
 from functools import cached_property
 
 from . import _kernels_py as kernel
 from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
-DEFAULT_SIZE_GUARD = 2 ** 20
 DESK_CAP = 2 ** 20          # largest prime p, and largest p^n, accepted
 COORDINATE_BUDGET = 2 ** 22
-
-
-def size_guard():
-    return int(os.environ.get("PGOG_SIZE_GUARD", DEFAULT_SIZE_GUARD))
 
 
 def is_prime(p):
@@ -156,7 +151,6 @@ class FiniteGroupModel:
         self.identity = GroupElement(self, (0,) * width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
         self._series = kernel.series(self.blocks)
-        self._full_closure = None
 
     def __eq__(self, other):
         if self is other:
@@ -230,16 +224,15 @@ class FiniteGroupModel:
         return self.subgroup(list(self.generators))
 
     def closure(self, generators=None):
-        """BFS closure of the subgroup generated by `generators`.
+        """BFS closure of the subgroup generated by `generators`, the
+        exhaustive reference for subgroup orders, membership and element
+        images.  Unbounded: it lists every element, so keep it to small
+        groups.
 
         `generators` may be GroupElements or generator names; default is
-        every named generator (the whole model), whose table is cached.
-        Raises SizeGuardExceeded (a ValueError), naming this model, when the
-        subgroup exceeds the size guard (PGOG_SIZE_GUARD).
+        every named generator (the whole model).
         """
         if generators is None:
-            if self._full_closure is not None:
-                return self._full_closure
             items = list(self.generators.items())
         else:
             items = []
@@ -251,15 +244,8 @@ class FiniteGroupModel:
                     items.append((f"g{len(items)}", g))
         names = [n for n, _ in items]
         coords = [e.coords for _, e in items]
-        try:
-            table = ClosureTable(self, names, *kernel.closure(
-                self.blocks, self.identity.coords, coords, size_guard()))
-        except kernel.SizeGuardExceeded as exc:
-            exc.model = self.name
-            raise
-        if generators is None:
-            self._full_closure = table
-        return table
+        return ClosureTable(self, names, *kernel.closure(
+            self.blocks, self.identity.coords, coords))
 
     @property
     def order(self):

@@ -268,10 +268,12 @@ def _certification_runner(params):
         checks.append(reports.from_check_dict(
             P.check_model_satisfies(pres, model), name=f"satisfies {label}"))
     for label, model, pres in pairs[:1] + pairs[2:3]:
+        # an enumeration that ran out of cosets has decided nothing
         table = P.coset_enumerate(pres)
         checks.append(reports.make_check(
             f"coset-count {label}",
-            _status(table.complete and table.order == model.order),
+            _status(table.order == model.order) if table.complete
+            else reports.UNKNOWN,
             cosets=table.order, closure_order=model.order))
     return checks
 

@@ -2,18 +2,18 @@
 
 A report is a command name, its parameters, and an ordered list of checks,
 each `{name, status, details}` with status one of pass/fail/unknown/skip.
-The exit code is 0 exactly when no check failed; unknown and skip do not
-fail.  Serialisation sorts keys and renders non-JSON values (infinite
-depths, fractions, words, group elements) through a fixed conversion, so
-identical inputs produce identical bytes.
+unknown means undecided: a coset enumeration that did not complete, or a
+separation search that certified no level.  The exit code is 0 exactly
+when no check failed; unknown and skip do not fail.  Serialisation sorts
+keys and renders non-JSON values (infinite depths, fractions, words,
+group elements) through a fixed conversion, so identical inputs produce
+identical bytes.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from ._kernels_py import SizeGuardExceeded
 
 PASS = "pass"
 FAIL = "fail"
@@ -29,14 +29,10 @@ def make_check(name, status, **details):
 
 
 def guarded(name, thunk):
-    """The checks thunk() returns; if it raises, one check `name` that is
-    unknown for a tripped size guard, with the guard's details, and fails
-    for any other ValueError.  Anything else propagates."""
+    """The checks thunk() returns; if it raises ValueError, one failing
+    check `name` with the error as its reason.  Anything else propagates."""
     try:
         return thunk()
-    except SizeGuardExceeded as exc:
-        return [make_check(name, UNKNOWN, reason=str(exc), limit=exc.limit,
-                           model=exc.model, generators=exc.generators)]
     except ValueError as exc:
         return [make_check(name, FAIL, reason=str(exc))]
 

@@ -7,8 +7,9 @@ import weakref
 import pytest
 
 from pgog import amalgam, models
-from pgog.amalgam import (Verdict, build_transversals, lamp_letter,
-                          nf_multiply, normal_form, path_letter, separate)
+from pgog.amalgam import (Verdict, build_transversals, check_search,
+                          lamp_letter, nf_multiply, normal_form, path_letter,
+                          search_levels, separate)
 from pgog.gog import (Graph, GraphOfGroups, VertexData,
                       verify_properness_witness)
 from pgog.registry import free_product_line
@@ -357,19 +358,31 @@ def test_separation_at_the_third_level():
 @pytest.mark.parametrize("p,level,target", [
     pytest.param(2, 4, "SCW(2,4)", id="2-4"),
     pytest.param(3, 2, "En(3,2)", id="3-2")])
-def test_every_level_searches_a_fully_certified_witness(monkeypatch, p,
-                                                       level, target):
-    # past 2^16 lamplighter elements too, and enumerating nothing: under
-    # a 16-element guard any enclosure of a vertex group would raise
-    monkeypatch.setenv("PGOG_SIZE_GUARD", "16")
+def test_every_level_searches_a_fully_certified_witness(p, level, target):
+    # past 2^16 lamplighter elements too, and enumerating nothing
     gog, spec = amalgam._level_data.__wrapped__(p, level)
     assert spec.target.name == target and spec.gog is gog
     assert verify_properness_witness(gog, spec).valid
 
 
 def test_exhausted_search_reports_inconclusive():
-    assert separate([path_letter("G3", gen("k3"))], 2, max_level=2) == \
-        (Verdict.INCONCLUSIVE, None)
+    # only level 1 holds both letters, and there the word folds to t^2,
+    # which level 1 does not certify
+    letters = [lamp_letter(1, gen("t")), lamp_letter(2, gen("t"))]
+    assert search_levels(letters, 1, 3) == range(1, 2)
+    assert separate(letters, 2, max_level=3) == (Verdict.INCONCLUSIVE, None)
+
+
+@pytest.mark.parametrize("letters, max_level", [
+    pytest.param([path_letter("G3", gen("k3"))], 2, id="above-max"),
+    pytest.param([lamp_letter(1, gen("t")), path_letter("G2", gen("k2"))], 4,
+                 id="lamp-below-path")])
+def test_an_empty_level_range_is_refused(letters, max_level):
+    # no level was tried, so there is no verdict, not even an inconclusive one
+    with pytest.raises(ValueError, match="holds every letter"):
+        separate(letters, 2, max_level=max_level)
+    with pytest.raises(ValueError, match="holds every letter"):
+        check_search(letters, 2, 1, max_level)
 
 
 def test_letter_constructors_validate():

@@ -56,7 +56,7 @@ def test_examples_verdicts_match_the_pinned_list(capsys):
 @pytest.mark.parametrize("argv, calls, elements", [
     pytest.param(["tower", "verify-all", "--p", "2", "--max-level", "3",
                   "--json"], 0, 0, id="tower-verify"),
-    pytest.param(["run-all", "--json"], 7, 1140, id="examples"),
+    pytest.param(["run-all", "--json"], 0, 0, id="examples"),
 ])
 def test_closure_counts_stay_within_their_ceilings(tmp_path, argv, calls,
                                                    elements):

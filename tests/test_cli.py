@@ -170,13 +170,12 @@ def test_failed_tower_check_reads_fail_not_unknown(capsys, monkeypatch):
     assert checks["two-generation-n1"]["status"] == "pass"
 
 
-def run_guarded(guard, *argv):
+def run_fresh(*argv):
     """Exit code and checks by name of a --json run in a fresh process, so
-    that closures cached by earlier tests cannot hide the guard."""
+    that levels cached by earlier tests cannot hide the cost of a run."""
     done = subprocess.run(
         [sys.executable, "-m", "pgog.cli", *argv, "--json"],
-        env={**os.environ, "PGOG_SIZE_GUARD": str(guard),
-             "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.stdout, done.stderr
     return done.returncode, {c["name"]: c
@@ -184,11 +183,11 @@ def run_guarded(guard, *argv):
 
 
 def test_tripped_size_guard_reads_unknown():
-    # orders, element images and the hom checks sift through polycyclic
-    # sequences, so the tower enumerates nothing and no guard trips; the
-    # unknown path stays covered by the example test below
-    code, checks = run_guarded(32, "tower", "verify-all", "--p", "2",
-                               "--max-level", "2")
+    # there is no size guard left to trip: orders, element images and the
+    # hom checks sift through polycyclic sequences, so the tower enumerates
+    # nothing (test_no_command_path_encloses_a_group) and decides every check
+    code, checks = run_fresh("tower", "verify-all", "--p", "2",
+                             "--max-level", "2")
     assert code == 0
     assert checks["retraction-square-n2"]["status"] == "pass"
     assert {c["status"] for c in checks.values()} == {"pass"}
@@ -196,32 +195,20 @@ def test_tripped_size_guard_reads_unknown():
 
 @pytest.mark.parametrize("p, max_level, passed", [(3, 3, 22), (2, 4, 32)])
 def test_tower_reaches_past_any_enumeration(p, max_level, passed):
-    # a 16-element guard trips on any enumeration left on the tower path
-    code, checks = run_guarded(16, "tower", "verify-all", "--p", str(p),
-                               "--max-level", str(max_level))
+    # levels whose vertex groups are far too large to list: they finish
+    # only because nothing on the tower path encloses a group
+    code, checks = run_fresh("tower", "verify-all", "--p", str(p),
+                             "--max-level", str(max_level))
     assert code == 0
     assert [c["status"] for c in checks.values()] == ["pass"] * passed
 
 
-def test_tripped_size_guard_leaves_an_example_undecided():
-    # collapsing a sub-path writes edge maps given by elements as words,
-    # which encloses the vertex group (GraphOfGroups.image_word)
-    code, checks = run_guarded(4, "run", "tower/bracketing")
-    assert code == 0
-    assert checks["execution"] == {
-        "name": "execution", "status": "unknown",
-        "details": {"reason": "closure exceeded size guard of 4 elements",
-                    "limit": 4, "model": "EA(2;k1,h0,h1,c)", "generators": 4}}
-    assert checks["expected-outcome"]["status"] == "unknown"
-    assert checks["expected-outcome"]["details"]["outcome"] == "unknown"
-
-
 def test_separation_reaches_past_any_enumeration():
-    # normal forms sift instead of enumerating, so a 16-element guard
-    # cannot trip on the way to p=3 level 3 or p=2 level 5
+    # normal forms sift instead of enumerating, so the search reaches
+    # p=3 level 3 and p=2 level 5 in a fresh process
     for p, level in [(3, 3), (2, 5)]:
-        code, checks = run_guarded(
-            16, "separate", "--p", str(p), "--word",
+        code, checks = run_fresh(
+            "separate", "--p", str(p), "--word",
             f"G{level}:k{level} L{level}:t", "--max-level", str(level))
         assert code == 0
         assert checks["separate"]["status"] == "pass"
@@ -253,9 +240,17 @@ def test_separate_command_paths(capsys):
     code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1*k1")
     assert code == 0 and "trivial element" in out
 
-    code, out, _ = run_cli(capsys, "separate", "--word", "G3:k3",
-                           "--max-level", "2")
-    assert code == 0 and "unknown" in out and "inconclusive" in out
+    # only level 1 holds both letters, and the message names that range
+    code, out, _ = run_cli(capsys, "separate", "--word", "L1:t L2:t",
+                           "--max-level", "3")
+    assert code == 0 and "unknown" in out and \
+        "inconclusive: no level in [1, 1] certifies the word" in out
+
+    # no level holds every letter: nothing was searched, so no report
+    for argv in (("--word", "G3:k3", "--max-level", "2"),
+                 ("--word", "L1:t G2:k2")):
+        code, out, err = run_cli(capsys, "separate", *argv)
+        assert code == 2 and out == "" and "holds every letter" in err
 
     code, _, err = run_cli(capsys, "separate", "--word", "G1:zz")
     assert code == 2 and "no image for generator" in err
@@ -368,6 +363,21 @@ def test_aggregate_ranks_fail_over_unknown_over_pass(statuses, outcome):
     assert registry._aggregate(checks) == outcome
 
 
+def test_a_coset_count_that_runs_out_reads_unknown(monkeypatch):
+    # an enumeration stopped by its coset cap has decided nothing, so the
+    # example is undecided, not failed
+    from pgog import presentations
+
+    enumerate_cosets = presentations.coset_enumerate
+    monkeypatch.setattr(presentations, "coset_enumerate",
+                        lambda pres: enumerate_cosets(pres, max_cosets=8))
+    report = registry.run_example("models/certification")
+    statuses = {c["name"]: c["status"] for c in report.checks}
+    assert statuses["coset-count level-group"] == reports.UNKNOWN
+    assert statuses["expected-outcome"] == reports.UNKNOWN
+    assert report.exit_code == 0
+
+
 def test_run_all_aggregates_in_registry_order():
     report = registry.run_all("chains/*")
     names = [c["name"] for c in report.checks]
@@ -409,36 +419,19 @@ def test_every_operation_is_reachable_from_the_cli():
             assert direct or transitive, f"{module}.{name} unreachable"
 
 
-def _handlers(node, function=None):
-    """(enclosing function name, handler) for every except clause."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.ExceptHandler):
-            yield function, child
-        inner = (child.name if isinstance(child, ast.FunctionDef)
-                 else function)
-        yield from _handlers(child, inner)
-
-
 def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
         {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
 def test_statuses_come_from_exception_types_not_messages():
-    # reports.guarded is the one place an exception becomes a status.
-    # Elsewhere only FiniteGroupModel.closure, which names its model on the
-    # exception and re-raises it, may catch a tripped guard.
-    allowed = {("models.py", "closure")}
+    # no handler decides what to do by reading an exception's message
     package = Path(cli.__file__).parent
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for function, handler in _handlers(tree):
+        handlers = [node for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ExceptHandler)]
+        for handler in handlers:
             where = f"{path.name}:{handler.lineno}"
-            if handler.type is not None and \
-                    "SizeGuardExceeded" in _names(handler.type):
-                assert path.name == "reports.py" or \
-                    (path.name, function) in allowed, \
-                    f"{where} catches SizeGuardExceeded"
             if handler.name is None:
                 continue
             # the caught exception, and names bound from it in the handler
@@ -460,3 +453,29 @@ def test_statuses_come_from_exception_types_not_messages():
                     continue
                 assert not _names(inspected) & derived, \
                     f"{where} matches on an exception's message"
+
+
+def _closure_references(node, where=None):
+    """(enclosing function or class, node) for every name or attribute
+    `closure`, the exhaustive breadth-first enumeration."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id == "closure" or \
+                isinstance(child, ast.Attribute) and child.attr == "closure":
+            yield where, child
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        yield from _closure_references(child, inner)
+
+
+def test_no_command_path_encloses_a_group():
+    # kernel.closure lists every element of a subgroup.  It stays as the
+    # reference the tests check the sifts against, reached only through
+    # FiniteGroupModel.closure; nothing else in the package refers to it.
+    package = Path(cli.__file__).parent
+    found = {(path.name, where, ast.unparse(node))
+             for path in sorted(package.glob("*.py"))
+             for where, node in _closure_references(
+                 ast.parse(path.read_text()))}
+    assert found == {("models.py", "FiniteGroupModel.closure",
+                      "kernel.closure")}

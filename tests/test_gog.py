@@ -34,9 +34,8 @@ def small_path_gog(p=2):
         "A2": VertexData(g2, P.gn_presentation(p, 2)),
     }
     edge_models = {"e1": ea_edge(p, k1_names)}
-    maps0 = {g: vertex_data["A1"].model.generators[g] for g in k1_names}
-    maps1 = {g: g2.generators[g] for g in k1_names}
-    return GraphOfGroups(graph, vertex_data, edge_models, {"e1": (maps0, maps1)})
+    maps = {g: gen(g) for g in k1_names}
+    return GraphOfGroups(graph, vertex_data, edge_models, {"e1": (maps, maps)})
 
 
 # -- graph basics ---------------------------------------------------------------
@@ -114,7 +113,7 @@ def test_edge_map_must_be_homomorphism():
             {"H": VertexData(heis, P.heisenberg_presentation(p)),
              "E": ea_vertex(p, ["u", "v"])},
             {"e": ea_edge(p, ["u", "v"])},
-            {"e": ({"u": heis.generators["x"], "v": heis.generators["y"]},
+            {"e": ({"u": gen("x"), "v": gen("y")},
                    {"u": gen("u"), "v": gen("v")})})
 
 
@@ -128,8 +127,20 @@ def test_edge_map_must_be_injective():
             {"L": VertexData(a, P.elementary_abelian_presentation(p, ["a"])),
              "R": ea_vertex(p, ["b", "c"])},
             {"e": ea_edge(p, ["u", "v"])},
-            {"e": ({"u": a.generators["a"], "v": a.generators["a"]},
+            {"e": ({"u": gen("a"), "v": gen("a")},
                    {"u": gen("b"), "v": gen("c")})})
+
+
+def test_an_edge_image_given_as_an_element_is_refused():
+    # a word is what the fundamental presentation needs; reading one off
+    # an element would enumerate the vertex group
+    gog = small_path_gog()
+    maps = {g: gen(g) for g in gog.edges["e1"].generators}
+    k1 = gog.vertices["A2"].model.generators["k1"]
+    with pytest.raises(ValueError,
+                       match="edge e1 end 1: the image of k1 must be a Word"):
+        GraphOfGroups(gog.graph, gog.vertices, gog.edges,
+                      {"e1": (maps, {**maps, "k1": k1})})
 
 
 def test_vertex_presentation_must_certify():
@@ -153,8 +164,7 @@ def test_check_reduced():
         {"L": VertexData(a, P.elementary_abelian_presentation(p, ["a"])),
          "R": ea_vertex(p, ["b", "c"])},
         {"e": ea_edge(p, ["u"])},
-        {"e": ({"u": a.generators["a"]},
-               {"u": models.ElementaryAbelian(p, ["b", "c"]).generators["b"]})})
+        {"e": ({"u": gen("a")}, {"u": gen("b")})})
     assert not check_reduced(gog)
 
 
@@ -165,7 +175,7 @@ def test_loop_brings_a_stable_letter():
         Graph(["V"], {"loop": ("V", "V")}),
         {"V": VertexData(a, P.elementary_abelian_presentation(p, ["a"]))},
         {"loop": ea_edge(p, ["u"])},
-        {"loop": ({"u": a.generators["a"]}, {"u": a.generators["a"]})})
+        {"loop": ({"u": gen("a")}, {"u": gen("a")})})
     fp = fundamental_presentation(gog)
     assert "t_loop" in fp.generators
     assert any("t_loop" in r.names() for r in fp.relators)
@@ -330,15 +340,13 @@ def test_a_passing_witness_builds_one_graph_per_vertex_map():
 def test_certification_reads_given_edge_homs_and_checks_they_match():
     gog = small_path_gog()
     hom0, hom1 = gog.edge_homs["e1"]
-    again = GraphOfGroups(gog.graph, gog.vertices, gog.edges,
-                          {"e1": tuple({g: e for g, (e, _) in m.items()}
-                                       for m in gog.edge_maps["e1"])},
+    words = {"e1": tuple({g: w for g, (_, w) in m.items()}
+                         for m in gog.edge_maps["e1"])}
+    again = GraphOfGroups(gog.graph, gog.vertices, gog.edges, words,
                           edge_homs={"e1": (hom0, hom1)})
     assert again.edge_homs["e1"][0] is hom0 and again.edge_homs["e1"][1] is hom1
     with pytest.raises(ValueError, match="not the edge map"):
-        GraphOfGroups(gog.graph, gog.vertices, gog.edges,
-                      {"e1": tuple({g: e for g, (e, _) in m.items()}
-                                   for m in gog.edge_maps["e1"])},
+        GraphOfGroups(gog.graph, gog.vertices, gog.edges, words,
                       edge_homs={"e1": (hom1, hom0)})
 
 

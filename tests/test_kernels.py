@@ -278,8 +278,8 @@ def closure_cases():
 @pytest.mark.parametrize("m,names,order", closure_cases())
 def test_closure_is_deterministic_and_bfs(m, names, order):
     gens = [m.generators[g].coords for g in names]
-    first = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
-    second = kpy.closure(m.blocks, m.identity.coords, gens, 1 << 16)
+    first = kpy.closure(m.blocks, m.identity.coords, gens)
+    second = kpy.closure(m.blocks, m.identity.coords, gens)
     assert first == second
     elements, index, parent, genidx = first
     assert len(elements) == order
@@ -300,11 +300,3 @@ def test_closure_is_deterministic_and_bfs(m, names, order):
     for i in range(1, len(elements)):
         assert elements[i] == kpy.mul(m.blocks, elements[parent[i]],
                                       gens[genidx[i]])
-
-
-def test_closure_size_guard_raises():
-    m = models.GnModel(2, 2)   # order 64
-    gens = [e.coords for e in m.generators.values()]
-    with pytest.raises(ValueError, match="size guard"):
-        kpy.closure(m.blocks, m.identity.coords, gens, 10)
-

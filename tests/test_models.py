@@ -538,25 +538,6 @@ def test_evaluate_with_assignment_and_missing_name():
         m.evaluate(gen("zz"))
 
 
-def test_size_guard_env_override(monkeypatch):
-    monkeypatch.setenv("PGOG_SIZE_GUARD", "8")
-    m = models.GnModel(2, 2)
-    with pytest.raises(ValueError, match="size guard"):
-        m.closure()
-    monkeypatch.delenv("PGOG_SIZE_GUARD")
-    assert len(m.closure()) == 64
-
-
-def test_tripped_guard_names_its_limit_model_and_generators(monkeypatch):
-    monkeypatch.setenv("PGOG_SIZE_GUARD", "8")
-    m = models.GnModel(2, 2)
-    with pytest.raises(kpy.SizeGuardExceeded) as err:
-        m.closure(list(m.generators))
-    assert str(err.value) == "closure exceeded size guard of 8 elements"
-    assert (err.value.limit, err.value.model, err.value.generators) == \
-        (8, "Gn(2,2)", 6)
-
-
 def test_direct_product_orders_multiply_and_names_guarded():
     h = models.HeisenbergModP(2)
     ea = models.ElementaryAbelian(2, ["a", "b"])

@@ -383,9 +383,9 @@ def test_hom_injective_on_encloses_nothing(monkeypatch):
     enclosed = []
     closure = models.kernel.closure
 
-    def counting(blocks, identity, gens, limit):
+    def counting(blocks, identity, gens):
         enclosed.append(blocks)
-        return closure(blocks, identity, gens, limit)
+        return closure(blocks, identity, gens)
 
     monkeypatch.setattr(models.kernel, "closure", counting)
     assert P.hom_injective_on(name_hom(gn, fn))
