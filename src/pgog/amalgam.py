@@ -17,7 +17,7 @@ otherwise says the word is trivial or no searched level separates it.
 """
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -314,20 +314,17 @@ def nf_multiply(x, y):
 # -- separation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathLetter:
-    """A path-side letter: a word at one path vertex."""
+class PathLetter(namedtuple("PathLetter", "vertex word")):
+    """A path-side letter: a Word `word` at the path vertex `vertex` (G<i>)."""
 
-    vertex: str         # G<i>
-    word: object        # Word over the vertex's generators
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LampLetter:
-    """A lamplighter-side letter, written at its native level."""
+class LampLetter(namedtuple("LampLetter", "level word")):
+    """A lamplighter-side letter at its native level: a Word over the lamp
+    generators and the shift."""
 
-    level: int
-    word: object        # Word over the lamp generators and the shift
+    __slots__ = ()
 
 
 def path_letter(vertex, word):

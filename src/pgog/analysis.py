@@ -14,7 +14,7 @@ Two independent certifying tools for a graph of finite p-groups:
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .gog import PropernessWitness, fundamental_presentation
@@ -22,13 +22,10 @@ from .presentations import FinitePresentation, mod_p_rank
 from .words import from_letters
 
 
-@dataclass(frozen=True)
-class BracketRule:
+class BracketRule(namedtuple("BracketRule", "defined left right")):
     """A relator asserting ``defined = [left, right]``."""
 
-    defined: str
-    left: object
-    right: object
+    __slots__ = ()
 
     def __repr__(self):
         return f"{self.defined} = [{self.left!r}, {self.right!r}]"
@@ -144,15 +141,14 @@ def _residual_presentation(presentation, collapsed, name):
     return FinitePresentation(keep, relators, name=name)
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    """Outcome of divergence analysis on one presentation."""
+class CollapseReport(namedtuple(
+        "CollapseReport",
+        "rules depths collapsed residual residual_rank")):
+    """Outcome of divergence analysis on one presentation: the bracket
+    rules, each generator's depth, the collapsed generators, and the
+    residual presentation with its mod-p rank."""
 
-    rules: tuple
-    depths: dict
-    collapsed: tuple
-    residual: FinitePresentation
-    residual_rank: int
+    __slots__ = ()
 
     @property
     def improper(self):
@@ -183,18 +179,14 @@ def detect_collapse(presentation, p):
                           mod_p_rank(residual, p))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Both edge-count inequalities for one witnessed splitting."""
+class BoundReport(namedtuple(
+        "BoundReport",
+        "edge_count max_edge_order rank edge_bound edge_sum rank_side "
+        "edge_count_ok edge_sum_ok")):
+    """Both edge-count inequalities for one witnessed splitting; the
+    bounds and sums are Fractions."""
 
-    edge_count: int
-    max_edge_order: int
-    rank: int
-    edge_bound: Fraction
-    edge_sum: Fraction
-    rank_side: Fraction
-    edge_count_ok: bool
-    edge_sum_ok: bool
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -5,17 +5,16 @@ edge-count bound, build and verify tower levels, separate tagged words,
 and execute registered examples.  Every subcommand renders a report as
 text or, with --json, as stable JSON; the exit code is 0 exactly when no
 check failed, and 2 without a report for unusable input.
+
+Each command imports the layers it runs inside its handler, so a fresh
+process pays to load (and, without bytecode caches, to compile) only
+those: `tower verify-all` never loads the registry, the DSL or amalgams.
 """
 
 import argparse
 import sys
-from pathlib import Path
 
-from . import registry, reports
-from .analysis import check_edge_bound, detect_collapse
-from .dsl import parse_dsl, parse_word
-from .gog import (check_reduced, fundamental_presentation,
-                  verify_properness_witness, verify_specialisation)
+from . import reports
 from .models import PrimeLevel
 
 
@@ -23,7 +22,8 @@ def _read(path):
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise ValueError(str(exc)) from None
 
@@ -32,6 +32,8 @@ def _read(path):
 
 
 def cmd_parse(args):
+    from .dsl import parse_dsl
+    from .gog import check_reduced, verify_specialisation
     doc = parse_dsl(_read(args.file))
     report = reports.Report("parse", {"file": args.file})
     for name, pres in doc.presentations.items():
@@ -52,6 +54,7 @@ def cmd_parse(args):
 
 
 def _collapse_targets(doc, name):
+    from .gog import fundamental_presentation
     targets = {n: p for n, p in doc.presentations.items()}
     for n, gog in doc.graphs.items():
         targets[n] = fundamental_presentation(gog)
@@ -66,6 +69,8 @@ def _collapse_targets(doc, name):
 
 
 def cmd_collapse(args):
+    from .analysis import detect_collapse
+    from .dsl import parse_dsl
     doc = parse_dsl(_read(args.file))
     p = args.p or doc.prime or 2
     report = reports.Report("collapse", {"file": args.file, "p": p})
@@ -76,6 +81,9 @@ def cmd_collapse(args):
 
 
 def cmd_bound(args):
+    from .analysis import check_edge_bound
+    from .dsl import parse_dsl
+    from .gog import verify_properness_witness
     doc = parse_dsl(_read(args.file))
     names = ([args.witness] if args.witness
              else sorted(doc.witnesses))
@@ -140,6 +148,7 @@ def _tower_verify_checks(p, max_level):
 
 
 def _witness_checks(p, n, build_witnesses):
+    from .analysis import check_edge_bound
     out = []
     for witness in build_witnesses(p, n):
         gog = witness.specialisation.gog
@@ -160,6 +169,7 @@ def cmd_tower_verify_all(args):
 
 def cmd_separate(args):
     from .amalgam import check_search
+    from .dsl import parse_word
     letters = parse_word(args.word)
     levels = check_search(letters, args.p, args.start_level, args.max_level)
     report = reports.Report(
@@ -202,10 +212,12 @@ def _params(args):
 
 
 def cmd_run(args):
+    from . import registry
     return registry.run_example(args.id, **_params(args))
 
 
 def cmd_run_all(args):
+    from . import registry
     return registry.run_all(args.examples, **_params(args))
 
 
@@ -292,11 +304,24 @@ def build_parser():
     return parser
 
 
+_LOWER_BOUNDS = (("n", "--n", 1), ("m", "--m", 0),
+                 ("max_level", "--max-level", 1))
+
+
+def _check_params(args):
+    """Refuse an out-of-range --p, --n, --m or --max-level before any work."""
+    if getattr(args, "p", None) is not None:
+        PrimeLevel(args.p)
+    for key, flag, low in _LOWER_BOUNDS:
+        value = getattr(args, key, None)
+        if value is not None and value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "p", None) is not None:
-            PrimeLevel(args.p)      # every --p, before any work
+        _check_params(args)
         report = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

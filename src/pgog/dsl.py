@@ -22,8 +22,6 @@ Cyclic(n), Gn(n), Fn(n), En(n), K(n), Lamp(n); each accepts `p=<prime>`
 to override the document default.  Errors carry the line and column.
 """
 
-from dataclasses import dataclass, field
-
 from . import models
 from . import presentations as P
 from .gog import Graph, GraphOfGroups, Specialisation, VertexData
@@ -272,15 +270,15 @@ def _model_ref(ctx, ln):
 # -- document assembly --------------------------------------------------------
 
 
-@dataclass
 class DslDocument:
     """Everything a parsed document defines, keyed by declared name."""
 
-    prime: int = None
-    presentations: dict = field(default_factory=dict)
-    graphs: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    words: dict = field(default_factory=dict)
+    def __init__(self):
+        self.prime = None
+        self.presentations = {}
+        self.graphs = {}
+        self.witnesses = {}
+        self.words = {}
 
 
 class _OpenGraph:

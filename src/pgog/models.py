@@ -252,14 +252,26 @@ class FiniteGroupModel:
         return self.subgroup().order
 
     def evaluate(self, word, assignment=None):
-        """Evaluate a Word; assignment maps names to elements (default: generators)."""
+        """Evaluate a Word; assignment maps names to elements (default: generators).
+
+        Each syllable x^e is squared and multiplied into the product on
+        coordinate tuples, as power() does, without an element per step."""
         assignment = assignment if assignment is not None else self.generators
-        result = self.identity
+        blocks, mul = self.blocks, kernel.mul
+        acc = self.identity.coords
         for name, exp in word.syllables:
             if name not in assignment:
                 raise KeyError(f"no image for generator {name}")
-            result = result * self.power(assignment[name], exp)
-        return result
+            x = self._own(assignment[name])
+            if exp < 0:
+                x, exp = kernel.inv(blocks, x), -exp
+            while exp:
+                if exp & 1:
+                    acc = mul(blocks, acc, x)
+                exp >>= 1
+                if exp:
+                    x = mul(blocks, x, x)
+        return GroupElement(self, acc)
 
 
 def ElementaryAbelian(p, names):

@@ -11,7 +11,7 @@ the outcome it is pinned to; `run_example` executes one entry and
 `run_all` aggregates every entry matching a glob, in registry order.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fnmatch import fnmatch
 from importlib import resources
 
@@ -123,14 +123,12 @@ def shipped_document(name="heisenberg_chain.gog"):
 # -- runnable entries ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
-    """A named runnable demonstration pinned to an expected outcome."""
+class ExampleEntry(namedtuple("ExampleEntry", "id claim expected run")):
+    """A named runnable demonstration pinned to an expected outcome:
+    `expected` is the aggregate outcome ("pass" or "skip"), `run` maps a
+    params dict to a list of checks."""
 
-    id: str
-    claim: str
-    expected: str                 # aggregate outcome: "pass" or "skip"
-    run: object                   # params dict -> list of checks
+    __slots__ = ()
 
     def __repr__(self):
         return f"<ExampleEntry {self.id}: expect {self.expected}>"
@@ -477,10 +475,12 @@ def run_example(example_id, **params):
 
 def run_all(pattern="*", **params):
     """Run every registered example matching the glob, in registry order."""
+    entries = [entry for entry in ENTRIES if fnmatch(entry.id, pattern)]
+    if not entries:
+        raise ValueError(f"no example id matches {pattern!r}; "
+                         f"known ids: {', '.join(example_ids())}")
     report = reports.Report(command=f"run-all {pattern}", parameters=params)
-    for entry in ENTRIES:
-        if not fnmatch(entry.id, pattern):
-            continue
+    for entry in entries:
         for check in _entry_checks(entry, params):
             report.add(f"{entry.id}: {check['name']}", check["status"],
                        **check["details"])

@@ -12,7 +12,6 @@ identical bytes.
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 PASS = "pass"
@@ -86,13 +85,13 @@ def _plain(value):
     return repr(value)
 
 
-@dataclass
 class Report:
     """Ordered checks for one command run."""
 
-    command: str
-    parameters: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, command, parameters=None):
+        self.command = command
+        self.parameters = {} if parameters is None else parameters
+        self.checks = []
 
     def add(self, name, status, **details):
         self.checks.append(make_check(name, status, **details))

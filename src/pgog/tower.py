@@ -19,7 +19,7 @@ Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import models
@@ -61,23 +61,25 @@ def _name_hom(source, target, name=""):
     return P.GroupHom(source, target, mapping, name=name)
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(namedtuple("TowerLevel", (
+        "p", "n",
+        "lamps",                # F_p-space on h_0 .. h_{p^n - 1}
+        "edge_group",           # <k_n> x lamps
+        "vertex_group",         # bottom: edge_group x <c>; higher: twisted
+        "lamplighter",          # lamps with the cyclic shift t
+        "lamp_incl",            # level n-1 lamps -> lamps (None at n=1)
+        "lamp_fold",            # lamps -> level n-1 lamps (None at n=1)
+        "edge_incl_prev",       # level n-1 edge group -> vertex_group
+                                # (None at n=1)
+        "edge_incl",            # edge_group -> vertex_group
+        "lamp_to_vertex",       # lamps -> vertex_group
+        "vertex_fold",          # vertex_group -> level n-1 edge group
+                                # (None at n=1)
+        "lamp_to_lamplighter",  # lamps -> lamplighter
+        ))):
     """All level-n models plus the homs tying them to level n-1."""
 
-    p: int
-    n: int
-    lamps: object             # F_p-space on h_0 .. h_{p^n - 1}
-    edge_group: object        # <k_n> x lamps
-    vertex_group: object      # bottom: edge_group x <c>; higher: twisted
-    lamplighter: object       # lamps with the cyclic shift t
-    lamp_incl: object         # level n-1 lamps -> lamps        (None at n=1)
-    lamp_fold: object         # lamps -> level n-1 lamps        (None at n=1)
-    edge_incl_prev: object    # level n-1 edge group -> vertex_group (None at n=1)
-    edge_incl: object         # edge_group -> vertex_group
-    lamp_to_vertex: object    # lamps -> vertex_group
-    vertex_fold: object       # vertex_group -> level n-1 edge group (None at n=1)
-    lamp_to_lamplighter: object   # lamps -> lamplighter
+    __slots__ = ()
 
 
 def path_witness_model(p, n):
@@ -168,7 +170,7 @@ def check_retraction_square(level):
     the level's vertex fold must fix the previous edge group pointwise.
 
     To check another fold, pass a copy of the level that carries it:
-    dataclasses.replace(level, vertex_fold=fold).
+    level._replace(vertex_fold=fold).
     """
     if level.n < 2:
         raise ValueError("the square needs a previous level")
@@ -235,16 +237,15 @@ def _tail_gog(p, n, m, check=True):
     return _path_gog(p, n + 1, n + m, check=check)
 
 
-@dataclass(frozen=True)
-class TowerGraphs:
-    """The three splittings at parameters (p, n, m)."""
+class TowerGraphs(namedtuple("TowerGraphs", (
+        "p", "n", "m",
+        "path",     # G_1 .. G_n
+        "tail",     # G_{n+1} .. G_{n+m}; the edge group alone if m = 0
+        "joined",   # G_1 .. G_{n+m} with the lamplighter joined
+        ))):
+    """The three splittings at parameters (p, n, m), as GraphOfGroups."""
 
-    p: int
-    n: int
-    m: int
-    path: GraphOfGroups     # G_1 .. G_n
-    tail: GraphOfGroups     # G_{n+1} .. G_{n+m}; the edge group alone if m = 0
-    joined: GraphOfGroups   # G_1 .. G_{n+m} with the lamplighter joined
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -215,6 +215,37 @@ def test_separation_reaches_past_any_enumeration():
         assert checks["separate"]["details"]["level"] == level
 
 
+def modules_after(*argv):
+    """Exit code and the modules loaded by a fresh process that runs
+    `pgog ARGV --json`: the import a user pays for on each command."""
+    probe = ("import sys\n"
+             "from pgog import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "import json\n"
+             "sys.stderr.write(json.dumps(sorted(sys.modules)))\n"
+             "sys.exit(code)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv, "--json"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    return done.returncode, set(json.loads(done.stderr))
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("tower", "verify-all", "--p", "2", "--max-level", "3"),
+     {"pgog.registry", "pgog.dsl", "pgog.amalgam"}),
+    (("run-all",), set()),
+    (("parse", "src/pgog/data/heisenberg_chain.gog"),
+     {"pgog.registry", "pgog.amalgam"}),
+], ids=["verify-all", "run-all", "parse"])
+def test_a_command_imports_only_what_it_runs(argv, unused):
+    # cli imports each layer inside the command that uses it, and no
+    # record class pulls in dataclasses (inspect, ast, dis)
+    code, loaded = modules_after(*argv)
+    assert code == 0
+    assert not loaded & (unused | {"dataclasses"})
+
+
 def test_verify_all_rejects_a_composite_prime(capsys):
     # every --p is checked, and bounded, before any work: no example runs,
     # no rank is taken mod 9, no trial division runs up to 10^9
@@ -229,6 +260,33 @@ def test_verify_all_rejects_a_composite_prime(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tower", "verify-all", "--max-level", "0"),
+     "error: --max-level must be >= 1, got 0\n"),
+    (("tower", "verify-all", "--max-level", "-1"),
+     "error: --max-level must be >= 1, got -1\n"),
+    (("tower", "build", "--n", "0"), "error: --n must be >= 1, got 0\n"),
+    (("tower", "build", "--m", "-1"), "error: --m must be >= 0, got -1\n"),
+    (("run", "models/certification", "--n", "0"),
+     "error: --n must be >= 1, got 0\n"),
+    (("run-all", "--max-level", "0"),
+     "error: --max-level must be >= 1, got 0\n"),
+    (("separate", "--word", "L1:t", "--max-level", "0"),
+     "error: --max-level must be >= 1, got 0\n"),
+    (("run-all", "--examples", "nothing"),
+     "error: no example id matches 'nothing'; known ids: "
+     "chains/improper-n2, "),
+], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
+        "run-n-0", "run-all-max-level-0", "separate-max-level-0",
+        "empty-glob"])
+def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
+    # a level below 1, a negative tail or a glob that selects no example
+    # is unusable input: no report, not "no checks -> exit 0" or a failure
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 def test_separate_command_paths(capsys):
@@ -301,9 +359,9 @@ def test_run_and_run_all_commands(capsys):
     assert code == 0
     assert "chains/improper-n5" in out and "fail" not in out
 
-    code, out, _ = run_cli(capsys, "run-all", "--examples", "no-such/*")
-    assert code == 0
-    assert "no checks" in out
+    code, out, err = run_cli(capsys, "run-all", "--examples", "no-such/*")
+    assert code == 2 and out == ""
+    assert "no example id matches 'no-such/*'" in err
 
 
 def test_cli_json_is_byte_stable(capsys):

@@ -19,7 +19,7 @@ import pytest
 
 from pgog import _kernels_py as kpy
 from pgog import models
-from pgog.words import commutator, gen
+from pgog.words import Word, commutator, gen
 
 
 # -- Heisenberg vs unitriangular matrices -----------------------------------
@@ -536,6 +536,48 @@ def test_evaluate_with_assignment_and_missing_name():
     assert img == m.generators["k2"]
     with pytest.raises(KeyError, match="no image"):
         m.evaluate(gen("zz"))
+
+
+def fold(m, word, assignment):
+    """The element-wise reference for evaluate: a product of powers."""
+    result = m.identity
+    for name, exp in word.syllables:
+        result = m.multiply(result, m.power(assignment[name], exp))
+    return result
+
+
+@pytest.mark.parametrize("m", SMALL + [
+    models.GnModel(3, 2), models.ChainWitness(2, 3),
+    models.ShiftedChainWitness(2, 2), models.ShiftedChainWitness(3, 2)],
+    ids=lambda m: m.name)
+def test_evaluate_matches_a_fold_of_multiply_and_power(m):
+    # evaluate works on coordinate tuples; the fold goes through elements
+    rng = random.Random(m.name)
+    names = list(m.generators)
+    exponents = set()
+    for assignment in (m.generators,
+                       {n: random_element(m, rng) for n in names}):
+        assert m.evaluate(Word(), assignment) == m.identity
+        for _ in range(20):
+            word = Word(tuple(
+                (rng.choice(names),
+                 rng.choice((-1, 1)) * rng.choice((1, 2, 3, m.p, 2 * m.p + 1)))
+                for _ in range(rng.randint(1, 6))))
+            exponents.update(exp for _, exp in word.syllables)
+            expected = fold(m, word, assignment)
+            assert m.evaluate(word, assignment) == expected, (m.name, word)
+            assert m.evaluate(~word, assignment) == m.inverse(expected)
+    assert min(exponents) < -1 and max(exponents) > 1
+
+
+def test_evaluate_refuses_foreign_elements_and_missing_names():
+    m, other = models.GnModel(2, 2), models.LamplighterLevel(2, 1)
+    k1 = m.generators["k1"]
+    for image in (other.generators["t"], k1.coords):
+        with pytest.raises(ValueError, match="does not belong"):
+            m.evaluate(gen("a") * gen("b", -2), {"a": k1, "b": image})
+    with pytest.raises(KeyError, match="no image for generator b"):
+        m.evaluate(gen("a", -1) * gen("b"), {"a": k1})
 
 
 def test_direct_product_orders_multiply_and_names_guarded():

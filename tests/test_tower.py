@@ -1,7 +1,5 @@
 """Tower levels: folds, retraction squares, splittings, witnesses, transitions."""
 
-from dataclasses import replace
-
 import pytest
 
 from pgog import models
@@ -106,7 +104,7 @@ def test_retraction_square_rejects_a_shifted_fold():
     for j in range(4):
         mapping[f"h{j}"] = prev.edge_group.generators[f"h{(j + 1) % 2}"]
     wrong = P.GroupHom(level.vertex_group, prev.edge_group, mapping)
-    report = check_retraction_square(replace(level, vertex_fold=wrong))
+    report = check_retraction_square(level._replace(vertex_fold=wrong))
     assert report["status"] == "fail"
     kinds = {v["kind"] for v in report["violations"]}
     assert kinds == {"square", "retraction"}
