@@ -8,7 +8,9 @@ induced pcgs of the edge image (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005, §8.3), and the same sift carries the
 edge-group part across the edge; nothing is enumerated and no table is
 stored, and normal forms are reproducible across runs.  The form is empty
-exactly for the trivial element, solving the word problem.
+exactly for the trivial element, solving the word problem.  The reduction
+runs on coordinate tuples, with representatives interned per transversal;
+group elements are made only for the resulting ReducedWord.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -76,39 +78,32 @@ class Transversal:
         self.end = end
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
-        model, self._other = hom.target, other.target
+        model, far = hom.target, other.target
         self._blocks, self._terms, self._table = models.graph_pcgs(
-            model, self._other,
+            model, far,
             [(hom.image_of(g).coords, other.image_of(g).coords)
              for g in hom.source.generators])
         entries = sum(entry is not None for entry in self._table)
         self.coset_count = model.order // model.p ** entries
-        self._reps = {}                     # coords -> representative
+        self._p, self._width = model.p, model.width
+        self._pad, self._far_blocks = far.identity.coords, far.blocks
+        self._reps = {}                     # coords -> the same, interned
 
     def split(self, y):
         """(s, c) with y = phi(kappa) s for an edge element kappa: s is the
-        canonical representative of y's right coset, c = psi(kappa).
+        canonical representative of y's right coset, c = psi(kappa), all
+        as coordinate tuples.
 
         Sifting (y, 1) through the vertex depths leaves
         (phi(kappa)^-1 y, psi(kappa)^-1).  Representatives are interned,
         so reduced words share them."""
-        model, other = self.hom.target, self._other
-        if y.model != model:
-            raise ValueError(
-                f"element does not belong to vertex {self.vertex}")
-        _, _, rest = kernel.sift(self._blocks, model.p, self._terms,
-                                 self._table, y.coords + other.identity.coords)
-        coords, c = rest[:model.width], rest[model.width:]
-        s = self._reps.get(coords)
-        if s is None:
-            s = self._reps[coords] = models.GroupElement(model, coords)
-        if not any(c):
-            return s, other.identity
-        return s, models.GroupElement(other, kernel.inv(other.blocks, c))
-
-    def representative(self, element):
-        """Canonical representative of the element's right coset."""
-        return self.split(element)[0]
+        _, _, rest = kernel.sift(self._blocks, self._p, self._terms,
+                                 self._table, y + self._pad)
+        s, c = rest[:self._width], rest[self._width:]
+        s = self._reps.setdefault(s, s)
+        if any(c):
+            c = kernel.inv(self._far_blocks, c)
+        return s, c
 
     def __repr__(self):
         return (f"<Transversal {self.edge_id}@{self.vertex}: "
@@ -133,27 +128,25 @@ def build_transversals(gog):
 
 
 class _PathTables:
-    """Path layout plus transversals, built once per graph.
+    """Path layout, vertex models and transversals, built once per graph.
 
-    Holds the graph's Graph, not the GraphOfGroups: _PATHS is keyed
-    weakly by the latter, and a value referring to its key would keep it
-    alive.
+    Never holds the GraphOfGroups: _PATHS is keyed weakly by it, and a
+    value referring to its key would keep it alive.
     """
 
     def __init__(self, gog):
-        self.graph = gog.graph
         self.order = _path_order(gog)
+        self.models = {v: gog.vertices[v].model for v in self.order}
         self.position = {v: i for i, v in enumerate(self.order)}
         self.edge_between = {}
         for eid in gog.graph.edges:
             a, b = gog.graph.ends(eid)
             self.edge_between[(a, b)] = eid
             self.edge_between[(b, a)] = eid
-        self.transversals = build_transversals(gog)
-
-    def end_table(self, eid, vertex):
-        a, _ = self.graph.ends(eid)
-        return self.transversals[(eid, 0 if vertex == a else 1)]
+        self.heads = {}                     # coords -> the same, interned
+        # keyed by (edge, end vertex): a path has no loops
+        self.transversals = {(eid, t.vertex): t for (eid, _), t
+                             in build_transversals(gog).items()}
 
 
 _PATHS = weakref.WeakKeyDictionary()
@@ -214,20 +207,21 @@ class ReducedWord:
 
 
 class _Accumulator:
-    """Right-multiplies letters into a reduced word, one at a time."""
+    """Right-multiplies letters into a reduced word, one at a time, on
+    coordinate tuples; elements are made only for the result."""
 
     def __init__(self, gog, tables):
         self.tables = tables
         self.gog = gog
         self.base = tables.order[0]
-        self.head = self.gog.vertices[self.base].model.identity
-        self.stack = []     # (vertex, representative, entry edge)
+        self.head = tables.models[self.base].identity.coords
+        self.stack = []     # (vertex, representative coords, entry edge)
 
     def end_vertex(self):
         return self.stack[-1][0] if self.stack else self.base
 
     def push(self, vertex, x):
-        """Multiply by x, an element of the vertex's model, on the right."""
+        """Multiply by x, coordinates in the vertex's model, on the right."""
         cur = self.end_vertex()
         if cur != vertex:
             pos, walk = self.tables.position, self.tables.order
@@ -236,35 +230,44 @@ class _Accumulator:
                 w = walk[k]
                 eid = self.tables.edge_between[(walk[k - step], w)]
                 self.stack.append(
-                    (w, self.gog.vertices[w].model.identity, eid))
+                    (w, self.tables.models[w].identity.coords, eid))
         self._merge(x)
 
     def _merge(self, x):
         # multiply x into the current end vertex and restore canonical form
-        if x.is_identity:
-            while self.stack and self.stack[-1][1].is_identity:
+        if not any(x):
+            while self.stack and not any(self.stack[-1][1]):
                 self.stack.pop()
             return
         if not self.stack:
-            self.head = self.head * x
+            blocks = self.tables.models[self.base].blocks
+            self.head = kernel.mul(blocks, self.head, x)
             return
         vertex, rep, entry = self.stack.pop()
         # rep * x = phi(kappa) s; psi(kappa) moves back across the entry edge
-        s, c = self.tables.end_table(entry, vertex).split(rep * x)
-        if s.is_identity:
+        if any(rep):
+            x = kernel.mul(self.tables.models[vertex].blocks, rep, x)
+        s, c = self.tables.transversals[(entry, vertex)].split(x)
+        if not any(s):
             self._merge(c)
             return
-        if c.is_identity:
+        if not any(c):
             self.stack.append((vertex, s, entry))
             return
         self._merge(c)
         self.push(vertex, s)
 
     def result(self):
-        return ReducedWord(self.gog, self.base, self.head, self.stack)
+        element = models.GroupElement
+        vertex_models = self.tables.models
+        head = self.tables.heads.setdefault(self.head, self.head)
+        return ReducedWord(
+            self.gog, self.base, element(vertex_models[self.base], head),
+            [(v, element(vertex_models[v], rep), eid)
+             for v, rep, eid in self.stack])
 
 
-def _as_items(gog, letters):
+def _as_coords(gog, letters):
     items = []
     for i, (vertex, item) in enumerate(letters):
         if vertex not in gog.vertices:
@@ -282,7 +285,7 @@ def _as_items(gog, letters):
             element = item
         else:
             raise ValueError(f"letter {i}: expected a Word or GroupElement")
-        items.append((vertex, element))
+        items.append((vertex, element.coords))
     return items
 
 
@@ -294,8 +297,8 @@ def normal_form(gog, letters):
     path's fundamental group.
     """
     acc = _Accumulator(gog, _paths(gog))
-    for vertex, element in _as_items(gog, letters):
-        acc.push(vertex, element)
+    for vertex, x in _as_coords(gog, letters):
+        acc.push(vertex, x)
     return acc.result()
 
 
@@ -305,9 +308,12 @@ def nf_multiply(x, y):
         raise ValueError("nf_multiply needs two ReducedWords")
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
+    # x is already reduced, so the accumulator starts from its coordinates
     acc = _Accumulator(x.gog, _paths(x.gog))
-    for vertex, element in list(x.letters()) + list(y.letters()):
-        acc.push(vertex, element)
+    acc.head = x.head.coords
+    acc.stack = [(v, rep.coords, eid) for v, rep, eid in x.syllables]
+    for vertex, element in y.letters():
+        acc.push(vertex, element.coords)
     return acc.result()
 
 

@@ -106,7 +106,8 @@ def cmd_bound(args):
 
 
 def cmd_tower_build(args):
-    from .tower import build_graphs
+    from .tower import build_graphs, check_budget
+    check_budget(args.p, args.n + args.m, witnesses=False)
     graphs = build_graphs(args.p, args.n, args.m)
     report = reports.Report(
         "tower build", {"p": args.p, "n": args.n, "m": args.m})
@@ -161,6 +162,8 @@ def _witness_checks(p, n, build_witnesses):
 
 
 def cmd_tower_verify_all(args):
+    from .tower import check_budget
+    check_budget(args.p, args.max_level, witnesses=True)
     report = reports.Report(
         "tower verify-all", {"p": args.p, "max_level": args.max_level})
     report.extend(_tower_verify_checks(args.p, args.max_level))

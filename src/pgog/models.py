@@ -10,7 +10,8 @@ Enumeration (breadth-first closure, with a shortest word per element) is
 left only as the exhaustive reference that tests check the sifts
 against; no command calls it.  Models with a lamp window refuse, before
 allocating, generators holding more than COORDINATE_BUDGET coordinates
-in all.
+in all; each such family's *_shape function gives what that check reads,
+so a caller can check a model without building it.
 """
 
 from functools import cached_property
@@ -53,12 +54,15 @@ class PrimeLevel:
         self.n = n
 
 
-def _budget(name, gens, width):
+def budget(name, gens, width):
     """Refuse a model whose generator tuples would hold more than
-    COORDINATE_BUDGET coordinates in all, before any is allocated."""
+    COORDINATE_BUDGET coordinates in all, before any is allocated.
+    Takes a family's shape, (name, generator count, width), and returns
+    the width."""
     if gens * width > COORDINATE_BUDGET:
         raise ValueError(f"{name} needs {gens} generators of {width} "
                          "coordinates, over the 2^22 coordinate budget")
+    return width
 
 
 class GroupElement:
@@ -274,12 +278,16 @@ class FiniteGroupModel:
         return GroupElement(self, acc)
 
 
+def ea_shape(p, k):
+    """Shape of an elementary abelian model on k names (see budget)."""
+    return f"EA({p};{k} names)", k, k
+
+
 def ElementaryAbelian(p, names):
     """F_p-vector space with the given basis names."""
     PrimeLevel(p)
     names = list(names)
-    k = len(names)
-    _budget(f"EA({p};{k} names)", k, k)
+    k = budget(*ea_shape(p, len(names)))
     gens = []
     for i, name in enumerate(names):
         coords = [0] * k
@@ -308,6 +316,11 @@ def HeisenbergModP(p, names=("x", "y")):
                             [(a, (1, 0, 0)), (b, (0, 1, 0))])
 
 
+def gn_shape(p, n):
+    width = 2 + p ** n
+    return f"Gn({p},{n})", width, width
+
+
 def GnModel(p, n):
     """Coordinates (u_{n-1}, u_n, x_0..x_{p^n-1}); twist u_{n-1}*y_{p^(n-1)}.
 
@@ -315,14 +328,18 @@ def GnModel(p, n):
     """
     PrimeLevel(p, n)
     pn = p ** n
-    width = 2 + pn
-    _budget(f"Gn({p},{n})", width, width)
+    width = budget(*gn_shape(p, n))
     gens = [(f"k{n - 1}", (1, 0) + (0,) * pn), (f"k{n}", (0, 1) + (0,) * pn)]
     for j in range(pn):
         coords = [0] * width
         coords[2 + j] = 1
         gens.append((f"h{j}", tuple(coords)))
     return FiniteGroupModel(f"Gn({p},{n})", p, [(GN, p, n, 0, 0, width)], width, gens)
+
+
+def fn_shape(p, n):
+    width = n + p ** n
+    return f"Fn({p},{n})", width, width
 
 
 def FnModel(p, n):
@@ -339,8 +356,7 @@ def FnModel(p, n):
             f"FnModel({p},{n}): stacked twists are non-associative for n >= 3; "
             "use ChainWitness instead")
     pn = p ** n
-    width = n + pn
-    _budget(f"Fn({p},{n})", width, width)
+    width = budget(*fn_shape(p, n))
     gens = []
     for i in range(n):
         coords = [0] * width
@@ -353,6 +369,11 @@ def FnModel(p, n):
     return FiniteGroupModel(f"Fn({p},{n})", p, [(FN, p, n, 0, 0, width)], width, gens)
 
 
+def lamp_shape(p, n):
+    width = p ** n + 1
+    return f"Lamp({p},{n})", width, width
+
+
 def LamplighterLevel(p, n):
     """Lamp state x in F_p^(p^n) plus shift t in Z/p^n; t^-1 h_j t = h_{j+1}.
 
@@ -360,8 +381,7 @@ def LamplighterLevel(p, n):
     """
     PrimeLevel(p, n)
     pn = p ** n
-    width = pn + 1
-    _budget(f"Lamp({p},{n})", width, width)
+    width = budget(*lamp_shape(p, n))
     gens = []
     for j in range(pn):
         coords = [0] * width
@@ -370,6 +390,11 @@ def LamplighterLevel(p, n):
     gens.append(("t", (0,) * pn + (1,)))
     return FiniteGroupModel(f"Lamp({p},{n})", p,
                             [(LAMP, p, n, pn, 0, width)], width, gens)
+
+
+def en_shape(p, n):
+    width = (n + 1) * p ** n + 1
+    return f"En({p},{n})", width, width
 
 
 def EnWitnessModel(p, n):
@@ -386,8 +411,7 @@ def EnWitnessModel(p, n):
             f"EnWitnessModel({p},{n}): stacked twists are non-associative for "
             "n >= 3; use ShiftedChainWitness instead")
     pn = p ** n
-    width = n * pn + pn + 1
-    _budget(f"En({p},{n})", width, width)
+    width = budget(*en_shape(p, n))
     gens = []
     for i in range(1, n + 1):
         for r in range(pn):
@@ -419,6 +443,12 @@ def _chain_witness_parts(p, n):
     return nm, dim, masks
 
 
+def cw_shape(p, n):
+    nm, dim, _ = _chain_witness_parts(p, n)
+    pn = p ** n
+    return f"CW({p},{n})", n + pn + 1, dim + nm + 1 + pn + 1
+
+
 def ChainWitness(p, n):
     """Properness target for depth-n twist chains (any n >= 1).
 
@@ -431,9 +461,8 @@ def ChainWitness(p, n):
     """
     nm, dim, masks = _chain_witness_parts(p, n)
     pn = p ** n
-    mwidth = dim + nm + 1
-    width = mwidth + pn + 1
-    _budget(f"CW({p},{n})", n + pn + 1, width)
+    width = budget(*cw_shape(p, n))
+    mwidth = width - pn - 1             # all but the lamps and c
     blocks = [(MOD, p, nm, 1, 0, mwidth), (EA, p, 0, 0, mwidth, pn),
               (EA, p, 0, 0, mwidth + pn, 1)]
     gens = []
@@ -452,6 +481,12 @@ def ChainWitness(p, n):
     return FiniteGroupModel(f"CW({p},{n})", p, blocks, width, gens)
 
 
+def scw_shape(p, n):
+    nm, dim, _ = _chain_witness_parts(p, n)
+    pn = p ** n
+    return f"SCW({p},{n})", n + pn + 2, pn * dim + pn * nm + 1 + pn + 2
+
+
 def ShiftedChainWitness(p, n):
     """Properness target for shift-closed depth-n levels (any n >= 1).
 
@@ -463,9 +498,8 @@ def ShiftedChainWitness(p, n):
     """
     nm, dim, masks = _chain_witness_parts(p, n)
     pn = p ** n
-    mwidth = pn * dim + pn * nm + 1
-    width = mwidth + (pn + 1) + 1
-    _budget(f"SCW({p},{n})", n + pn + 2, width)
+    width = budget(*scw_shape(p, n))
+    mwidth = width - (pn + 1) - 1       # all but the lamplighter and c
     blocks = [(MOD, p, nm, pn, 0, mwidth),
               (LAMP, p, n, pn, mwidth, pn + 1),
               (EA, p, 0, 0, mwidth + pn + 1, 1)]

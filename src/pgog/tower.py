@@ -100,6 +100,27 @@ def joined_witness_model(p, n):
     return models.ShiftedChainWitness(p, n)
 
 
+def check_budget(p, top, witnesses):
+    """Refuse, before anything is built, levels 1..top whose models would
+    exceed the coordinate budget: each level's lamps, edge group, vertex
+    group and lamplighter and, with witnesses, the two witness targets,
+    in the families that vertex_data, _edge_data, build_level and the
+    witness models above pick, each read by its own shape function."""
+    for n in range(1, top + 1):
+        models.PrimeLevel(p, n)
+        pn = p ** n
+        shapes = [models.ea_shape(p, pn), models.ea_shape(p, 1 + pn),
+                  models.ea_shape(p, p + 2) if n == 1 else models.gn_shape(p, n),
+                  models.lamp_shape(p, n)]
+        if witnesses:
+            shapes.append(models.fn_shape(p, 2) if n <= 2
+                          else models.cw_shape(p, n))
+            shapes.append(models.en_shape(p, n) if n <= 2
+                          else models.scw_shape(p, n))
+        for shape in shapes:
+            models.budget(*shape)
+
+
 @lru_cache(maxsize=None)
 def vertex_data(p, i):
     """G_i with its presentation: elementary abelian on k1, the lamps and c

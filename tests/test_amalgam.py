@@ -34,7 +34,8 @@ def test_transversal_counts_on_the_two_vertex_path():
     assert tables[("K1", 0)].coset_count == 2      # 16 / 8
     assert tables[("K1", 1)].coset_count == 8      # 64 / 8
     for table in tables.values():
-        assert table.representative(table.hom.target.identity).is_identity
+        identity = table.hom.target.identity.coords
+        assert table.split(identity)[0] == identity
 
 
 @pytest.mark.parametrize("gog", [
@@ -52,20 +53,22 @@ def test_split_matches_the_enumerated_cosets(gog):
         edge = {phi.apply_element(k): k for k in phi.source.closure()}
         reps = {}
         for g in phi.target.closure():
-            s, c = table.split(g)
+            s, c = table.split(g.coords)
+            s = phi.target.element(s)
             kappa = edge[g * ~s]
-            assert c == psi.apply_element(kappa)
+            assert c == psi.apply_element(kappa).coords
             reps.setdefault(s, set()).add(g)
         assert len(reps) == table.coset_count
         for s, coset in reps.items():
-            assert table.representative(s) == s
+            assert table.split(s.coords)[0] == s.coords
             assert coset == {phi.apply_element(k) * s
                              for k in phi.source.closure()}
 
 
 class _ShortlexTransversal:
     """The enumerating transversal: each coset is represented by its
-    element with the shortlex-least closure word."""
+    element with the shortlex-least closure word.  Splits coordinate
+    tuples, as Transversal does."""
 
     def __init__(self, gog, eid, end):
         phi, psi = gog.edge_homs[eid][end], gog.edge_homs[eid][1 - end]
@@ -75,13 +78,13 @@ class _ShortlexTransversal:
             letters = tuple(closure.word_for(e).letters())
             return len(letters), letters
 
-        edge = [(phi.apply_element(k), psi.apply_element(k))
+        edge = [(phi.apply_element(k), psi.apply_element(k).coords)
                 for k in phi.source.closure()]
         self._split = {}
         for s in sorted(closure, key=word_key):
-            if s not in self._split:
+            if s.coords not in self._split:
                 for image, c in edge:
-                    self._split[image * s] = (s, c)
+                    self._split[(image * s).coords] = (s.coords, c)
 
     def split(self, y):
         return self._split[y]
@@ -89,16 +92,17 @@ class _ShortlexTransversal:
 
 def _shortlex_normal_form(gog, tables, letters):
     acc = amalgam._Accumulator(gog, tables)
-    for vertex, element in amalgam._as_items(gog, letters):
-        acc.push(vertex, element)
+    for vertex, x in amalgam._as_coords(gog, letters):
+        acc.push(vertex, x)
     return acc.result()
 
 
 def test_sifted_and_shortlex_representatives_give_the_same_forms():
     gog = p2_joined()
     tables = amalgam._PathTables(gog)
-    tables.transversals = {key: _ShortlexTransversal(gog, *key)
-                           for key in tables.transversals}
+    tables.transversals = {
+        (eid, gog.graph.ends(eid)[end]): _ShortlexTransversal(gog, eid, end)
+        for eid in gog.graph.edges for end in (0, 1)}
     letters = [(v, gen(name, sign)) for v in gog.graph.vertices
                for name in gog.vertices[v].model.generators
                for sign in (1, -1)]
@@ -111,6 +115,17 @@ def test_sifted_and_shortlex_representatives_give_the_same_forms():
             assert nf.is_trivial == old.is_trivial
             assert [v for v, _, _ in nf.syllables] == \
                 [v for v, _, _ in old.syllables]
+
+
+def test_reductions_share_interned_coordinate_tuples():
+    gog = p2_joined()
+    letters = [("G1", gen("c")), ("G2", gen("k2")), ("W", gen("t")),
+               ("G1", gen("k1"))]
+    first, second = normal_form(gog, letters), normal_form(gog, letters)
+    assert first == second and len(first.syllables) == 3
+    assert first.head.coords is second.head.coords
+    for (_, a, _), (_, b, _) in zip(first.syllables, second.syllables):
+        assert a is not b and a.coords is b.coords
 
 
 def test_transversal_cosets_cover_the_vertex_group():
@@ -353,6 +368,53 @@ def test_separation_at_the_third_level():
     assert verdict is Verdict.SEPARATED
     assert cert.level == 3
     assert cert.reevaluate() == cert.image
+
+
+def _census(p, letters, max_level=3):
+    """Every word of 1-3 of the letters, reduced at each level its search
+    tries: the witness image of the normal form's letters must be the
+    word's direct image, and an empty form must have a trivial one."""
+    words, counts = [[]], {"words": 0, "empty range": 0, "level checks": 0}
+    for _ in range(3):
+        words = [w + [x] for w in words for x in letters]
+        for word in words:
+            counts["words"] += 1
+            try:
+                levels = search_levels(word, 1, max_level)
+            except ValueError:
+                counts["empty range"] += 1
+                continue
+            for level in levels:
+                gog, spec = amalgam._level_data(p, level)
+                nf = normal_form(gog, amalgam._level_items(word, p, level))
+                image = spec.target.identity
+                for v, element in nf.letters():
+                    image = image * spec.vertex_hom(v).apply_element(element)
+                direct = amalgam._direct_image(word, p, level, spec)
+                assert image == direct, (word, level)
+                assert not nf.is_trivial or direct.is_identity, (word, level)
+                counts["level checks"] += 1
+    return counts
+
+
+def test_census_of_short_words_at_p2():
+    letters = [path_letter("G1", gen("k1")), path_letter("G1", gen("h0")),
+               path_letter("G1", gen("c")), lamp_letter(1, gen("t")),
+               lamp_letter(1, gen("h0")), path_letter("G2", gen("k2")),
+               path_letter("G2", gen("h1")), lamp_letter(2, gen("t")),
+               lamp_letter(2, gen("h1"))]
+    assert _census(2, letters) == {
+        "words": 819, "empty range": 176, "level checks": 953}
+
+
+def test_census_of_short_words_at_p3():
+    letters = [path_letter("G1", gen("k1", sign)) for sign in (1, -1)] + \
+        [path_letter("G1", gen(name, sign))
+         for name in ("h0", "c") for sign in (1, -1)] + \
+        [lamp_letter(1, gen(name, sign))
+         for name in ("t", "h0") for sign in (1, -1)]
+    assert _census(3, letters) == {
+        "words": 1110, "empty range": 0, "level checks": 1626}
 
 
 @pytest.mark.parametrize("p,level,target", [

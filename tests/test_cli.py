@@ -289,6 +289,27 @@ def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify-all", "--p", "4099", "--max-level", "1"),
+     "error: EA(4099;4099 names) needs 4099 generators of 4099 "
+     "coordinates, over the 2^22 coordinate budget\n"),
+    (("verify-all", "--p", "47", "--max-level", "1"),
+     "error: Fn(47,2) needs 2211 generators of 2211 coordinates, over the "
+     "2^22 coordinate budget\n"),
+    (("build", "--p", "2", "--n", "9", "--m", "2"),
+     "error: EA(2;2049 names) needs 2049 generators of 2049 coordinates, "
+     "over the 2^22 coordinate budget\n"),
+], ids=["verify-all-lamps", "verify-all-witness", "build-tail"])
+def test_over_budget_levels_exit_2_before_any_model_is_built(
+        capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("pgog.models.FiniteGroupModel.__init__", refuse)
+    code, out, err = run_cli(capsys, "tower", *argv, "--json")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_separate_command_paths(capsys):
     code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t", "--json")
     assert code == 0

@@ -8,9 +8,11 @@ from pgog.analysis import check_edge_bound
 from pgog.gog import (bracket_subgraph, check_reduced, fp_naming,
                       fundamental_presentation)
 from pgog.tower import (_tail_gog, build_graphs, build_level, build_witnesses,
-                        check_retraction_square, check_transition_maps,
-                        check_two_generation, composed_transition_images,
-                        mu, path_witness_model, transition_images)
+                        check_budget, check_retraction_square,
+                        check_transition_maps, check_two_generation,
+                        composed_transition_images, joined_witness_model,
+                        lamp_names, mu, path_witness_model,
+                        transition_images)
 from pgog.words import IDENTITY, gen
 
 
@@ -308,3 +310,30 @@ def test_one_lamp_and_the_shift_generate_the_lamplighter(p, n):
 def test_the_shift_alone_generates_only_its_cycle():
     lamp = build_level(2, 2).lamplighter
     assert len(lamp.closure([lamp.generators["t"]])) == 4
+
+
+@pytest.mark.parametrize("p, top, refused", [
+    (2, 7, None), (2, 8, "SCW(2,8)"), (43, 1, None), (47, 1, "Fn(47,2)"),
+    (23, 2, None), (29, 2, "En(29,2)"), (4099, 1, "EA(4099;4099 names)")])
+def test_the_budget_check_refuses_what_the_constructors_refuse(p, top,
+                                                               refused):
+    # over the budget, the check and the first refusing constructor say
+    # the same; under it, every witness model of every level builds
+    def build(n):
+        models.ElementaryAbelian(p, lamp_names(p, n))
+        models.LamplighterLevel(p, n)
+        path_witness_model(p, n)
+        joined_witness_model(p, n)
+
+    if refused is None:
+        check_budget(p, top, witnesses=True)
+        for n in range(1, top + 1):
+            build(n)
+        return
+    with pytest.raises(ValueError, match="coordinate budget") as checked:
+        check_budget(p, top, witnesses=True)
+    assert str(checked.value).startswith(refused)
+    with pytest.raises(ValueError) as built:
+        for n in range(1, top + 1):
+            build(n)
+    assert str(built.value) == str(checked.value)
