@@ -1,0 +1,114 @@
+"""Straight-line group laws for hot block layouts.
+
+`compile_laws(blocks)` generates and compiles a (mul, inv) pair for one
+layout of the fixed-formula block kinds, every kind but MOD: functions of
+coordinate tuples, with one expression per output coordinate, that give
+`_kernels_py.mul` and `inv`'s results on in-range coordinates.  Twist
+terms read constant indices.  A shift by t reads each lamp or layer window
+through one rotated copy, a slice concatenation, so a shift coordinate
+outside [0, q) would rotate differently from the kernel's `(j + t) % q`.
+The source formats nothing but the ints of the block descriptors.
+"""
+
+from operator import index
+
+from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP
+
+
+def _shifted(k, off, pn, count):
+    """(mul statements, inv statements) for block k's shift: t{k} is read
+    from coordinate off + count*pn, and w{k}_i is window i (the pn
+    coordinates from off + i*pn) rotated by it, b's in mul with
+    w[r] = b[s + (r + t) % pn], a's in inv with w[r] = a[s + (r - t) % pn]."""
+    t = f"t{k} = a[{off + count * pn}]"
+    mul, inv = [t], [t]
+    for i in range(count):
+        s, e = off + i * pn, off + (i + 1) * pn
+        mul.append(f"w{k}_{i} = b[t{k} + {s}:{e}] + b[{s}:t{k} + {s}]")
+        inv.append(f"w{k}_{i} = a[{e} - t{k}:{e}] + a[{s}:{e} - t{k}]")
+    return mul, inv
+
+
+def _block(k, kind, p, n, q, off, width):
+    """(mul statements, mul expressions, inv statements, inv expressions)
+    for block k; the expressions give coordinates off..off+width-1."""
+    end = off + width
+    if kind == EA:
+        return ([], [f"(a[{i}] + b[{i}]) % {p}" for i in range(off, end)],
+                [], [f"-a[{i}] % {p}" for i in range(off, end)])
+    if kind == CYC:
+        return [], [f"(a[{off}] + b[{off}]) % {q}"], [], [f"-a[{off}] % {q}"]
+    if kind in (HEIS, GN, FN):
+        # coordinate -> (u, y): it adds the twist u * y, read from the left
+        # factor's u and the right factor's y; every other coordinate adds
+        if kind == HEIS:
+            twists = {off + 2: (off, off + 1)}
+        elif kind == GN:
+            twists = {off + 1: (off, off + 2 + p ** (n - 1))}
+        else:
+            twists = {off + i: (off + i - 1, off + n + p ** i)
+                      for i in range(1, n)}
+        mul, inv = [], []
+        for i in range(off, end):
+            if i in twists:
+                u, y = twists[i]
+                mul.append(f"(a[{i}] + b[{i}] + a[{u}] * b[{y}]) % {p}")
+                inv.append(f"(-a[{i}] + a[{u}] * a[{y}]) % {p}")
+            else:
+                mul.append(f"(a[{i}] + b[{i}]) % {p}")
+                inv.append(f"-a[{i}] % {p}")
+        return [], mul, [], inv
+    if kind == LAMP:
+        pn = width - 1
+        mul, inv = _shifted(k, off, pn, 1)
+        return (mul, [f"(a[{off + j}] + w{k}_0[{j}]) % {p}" for j in range(pn)]
+                + [f"(t{k} + b[{end - 1}]) % {q}"],
+                inv, [f"-w{k}_0[{j}] % {p}" for j in range(pn)]
+                + [f"-t{k} % {q}"])
+    if kind == EN:
+        # rows 0..n-1 hold the layers and row n the lamps, each a window
+        # of pn coordinates read through the shift; row i (0 < i < n)
+        # adds row i-1 times the lamp p^i + r further on
+        pn = (width - 1) // (n + 1)
+        mul, inv = [], []
+        for i in range(n + 1):
+            for r in range(pn):
+                c = off + i * pn + r
+                if 0 < i < n:
+                    y = f"w{k}_{n}[{(p ** i + r) % pn}]"
+                    mul.append(f"(a[{c}] + w{k}_{i}[{r}] + a[{c - pn}] * {y}) % {p}")
+                    inv.append(f"(-w{k}_{i}[{r}] + w{k}_{i - 1}[{r}] * {y}) % {p}")
+                else:
+                    mul.append(f"(a[{c}] + w{k}_{i}[{r}]) % {p}")
+                    inv.append(f"-w{k}_{i}[{r}] % {p}")
+        mul_lines, inv_lines = _shifted(k, off, pn, n + 1)
+        return (mul_lines, mul + [f"(t{k} + b[{end - 1}]) % {q}"],
+                inv_lines, inv + [f"-t{k} % {q}"])
+    raise ValueError(f"unknown block kind {kind}")
+
+
+def _function(name, args, lines, out):
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def {name}({args}):\n{body}    return ({', '.join(out)},)\n"
+
+
+def _source(blocks):
+    """Source text of the layout's `mul(a, b)` and `inv(a)`."""
+    mul_lines, inv_lines, mul_out, inv_out = [], [], [], []
+    for k, block in enumerate(blocks):
+        kind, p, n, q, off, width = map(index, block)
+        mul, mul_exprs, inv, inv_exprs = _block(k, kind, p, n, q, off, width)
+        mul_lines += mul
+        inv_lines += inv
+        for out, exprs in ((mul_out, mul_exprs), (inv_out, inv_exprs)):
+            out += ["0"] * (off + width - len(out))
+            out[off:off + width] = exprs
+    return (_function("mul", "a, b", mul_lines, mul_out)
+            + _function("inv", "a", inv_lines, inv_out))
+
+
+def compile_laws(blocks):
+    """(mul, inv) of the layout as compiled straight-line functions."""
+    namespace = {}
+    exec(compile(_source(blocks), "<pgog law>", "exec"), namespace)
+    return namespace["mul"], namespace["inv"]

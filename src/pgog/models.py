@@ -179,6 +179,10 @@ class FiniteGroupModel:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.width:
             raise ValueError(f"{self.name} elements have {self.width} coordinates")
+        for i, (c, m) in enumerate(zip(coords, kernel.moduli(self.blocks))):
+            if not 0 <= c < m:
+                raise ValueError(f"{self.name} coordinate {i} is {c}, "
+                                 f"outside [0, {m})")
         return GroupElement(self, coords)
 
     def multiply(self, a, b):

@@ -233,17 +233,26 @@ def modules_after(*argv):
 
 @pytest.mark.parametrize("argv, unused", [
     (("tower", "verify-all", "--p", "2", "--max-level", "3"),
-     {"pgog.registry", "pgog.dsl", "pgog.amalgam"}),
-    (("run-all",), set()),
+     {"pgog.registry", "pgog.dsl", "pgog.amalgam", "pgog._laws"}),
+    (("run-all",), {"pgog._laws"}),
     (("parse", "src/pgog/data/heisenberg_chain.gog"),
      {"pgog.registry", "pgog.amalgam"}),
 ], ids=["verify-all", "run-all", "parse"])
 def test_a_command_imports_only_what_it_runs(argv, unused):
     # cli imports each layer inside the command that uses it, and no
-    # record class pulls in dataclasses (inspect, ast, dis)
+    # record class pulls in dataclasses (inspect, ast, dis); no layout of
+    # these commands is called often enough to compile its law
     code, loaded = modules_after(*argv)
     assert code == 0
     assert not loaded & (unused | {"dataclasses"})
+
+
+def test_a_long_command_compiles_its_hot_layouts():
+    # the level-5 search calls its transversal layouts past the kernel's
+    # HOT_CALLS, so its normal forms run on compiled laws
+    code, loaded = modules_after("separate", "--p", "2", "--word",
+                                 "G5:k5 L5:t", "--max-level", "5")
+    assert code == 0 and "pgog._laws" in loaded
 
 
 def test_verify_all_rejects_a_composite_prime(capsys):

@@ -16,18 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgog import _kernels_py as kpy
+from pgog import _laws
 from pgog import models
 
 
 def coordinate_moduli(blocks, width):
-    """Modulus of each coordinate, recomputed here from the descriptors."""
-    mods = [0] * width
-    for kind, p, n, q, off, w in blocks:
-        for i in range(off, off + w):
-            mods[i] = p
-        if kind in (kpy.CYC, kpy.LAMP, kpy.EN, kpy.MOD):
-            mods[off + w - 1] = q
-    assert all(m > 0 for m in mods)
+    """Modulus of each coordinate, as the kernel reads it off the blocks."""
+    mods = kpy.moduli(blocks)
+    assert len(mods) == width and all(m > 0 for m in mods)
     return mods
 
 
@@ -254,12 +250,121 @@ def test_shifted_stacked_twist_depth3_is_not_a_group():
     assert lhs[:16] == rhs[:16] and lhs[17:] == rhs[17:]
 
 
-def test_unknown_block_kind_rejected():
+def test_unknown_block_kind_rejected(monkeypatch):
     bad = ((99, 2, 0, 0, 0, 1),)
     with pytest.raises(ValueError, match="unknown block kind"):
         kpy.mul(bad, (0,), (0,))
     with pytest.raises(ValueError, match="unknown block kind"):
         kpy.inv(bad, (0,))
+    with pytest.raises(ValueError, match="unknown block kind 99"):
+        _laws.compile_laws(bad)
+    # a layout's hot call hands it to the generator, which refuses it too
+    monkeypatch.setattr(kpy, "_LAWS", {})
+    monkeypatch.setattr(kpy, "HOT_CALLS", 1)
+    with pytest.raises(ValueError, match="unknown block kind 99"):
+        kpy.mul(bad, (0,), (0,))
+    assert kpy._LAWS[bad][:2] == [None, None]
+
+
+# -- compiled laws --------------------------------------------------------------
+
+
+def cold_kernel(mp):
+    """Give the kernel a fresh law table that never compiles, so mul and
+    inv run the interpreted loop."""
+    mp.setattr(kpy, "_LAWS", {})
+    mp.setattr(kpy, "HOT_CALLS", -1)
+
+
+def compiled_cases():
+    return [case for case in law_cases()
+            if all(b[0] != kpy.MOD for b in case.values[0])]
+
+
+@pytest.mark.parametrize("blocks,width", compiled_cases())
+def test_compiled_law_equals_the_interpreted_one(blocks, width, monkeypatch):
+    cold_kernel(monkeypatch)
+    mul, inv = _laws.compile_laws(blocks)
+    mods = coordinate_moduli(blocks, width)
+    rng = random.Random(f"laws/{blocks}")
+    for _ in range(300):
+        a, b = random_coords(rng, mods), random_coords(rng, mods)
+        assert mul(a, b) == kpy.mul(blocks, a, b)
+        assert inv(a) == kpy.inv(blocks, a)
+    e = (0,) * width
+    assert mul(e, e) == inv(e) == e
+    assert all(type(c) is int for c in mul(a, b) + inv(a))
+
+
+@st.composite
+def compiled_pairs(draw):
+    case = draw(st.sampled_from(compiled_cases()))
+    blocks, width = case.values
+    coords = st.tuples(*[st.integers(0, m - 1)
+                         for m in coordinate_moduli(blocks, width)])
+    return blocks, draw(coords), draw(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(compiled_pairs())
+def test_compiled_law_property(pair):
+    blocks, a, b = pair
+    mul, inv = _laws.compile_laws(blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        cold_kernel(mp)
+        assert mul(a, b) == kpy.mul(blocks, a, b)
+        assert inv(a) == kpy.inv(blocks, a)
+
+
+def test_a_layout_compiles_at_its_hot_call(monkeypatch):
+    monkeypatch.setattr(kpy, "_LAWS", {})
+    m = models.EnWitnessModel(2, 2)
+    mods = coordinate_moduli(m.blocks, m.width)
+    rng = random.Random(2048)
+    inputs = [(random_coords(rng, mods), random_coords(rng, mods))
+              for _ in range(kpy.HOT_CALLS // 2)]
+    # a rebuilt layout equal to the model's shares its entry
+    blocks = tuple(tuple(block) for block in m.blocks)
+    before = []
+    for i, (a, b) in enumerate(inputs):
+        assert kpy._LAWS.get(m.blocks, [None])[0] is None
+        before.append(kpy.mul(m.blocks, a, b))
+        assert kpy._LAWS[m.blocks][2] == 2 * i + 1
+        before.append(kpy.inv(blocks, a))
+    entry = kpy._LAWS[m.blocks]
+    assert entry[2] == kpy.HOT_CALLS            # the last call compiled
+    assert entry[0] is not None and entry[1] is not None
+    after = []
+    for a, b in inputs:
+        after += [kpy.mul(m.blocks, a, b), kpy.inv(m.blocks, a)]
+    assert after == before
+    assert entry[2] == kpy.HOT_CALLS            # compiled calls go uncounted
+
+
+def test_a_module_layout_never_compiles(monkeypatch):
+    monkeypatch.setattr(kpy, "_LAWS", {})
+    m = models.ShiftedChainWitness(2, 1)
+    a, b = m.generators["h1"].coords, m.generators["t"].coords
+    for _ in range(kpy.HOT_CALLS + 10):
+        assert kpy.inv(m.blocks, kpy.mul(m.blocks, a, b)) == kpy.mul(
+            m.blocks, kpy.inv(m.blocks, b), kpy.inv(m.blocks, a))
+    assert kpy._LAWS[m.blocks][:2] == [None, None]
+    assert kpy._LAWS[m.blocks][2] > kpy.HOT_CALLS
+
+
+def test_the_law_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(kpy, "_LAWS", {})
+    monkeypatch.setattr(kpy, "HOT_CALLS", 2)
+    sizes = []
+    for width in range(1, 3 * kpy.LAW_TABLE_SIZE):
+        blocks = ((kpy.EA, 3, 0, 0, 0, width),)
+        a = (1,) * width
+        assert kpy.mul(blocks, a, a) == (2,) * width     # cold
+        assert kpy.inv(blocks, a) == (2,) * width        # compiles
+        assert kpy.mul(blocks, a, a) == (2,) * width     # compiled
+        sizes.append(len(kpy._LAWS))
+    assert max(sizes) == kpy.LAW_TABLE_SIZE
+    assert kpy._LAWS[blocks][0] is not None
 
 
 def closure_cases():

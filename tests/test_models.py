@@ -461,6 +461,23 @@ def test_element_validation():
     assert e.coords == (1, 0, 1, 0)
 
 
+# such an element would read as not the identity, yet e * 1 == 1; and a
+# compiled shift by an out-of-range t reads other lamps than the kernel
+@pytest.mark.parametrize("m,coords", [
+    (models.GnModel(2, 2), (2, 0, 0, 0, 0, 0)),
+    (models.GnModel(2, 2), (0, 0, 0, 0, 0, -1)),
+    (models.CyclicModel(2, 2), (-1,)),
+    (models.CyclicModel(2, 2), (4,)),               # t is mod q = 4, not p
+    (models.LamplighterLevel(2, 2), (0, 0, 0, 0, 4)),
+    (models.ShiftedChainWitness(2, 1), (0, 0, 2, 0, 0, 0, 0)),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_element_refuses_coordinates_out_of_range(m, coords):
+    with pytest.raises(ValueError, match="outside"):
+        m.element(coords)
+    top = [mod - 1 for mod in kpy.moduli(m.blocks)]
+    assert m.element(top).coords == tuple(top)
+
+
 def test_cross_model_elements_rejected():
     a = models.GnModel(2, 1)
     b = models.LamplighterLevel(2, 1)
