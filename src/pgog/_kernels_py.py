@@ -1,78 +1,124 @@
 """Pure-Python arithmetic kernel: products, polycyclic series, sifts, and
 the exhaustive breadth-first closure that tests check the sifts against.
 
-Group elements are flat tuples of small non-negative ints.  A model is a
-sequence of block descriptors; each block owns a contiguous slice of the
-coordinate tuple and carries its own multiplication law.
+Group elements are flat tuples of small non-negative ints.  A model's
+coordinates are laid out by a Layout, the tuple of its block descriptors;
+each block owns a contiguous slice of the coordinate tuple and carries its
+own multiplication law.
 
 Block descriptor: (kind, p, n, q, off, width) with kind one of the codes
 below, q the cyclic modulus (p**n where relevant), off the first
 coordinate index and width the number of coordinates.
 
 `mul` and `inv` are the only entry points for products and inverses, and
-they interpret the blocks one by one until a layout has made HOT_CALLS
-calls.  That call compiles the layout's straight-line law (see _laws),
-which serves every later call; layouts with a MOD block stay interpreted.
-Both give equal results on coordinates in range (`moduli`).
+they interpret the blocks one by one until a layout object has made
+HOT_CALLS calls.  That call compiles the layout's straight-line law (see
+_laws) and keeps it on the layout, where it serves every later call;
+layouts with a MOD block stay interpreted.  Both give equal results on
+coordinates in range (`Layout.moduli`).
 """
+
+from functools import cached_property
 
 EA = 0      # F_p^width, componentwise addition
 CYC = 1     # Z/q, one coordinate
 HEIS = 2    # mod-p Heisenberg on (a, b, c), 3 coordinates
 GN = 3      # (u0, u1, x_0..x_{p^n-1}), twist u0 * y_{p^(n-1)} on u1
-FN = 4      # (u_1..u_n, x_0..x_{p^n-1}), twist u_{i-1} * y_{p^(i-1)} on u_i
 LAMP = 5    # (x_0..x_{p^n-1}, t), t shifts lamp indices cyclically
-EN = 6      # (u_{i,r} row-major, x_0..x_{p^n-1}, t), shifted FN-style base
+EN = 6      # (u_{i,r} row-major, x_0..x_{p^n-1}, t): layers u_1..u_n,
+            # u_{i,r} twisted by u_{i-1,r} * y_{p^(i-1)+r}, shifted by t
 MOD = 7     # square-zero monomial module acted on by commuting unipotent
             # multipliers, one orbit of each per shift position:
             # (m[r][subset-of-n-variables], a[var][r], t), t in Z/q
 
 
-# A layout's law entry: [mul law, inv law, calls], the laws None until
-# the layout's HOT_CALLS-th call to mul or inv compiles both.  Measured
-# with Python 3.11 on a shared 2-core x86-64 host: importing _laws takes
-# ~3 ms in a fresh process without bytecode caches, compiling one law
-# pair 0.2-0.6 ms for layouts of 4-19 coordinates, and a compiled law
-# saves ~1.4 us per call (one nf-products pass of the benchmark, 347,594
-# calls, replayed: 1.00 s interpreted, 0.48 s compiled).  So the first
-# layout to compile repays its ~3.5 ms after ~2,500 calls, and HOT_CALLS
-# is the power of two below: the one-off layouts of a short command
-# (at most 1,214 calls each in `run-all`) never pay for the generator.
-# MOD layouts never compile: their interpreted loop skips zero module
-# rows, which straight-line code would lose, and they run to thousands of
-# coordinates.  The table is keyed by the layout's value, so equal
-# layouts share one entry, and cleared when full, so it stays bounded.
+# Measured with Python 3.11 on a shared 2-core x86-64 host: importing
+# _laws takes ~3 ms in a fresh process without bytecode caches, compiling
+# one law pair 0.2-0.6 ms for layouts of 4-19 coordinates, and a compiled
+# law saves ~1.4 us per call (one nf-products pass of the benchmark,
+# 347,594 calls, replayed: 1.00 s interpreted, 0.48 s compiled).  So the
+# first layout to compile repays its ~3.5 ms after ~2,500 calls, and
+# HOT_CALLS is the power of two below: the one-off layouts of a short
+# command (at most 623 calls each in `run-all`) never pay for the
+# generator.  MOD layouts never compile: their interpreted loop skips zero
+# module rows, which straight-line code would lose, and they run to
+# thousands of coordinates.
 HOT_CALLS = 2048
-LAW_TABLE_SIZE = 256
-_LAWS = {}
 
 
-def _admit(blocks):
-    if len(_LAWS) >= LAW_TABLE_SIZE:
-        _LAWS.clear()
-    entry = _LAWS[blocks] = [None, None, 0]
-    return entry
+class Layout(tuple):
+    """A block layout: the tuple of its block descriptors, which iterates,
+    compares and hashes as that tuple, plus the layout's own arithmetic
+    state.  mul_law and inv_law are None until the layout's HOT_CALLS-th
+    call to mul or inv compiles both; calls counts the interpreted calls.
+    The state belongs to this object: an equal layout built separately
+    counts and compiles on its own, and the law goes when the layout does.
+    """
+
+    mul_law = inv_law = None
+    calls = 0
+
+    @cached_property
+    def series(self):
+        """The polycyclic series, top first, as (coordinate, place) terms:
+        an element's digit at a term is x[coordinate] // place % p.
+        Elements whose digits above a term are zero form a subgroup on
+        which the term's digit adds mod p.  Acting coordinates come first,
+        twisted or module ones last; a Z/q coordinate is split into
+        digits, low digit first.
+        """
+        terms = []
+        for kind, p, n, q, off, width in self:
+            end = off + width
+            if kind in (EA, HEIS):              # HEIS: (a, b, c)
+                coords = range(off, end)
+            elif kind == GN:                    # (u_{n-1}, lamps, u_n)
+                coords = [off, *range(off + 2, end), off + 1]
+            elif kind in (CYC, LAMP):           # (digits of t, lamps)
+                coords = range(off, end - 1)
+            elif kind == EN:                    # (digits of t, u_1, lamps, u_2..u_n)
+                pn = (width - 1) // (n + 1)
+                x0 = off + n * pn
+                coords = [*range(off, off + pn), *range(x0, end - 1),
+                          *range(off + pn, x0)]
+            elif kind == MOD:                   # (digits of t, multipliers, module)
+                a0 = off + q * (1 << n)
+                coords = [*range(a0, end - 1), *range(off, a0)]
+            else:
+                raise ValueError(f"unknown block kind {kind}")
+            place = 1
+            while place < q:                    # q is 0 where there is no Z/q
+                terms.append((end - 1, place))
+                place *= p
+            terms += [(c, 1) for c in coords]
+        return terms
+
+    @cached_property
+    def moduli(self):
+        """The modulus of each coordinate: q for a Z/q coordinate, else p."""
+        mods = [0] * max(off + width for *_, off, width in self)
+        for kind, p, n, q, off, width in self:
+            mods[off:off + width] = [p] * width
+            if kind in (CYC, LAMP, EN, MOD):
+                mods[off + width - 1] = q
+        return mods
 
 
-def _compile(blocks, entry):
-    if all(block[0] != MOD for block in blocks):
+def _compile(layout):
+    if all(block[0] != MOD for block in layout):
         from ._laws import compile_laws
-        entry[0], entry[1] = compile_laws(blocks)
+        layout.mul_law, layout.inv_law = compile_laws(layout)
 
 
-def mul(blocks, a, b):
-    try:
-        entry = _LAWS[blocks]
-    except KeyError:
-        entry = _admit(blocks)
-    law = entry[0]
+def mul(layout, a, b):
+    law = layout.mul_law
     if law:
         return law(a, b)
-    calls = entry[2] = entry[2] + 1
+    calls = layout.calls = layout.calls + 1
     if calls == HOT_CALLS:
-        _compile(blocks, entry)
+        _compile(layout)
     out = [0] * len(a)
-    for kind, p, n, q, off, width in blocks:
+    for kind, p, n, q, off, width in layout:
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = (a[i] + b[i]) % p
@@ -89,16 +135,6 @@ def mul(blocks, a, b):
             out[off + 1] = (a[off + 1] + b[off + 1] + a[off] * b[off + 2 + p ** (n - 1)]) % p
             for j in range(width - 2):
                 out[off + 2 + j] = (a[off + 2 + j] + b[off + 2 + j]) % p
-        elif kind == FN:
-            pn = width - n
-            x0 = off + n
-            out[off] = (a[off] + b[off]) % p
-            ppow = p
-            for i in range(1, n):
-                out[off + i] = (a[off + i] + b[off + i] + a[off + i - 1] * b[x0 + ppow]) % p
-                ppow *= p
-            for j in range(pn):
-                out[x0 + j] = (a[x0 + j] + b[x0 + j]) % p
         elif kind == LAMP:
             pn = width - 1
             t = a[off + pn]
@@ -157,19 +193,15 @@ def mul(blocks, a, b):
     return tuple(out)
 
 
-def inv(blocks, a):
-    try:
-        entry = _LAWS[blocks]
-    except KeyError:
-        entry = _admit(blocks)
-    law = entry[1]
+def inv(layout, a):
+    law = layout.inv_law
     if law:
         return law(a)
-    calls = entry[2] = entry[2] + 1
+    calls = layout.calls = layout.calls + 1
     if calls == HOT_CALLS:
-        _compile(blocks, entry)
+        _compile(layout)
     out = [0] * len(a)
-    for kind, p, n, q, off, width in blocks:
+    for kind, p, n, q, off, width in layout:
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = -a[i] % p
@@ -184,16 +216,6 @@ def inv(blocks, a):
             out[off + 1] = (-a[off + 1] + a[off] * a[off + 2 + p ** (n - 1)]) % p
             for j in range(width - 2):
                 out[off + 2 + j] = -a[off + 2 + j] % p
-        elif kind == FN:
-            pn = width - n
-            x0 = off + n
-            out[off] = -a[off] % p
-            ppow = p
-            for i in range(1, n):
-                out[off + i] = (-a[off + i] + a[off + i - 1] * a[x0 + ppow]) % p
-                ppow *= p
-            for j in range(pn):
-                out[x0 + j] = -a[x0 + j] % p
         elif kind == LAMP:
             pn = width - 1
             t = a[off + pn]
@@ -252,17 +274,7 @@ def inv(blocks, a):
     return tuple(out)
 
 
-def moduli(blocks):
-    """The modulus of each coordinate: q for a Z/q coordinate, else p."""
-    mods = [0] * max(off + width for *_, off, width in blocks)
-    for kind, p, n, q, off, width in blocks:
-        mods[off:off + width] = [p] * width
-        if kind in (CYC, LAMP, EN, MOD):
-            mods[off + width - 1] = q
-    return mods
-
-
-def closure(blocks, identity, gens):
+def closure(layout, identity, gens):
     """Breadth-first closure of the subgroup generated by gens.
 
     Returns (elements, index, parent, genidx): elements[0] is the
@@ -281,7 +293,7 @@ def closure(blocks, identity, gens):
     while head < len(elements):
         cur = elements[head]
         for gi, g in enumerate(gens):
-            nxt = mul(blocks, cur, g)
+            nxt = mul(layout, cur, g)
             if nxt not in index:
                 index[nxt] = len(elements)
                 elements.append(nxt)
@@ -291,43 +303,7 @@ def closure(blocks, identity, gens):
     return elements, index, parent, genidx
 
 
-def series(blocks):
-    """The polycyclic series, top first, as (coordinate, place) terms: an
-    element's digit at a term is x[coordinate] // place % p.  Elements
-    whose digits above a term are zero form a subgroup on which the term's
-    digit adds mod p.  Acting coordinates come first, twisted or module
-    ones last; a Z/q coordinate is split into digits, low digit first.
-    """
-    terms = []
-    for kind, p, n, q, off, width in blocks:
-        end = off + width
-        if kind in (EA, HEIS):              # HEIS: (a, b, c)
-            coords = range(off, end)
-        elif kind == GN:                    # (u_{n-1}, lamps, u_n)
-            coords = [off, *range(off + 2, end), off + 1]
-        elif kind == FN:                    # (u_1, lamps, u_2..u_n)
-            coords = [off, *range(off + n, end), *range(off + 1, off + n)]
-        elif kind in (CYC, LAMP):           # (digits of t, lamps)
-            coords = range(off, end - 1)
-        elif kind == EN:                    # (digits of t, u_1, lamps, u_2..u_n)
-            pn = (width - 1) // (n + 1)
-            x0 = off + n * pn
-            coords = [*range(off, off + pn), *range(x0, end - 1),
-                      *range(off + pn, x0)]
-        elif kind == MOD:                   # (digits of t, multipliers, module)
-            a0 = off + q * (1 << n)
-            coords = [*range(a0, end - 1), *range(off, a0)]
-        else:
-            raise ValueError(f"unknown block kind {kind}")
-        place = 1
-        while place < q:                    # q is 0 where there is no Z/q
-            terms.append((end - 1, place))
-            place *= p
-        terms += [(c, 1) for c in coords]
-    return terms
-
-
-def sift(blocks, p, terms, table, g):
+def sift(layout, p, terms, table, g):
     """Clear g's digits at `terms`, top first, by left-multiplying with
     the entries of an induced_pcgs table; depths the table has no entry
     for keep their digits.  Returns (depth, exponent, remainder): the
@@ -343,28 +319,30 @@ def sift(blocks, p, terms, table, g):
         if e:
             entry = table[d]
             if entry is not None:
-                g = mul(blocks, entry[1][e * entry[2] % p], g)
+                g = mul(layout, entry[1][e * entry[2] % p], g)
             elif skipped[0] is None:
                 skipped = d, e
     return (*skipped, g)
 
 
-def induced_pcgs(blocks, p, terms, gens):
+def induced_pcgs(layout, gens):
     """Induced polycyclic sequence of <gens> by noncommutative Gaussian
     elimination (Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005, ch. 8): per depth, None or (g, back, u), g of leading
-    exponent 1/u mod p there, back[k] = g^-k.  Entries' p-th powers and
-    commutators are sifted in too, so the order is p^(number of entries).
+    Theory, 2005, ch. 8): per depth of the layout's series, None or
+    (g, back, u), g of leading exponent 1/u mod p there, back[k] = g^-k.
+    Entries' p-th powers and commutators are sifted in too, so the order
+    is p^(number of entries).
     """
+    p, terms = layout[0][1], layout.series
     table = [None] * len(terms)
     fresh, done = [], []
 
     def insert(g):
-        d, e, g = sift(blocks, p, terms, table, g)
+        d, e, g = sift(layout, p, terms, table, g)
         if d is not None:
-            back = [None, inv(blocks, g)]
+            back = [None, inv(layout, g)]
             while len(back) <= p:
-                back.append(mul(blocks, back[-1], back[1]))
+                back.append(mul(layout, back[-1], back[1]))
             table[d] = (g, back, pow(e, -1, p))
             fresh.append(d)
 
@@ -375,6 +353,6 @@ def induced_pcgs(blocks, p, terms, gens):
         g, back, _ = table[d]
         insert(back[p])                         # g^-p
         for h, h_back, _ in map(table.__getitem__, done):   # [g, h]
-            insert(mul(blocks, mul(blocks, mul(blocks, back[1], h_back[1]), g), h))
+            insert(mul(layout, mul(layout, mul(layout, back[1], h_back[1]), g), h))
         done.append(d)
     return table

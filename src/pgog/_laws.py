@@ -12,7 +12,7 @@ The source formats nothing but the ints of the block descriptors.
 
 from operator import index
 
-from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP
+from ._kernels_py import CYC, EA, EN, GN, HEIS, LAMP
 
 
 def _shifted(k, off, pn, count):
@@ -38,16 +38,13 @@ def _block(k, kind, p, n, q, off, width):
                 [], [f"-a[{i}] % {p}" for i in range(off, end)])
     if kind == CYC:
         return [], [f"(a[{off}] + b[{off}]) % {q}"], [], [f"-a[{off}] % {q}"]
-    if kind in (HEIS, GN, FN):
+    if kind in (HEIS, GN):
         # coordinate -> (u, y): it adds the twist u * y, read from the left
         # factor's u and the right factor's y; every other coordinate adds
         if kind == HEIS:
             twists = {off + 2: (off, off + 1)}
-        elif kind == GN:
-            twists = {off + 1: (off, off + 2 + p ** (n - 1))}
         else:
-            twists = {off + i: (off + i - 1, off + n + p ** i)
-                      for i in range(1, n)}
+            twists = {off + 1: (off, off + 2 + p ** (n - 1))}
         mul, inv = [], []
         for i in range(off, end):
             if i in twists:

@@ -1,11 +1,13 @@
 """Concrete finite p-group models with closed-form arithmetic.
 
-Every model is a sequence of coordinate blocks interpreted by the
-arithmetic kernel (see _kernels_py).  Elements are immutable coordinate
-tuples tagged with their model; elements of structurally different
-models never compare equal.  Subgroup orders and membership sift through
-induced polycyclic sequences, and so do element images under
-homomorphisms (presentations.GroupHom, through the graph of the hom).
+Every model's coordinates are laid out by a kernel Layout, a tuple of
+coordinate blocks that the arithmetic kernel interprets and that keeps
+its own law, series and moduli (see _kernels_py).  Elements are immutable
+coordinate tuples tagged with their model; elements of structurally
+different models never compare equal.  Subgroup orders and membership
+sift through induced polycyclic sequences, and so do element images
+under homomorphisms (presentations.GroupHom, through the graph of the
+hom).
 Enumeration (breadth-first closure, with a shortest word per element) is
 left only as the exhaustive reference that tests check the sifts
 against; no command calls it.  Models with a lamp window refuse, before
@@ -17,7 +19,7 @@ so a caller can check a model without building it.
 from functools import cached_property
 
 from . import _kernels_py as kernel
-from ._kernels_py import CYC, EA, EN, FN, GN, HEIS, LAMP, MOD
+from ._kernels_py import CYC, EA, EN, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
 DESK_CAP = 2 ** 20          # largest prime p, and largest p^n, accepted
@@ -140,7 +142,8 @@ class Subgroup:
     def __contains__(self, element):
         m = self.model
         return element.model == m and kernel.sift(
-            m.blocks, m.p, m._series, self._table, element.coords)[0] is None
+            m.blocks, m.p, m.blocks.series, self._table,
+            element.coords)[0] is None
 
 
 class FiniteGroupModel:
@@ -149,12 +152,11 @@ class FiniteGroupModel:
     def __init__(self, name, p, blocks, width, gen_items):
         self.name = name
         self.p = p
-        self.blocks = tuple(blocks)
+        self.blocks = kernel.Layout(blocks)
         self.width = width
         self._hash = hash((self.blocks, width, tuple(n for n, _ in gen_items)))
         self.identity = GroupElement(self, (0,) * width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
-        self._series = kernel.series(self.blocks)
 
     def __eq__(self, other):
         if self is other:
@@ -179,7 +181,7 @@ class FiniteGroupModel:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.width:
             raise ValueError(f"{self.name} elements have {self.width} coordinates")
-        for i, (c, m) in enumerate(zip(coords, kernel.moduli(self.blocks))):
+        for i, (c, m) in enumerate(zip(coords, self.blocks.moduli)):
             if not 0 <= c < m:
                 raise ValueError(f"{self.name} coordinate {i} is {c}, "
                                  f"outside [0, {m})")
@@ -225,7 +227,7 @@ class FiniteGroupModel:
         gens = [self.generators[g] if isinstance(g, str) else g
                 for g in generators]
         return Subgroup(self, kernel.induced_pcgs(
-            self.blocks, self.p, self._series, [self._own(g) for g in gens]))
+            self.blocks, [self._own(g) for g in gens]))
 
     @cached_property
     def _whole(self):
@@ -347,12 +349,15 @@ def fn_shape(p, n):
 
 
 def FnModel(p, n):
-    """Coordinates (u_1..u_n, x_0..x_{p^n-1}); twist u_{i-1}*y_{p^(i-1)}, u_0 = 0.
+    """Coordinates (u_1..u_n, x_0..x_{p^n-1}); at n = 2, twist u_1*y_p on u_2.
 
-    Generators k1..k{n}, h0..h{p^n-1}; order p^(n+p^n).  Only defined for
-    n <= 2: with three or more stacked layers the twisted law stops being
-    associative (tests pin a counterexample), so there is no such group.
-    Use ChainWitness for witness targets at higher depths.
+    Generators k1..k{n}, h0..h{p^n-1}; order p^(n+p^n).  At n = 2 this is
+    GnModel(p, 2), one GN block with the same coordinates and generators;
+    at n = 1 it is elementary abelian, one EA block.  There is no n >= 3:
+    a third layer twisted by u_2*y_{p^2} gives a law that is not
+    associative ((k1 h_p) h_{p^2} has u_3 = 1, k1 (h_p h_{p^2}) has
+    u_3 = 0), so no group has these coordinates.  Use ChainWitness for
+    witness targets at higher depths.
     """
     PrimeLevel(p, n)
     if n > 2:
@@ -370,7 +375,8 @@ def FnModel(p, n):
         coords = [0] * width
         coords[n + j] = 1
         gens.append((f"h{j}", tuple(coords)))
-    return FiniteGroupModel(f"Fn({p},{n})", p, [(FN, p, n, 0, 0, width)], width, gens)
+    block = (GN, p, 2, 0, 0, width) if n == 2 else (EA, p, 0, 0, 0, width)
+    return FiniteGroupModel(f"Fn({p},{n})", p, [block], width, gens)
 
 
 def lamp_shape(p, n):
@@ -541,14 +547,14 @@ def DirectProduct(a, b):
 
 
 def product_blocks(a, b):
-    """Blocks of a x b: a's blocks, then b's shifted past a's coordinates."""
-    return a.blocks + tuple((kind, p, n, q, off + a.width, w)
-                            for kind, p, n, q, off, w in b.blocks)
+    """Layout of a x b: a's blocks, then b's shifted past a's coordinates."""
+    return kernel.Layout(a.blocks + tuple(
+        (kind, p, n, q, off + a.width, w) for kind, p, n, q, off, w in b.blocks))
 
 
 def graph_pcgs(a, b, pairs):
     """Induced pcgs of the subgroup of a x b generated by coordinate pairs
-    (x, y), a's depths first: (blocks, a_terms, table).
+    (x, y), a's depths first: (layout, a_terms, table).
 
     Sifting (x, 1) through a_terms, the series terms of a's depths, leaves
     some (1, y^-1) with (x, y) in the subgroup when x lies in the
@@ -557,7 +563,6 @@ def graph_pcgs(a, b, pairs):
     of Computational Group Theory, 2005, ch. 8)."""
     if a.p != b.p:
         raise ValueError(f"{a.name} and {b.name}: primes differ")
-    blocks = product_blocks(a, b)
-    terms = kernel.series(blocks)
-    table = kernel.induced_pcgs(blocks, a.p, terms, [x + y for x, y in pairs])
-    return blocks, terms[:len(a._series)], table
+    layout = product_blocks(a, b)
+    table = kernel.induced_pcgs(layout, [x + y for x, y in pairs])
+    return layout, layout.series[:len(a.blocks.series)], table

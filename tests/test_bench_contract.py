@@ -1,5 +1,6 @@
-"""The names the benchmark wraps and records still exist, the verdicts it
-pins still come out, and the closure counts it traces stay under their
+"""The names the benchmark wraps and records still exist, every product
+still goes through the kernel functions it wraps, the verdicts it pins
+still come out, and the closure counts it traces stay under their
 ceilings.
 
 bench/tracer.py wraps the kernel and layer functions by module and
@@ -9,6 +10,7 @@ rename or a changed verdict would otherwise surface only in
 bench/selftest.py, which takes minutes.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import pgog
-from pgog import cli
+from pgog import _kernels_py, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -35,6 +37,22 @@ def test_benchmark_targets_exist(monkeypatch):
     finally:
         t.uninstall()
     assert pgog.BACKEND_NAME == "py"
+
+
+def test_only_the_kernel_runs_a_layout_law():
+    # the tracer counts products by wrapping _kernels_py.mul and inv; a
+    # module that ran a layout's compiled law itself would multiply out of
+    # its sight
+    laws = ("mul_law", "inv_law")
+    assert all(hasattr(_kernels_py.Layout, law) for law in laws)
+    readers = []
+    for path in sorted((ROOT / "src" / "pgog").glob("*.py")):
+        if path.name == "_kernels_py.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in laws:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def _verdicts(capsys, workload, argv):

@@ -1,11 +1,11 @@
 """Kernel-level checks: group laws and polycyclic series per block kind,
 and BFS closure.
 
-The group-law tests run on raw block descriptors through the kernel, so
-a coordinate-law bug cannot hide behind the model layer.  The frozen
-counterexamples pin down the fact that the stacked twist law stops being
-a group at depth three; the models refuse those parameters, and these
-tests make sure nobody "fixes" that refusal by reintroducing the law.
+The group-law tests run on raw block layouts through the kernel, so a
+coordinate-law bug cannot hide behind the model layer.  The frozen
+counterexample pins down the fact that the shifted stacked twist law stops
+being a group at depth three; the models refuse those parameters, and the
+test makes sure nobody "fixes" that refusal by reintroducing the law.
 """
 
 import math
@@ -21,8 +21,8 @@ from pgog import models
 
 
 def coordinate_moduli(blocks, width):
-    """Modulus of each coordinate, as the kernel reads it off the blocks."""
-    mods = kpy.moduli(blocks)
+    """Modulus of each coordinate, as the layout reads it off its blocks."""
+    mods = blocks.moduli
     assert len(mods) == width and all(m > 0 for m in mods)
     return mods
 
@@ -58,8 +58,8 @@ ZOO = [
                          models.ElementaryAbelian(2, ["d", "e"])),
 ]
 
-# Raw descriptor sets the public constructors never emit, still legal for
-# the kernel: a twist block whose lamp range is wider than p^n.
+# Raw layouts the public constructors never emit, still legal for the
+# kernel: a twist block whose lamp range is wider than p^n.
 RAW_BLOCKS = [
     (((kpy.GN, 2, 2, 0, 0, 2 + 7),), 9),
     (((kpy.GN, 3, 1, 0, 0, 2 + 5),), 7),
@@ -69,7 +69,8 @@ RAW_BLOCKS = [
 
 def law_cases():
     cases = [pytest.param(m.blocks, m.width, id=m.name) for m in ZOO]
-    cases += [pytest.param(blocks, width, id=f"raw{blocks[0][0]}w{width}")
+    cases += [pytest.param(kpy.Layout(blocks), width,
+                           id=f"raw{blocks[0][0]}w{width}")
               for blocks, width in RAW_BLOCKS]
     return cases
 
@@ -164,7 +165,7 @@ def test_mod_mul_skips_zero_rows_exactly(m):
 
 
 KIND_NAMES = {kpy.EA: "EA", kpy.CYC: "CYC", kpy.HEIS: "HEIS", kpy.GN: "GN",
-              kpy.FN: "FN", kpy.LAMP: "LAMP", kpy.EN: "EN", kpy.MOD: "MOD"}
+              kpy.LAMP: "LAMP", kpy.EN: "EN", kpy.MOD: "MOD"}
 
 
 def test_every_block_kind_has_a_series_case():
@@ -175,7 +176,7 @@ def test_every_block_kind_has_a_series_case():
 @pytest.mark.parametrize("blocks,width", law_cases())
 def test_series_splits_every_coordinate_into_digits_once(blocks, width):
     # so p^(series length) is the number of coordinate tuples
-    terms = kpy.series(blocks)
+    terms = blocks.series
     assert len(set(terms)) == len(terms)
     assert blocks[0][1] ** len(terms) == math.prod(
         coordinate_moduli(blocks, width))
@@ -194,7 +195,7 @@ def test_series_leading_digit_adds_mod_p(blocks, width, data):
     # any b by one of them keeps b's digits above k and adds at k mod p:
     # the factor there has order p, and a sift that clears depth k leaves
     # the depths above it alone
-    p, terms = blocks[0][1], kpy.series(blocks)
+    p, terms = blocks[0][1], blocks.series
     mods = coordinate_moduli(blocks, width)
     k = data.draw(st.integers(0, len(terms) - 1), label="depth")
 
@@ -221,25 +222,13 @@ def unit(width, *idx):
     return tuple(c)
 
 
-def test_stacked_twist_depth3_is_not_a_group():
-    # Three stacked layers: multiplying the bottom chain generator by the
-    # two twist-index lamps associates differently, because the product
-    # of the first two already carries a middle layer that the third
-    # letter twists.  Any group model built on this law is inconsistent.
-    blocks = ((kpy.FN, 2, 3, 0, 0, 11),)
-    a = unit(11, 0)       # bottom chain generator
-    b = unit(11, 3 + 2)   # lamp at the first twist index
-    c = unit(11, 3 + 4)   # lamp at the second twist index
-    lhs = kpy.mul(blocks, kpy.mul(blocks, a, b), c)
-    rhs = kpy.mul(blocks, a, kpy.mul(blocks, b, c))
-    assert lhs == (1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0)
-    assert rhs == (1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0)
-    assert lhs != rhs
-
-
 def test_shifted_stacked_twist_depth3_is_not_a_group():
-    # Same failure for the shift-closed variant, at orbit position 0.
-    blocks = ((kpy.EN, 2, 3, 8, 0, 33),)
+    # Three stacked layers: multiplying the bottom layer at orbit position
+    # 0 by the two twist-index lamps associates differently, because the
+    # product of the first two already carries a middle layer that the
+    # third letter twists.  Any group model built on this law is
+    # inconsistent.
+    blocks = kpy.Layout(((kpy.EN, 2, 3, 8, 0, 33),))
     a = unit(33, 0)        # bottom layer, orbit 0
     b = unit(33, 24 + 2)   # lamp at the first twist index
     c = unit(33, 24 + 4)   # lamp at the second twist index
@@ -251,29 +240,35 @@ def test_shifted_stacked_twist_depth3_is_not_a_group():
 
 
 def test_unknown_block_kind_rejected(monkeypatch):
-    bad = ((99, 2, 0, 0, 0, 1),)
+    bad = kpy.Layout(((99, 2, 0, 0, 0, 1),))
     with pytest.raises(ValueError, match="unknown block kind"):
         kpy.mul(bad, (0,), (0,))
     with pytest.raises(ValueError, match="unknown block kind"):
         kpy.inv(bad, (0,))
+    with pytest.raises(ValueError, match="unknown block kind"):
+        bad.series
     with pytest.raises(ValueError, match="unknown block kind 99"):
         _laws.compile_laws(bad)
     # a layout's hot call hands it to the generator, which refuses it too
-    monkeypatch.setattr(kpy, "_LAWS", {})
-    monkeypatch.setattr(kpy, "HOT_CALLS", 1)
+    monkeypatch.setattr(kpy, "HOT_CALLS", bad.calls + 1)
     with pytest.raises(ValueError, match="unknown block kind 99"):
         kpy.mul(bad, (0,), (0,))
-    assert kpy._LAWS[bad][:2] == [None, None]
+    assert bad.mul_law is None and bad.inv_law is None
 
 
 # -- compiled laws --------------------------------------------------------------
 
 
-def cold_kernel(mp):
-    """Give the kernel a fresh law table that never compiles, so mul and
-    inv run the interpreted loop."""
-    mp.setattr(kpy, "_LAWS", {})
+def interpreted(blocks, mp):
+    """A fresh copy of the layout, with no law yet, and a kernel that never
+    compiles one: mul and inv on the copy run the interpreted loop, even
+    when an earlier test has compiled the original."""
     mp.setattr(kpy, "HOT_CALLS", -1)
+    return kpy.Layout(blocks)
+
+
+def assert_still_interpreted(cold):
+    assert cold.mul_law is None and cold.inv_law is None
 
 
 def compiled_cases():
@@ -283,14 +278,15 @@ def compiled_cases():
 
 @pytest.mark.parametrize("blocks,width", compiled_cases())
 def test_compiled_law_equals_the_interpreted_one(blocks, width, monkeypatch):
-    cold_kernel(monkeypatch)
+    cold = interpreted(blocks, monkeypatch)
     mul, inv = _laws.compile_laws(blocks)
     mods = coordinate_moduli(blocks, width)
-    rng = random.Random(f"laws/{blocks}")
+    rng = random.Random(f"laws/{tuple(blocks)}")
     for _ in range(300):
         a, b = random_coords(rng, mods), random_coords(rng, mods)
-        assert mul(a, b) == kpy.mul(blocks, a, b)
-        assert inv(a) == kpy.inv(blocks, a)
+        assert mul(a, b) == kpy.mul(cold, a, b)
+        assert inv(a) == kpy.inv(cold, a)
+    assert_still_interpreted(cold)
     e = (0,) * width
     assert mul(e, e) == inv(e) == e
     assert all(type(c) is int for c in mul(a, b) + inv(a))
@@ -311,60 +307,63 @@ def test_compiled_law_property(pair):
     blocks, a, b = pair
     mul, inv = _laws.compile_laws(blocks)
     with pytest.MonkeyPatch.context() as mp:
-        cold_kernel(mp)
-        assert mul(a, b) == kpy.mul(blocks, a, b)
-        assert inv(a) == kpy.inv(blocks, a)
+        cold = interpreted(blocks, mp)
+        assert mul(a, b) == kpy.mul(cold, a, b)
+        assert inv(a) == kpy.inv(cold, a)
+        assert_still_interpreted(cold)
 
 
-def test_a_layout_compiles_at_its_hot_call(monkeypatch):
-    monkeypatch.setattr(kpy, "_LAWS", {})
+def test_a_layout_compiles_at_its_hot_call():
     m = models.EnWitnessModel(2, 2)
-    mods = coordinate_moduli(m.blocks, m.width)
+    layout = m.blocks
+    mods = coordinate_moduli(layout, m.width)
     rng = random.Random(2048)
     inputs = [(random_coords(rng, mods), random_coords(rng, mods))
               for _ in range(kpy.HOT_CALLS // 2)]
-    # a rebuilt layout equal to the model's shares its entry
-    blocks = tuple(tuple(block) for block in m.blocks)
     before = []
     for i, (a, b) in enumerate(inputs):
-        assert kpy._LAWS.get(m.blocks, [None])[0] is None
-        before.append(kpy.mul(m.blocks, a, b))
-        assert kpy._LAWS[m.blocks][2] == 2 * i + 1
-        before.append(kpy.inv(blocks, a))
-    entry = kpy._LAWS[m.blocks]
-    assert entry[2] == kpy.HOT_CALLS            # the last call compiled
-    assert entry[0] is not None and entry[1] is not None
+        assert layout.mul_law is None
+        before.append(kpy.mul(layout, a, b))
+        assert layout.calls == 2 * i + 1
+        before.append(kpy.inv(layout, a))
+    assert layout.calls == kpy.HOT_CALLS        # the last call compiled
+    assert layout.mul_law is not None and layout.inv_law is not None
     after = []
     for a, b in inputs:
-        after += [kpy.mul(m.blocks, a, b), kpy.inv(m.blocks, a)]
+        after += [kpy.mul(layout, a, b), kpy.inv(layout, a)]
     assert after == before
-    assert entry[2] == kpy.HOT_CALLS            # compiled calls go uncounted
+    assert layout.calls == kpy.HOT_CALLS        # compiled calls go uncounted
 
 
-def test_a_module_layout_never_compiles(monkeypatch):
-    monkeypatch.setattr(kpy, "_LAWS", {})
+def test_a_module_layout_never_compiles():
     m = models.ShiftedChainWitness(2, 1)
     a, b = m.generators["h1"].coords, m.generators["t"].coords
     for _ in range(kpy.HOT_CALLS + 10):
         assert kpy.inv(m.blocks, kpy.mul(m.blocks, a, b)) == kpy.mul(
             m.blocks, kpy.inv(m.blocks, b), kpy.inv(m.blocks, a))
-    assert kpy._LAWS[m.blocks][:2] == [None, None]
-    assert kpy._LAWS[m.blocks][2] > kpy.HOT_CALLS
+    assert m.blocks.mul_law is None and m.blocks.inv_law is None
+    assert m.blocks.calls > kpy.HOT_CALLS
 
 
-def test_the_law_table_stays_bounded(monkeypatch):
-    monkeypatch.setattr(kpy, "_LAWS", {})
-    monkeypatch.setattr(kpy, "HOT_CALLS", 2)
-    sizes = []
-    for width in range(1, 3 * kpy.LAW_TABLE_SIZE):
-        blocks = ((kpy.EA, 3, 0, 0, 0, width),)
-        a = (1,) * width
-        assert kpy.mul(blocks, a, a) == (2,) * width     # cold
-        assert kpy.inv(blocks, a) == (2,) * width        # compiles
-        assert kpy.mul(blocks, a, a) == (2,) * width     # compiled
-        sizes.append(len(kpy._LAWS))
-    assert max(sizes) == kpy.LAW_TABLE_SIZE
-    assert kpy._LAWS[blocks][0] is not None
+def test_a_layout_object_keeps_its_own_law(monkeypatch):
+    monkeypatch.setattr(kpy, "HOT_CALLS", 3)
+    blocks = ((kpy.EA, 3, 0, 0, 0, 2),)
+    layout, twin = kpy.Layout(blocks), kpy.Layout(blocks)
+    assert layout == twin == blocks and hash(layout) == hash(blocks)
+    a = (1, 2)
+    for call in range(1, 4):                    # the third call compiles
+        assert layout.mul_law is None
+        assert kpy.mul(layout, a, a) == (2, 1)
+        assert layout.calls == call
+    assert layout.mul_law is not None and layout.inv_law is not None
+    assert kpy.inv(layout, a) == (2, 1) and layout.calls == 3
+    # a value-equal layout made separately counts on its own, still cold
+    assert twin.calls == 0 and twin.mul_law is None
+    assert kpy.inv(twin, a) == (2, 1) and twin.calls == 1
+    # and the kernel keeps no law table of its own
+    assert not [name for name, value in vars(kpy).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))]
 
 
 def closure_cases():

@@ -474,7 +474,7 @@ def test_element_validation():
 def test_element_refuses_coordinates_out_of_range(m, coords):
     with pytest.raises(ValueError, match="outside"):
         m.element(coords)
-    top = [mod - 1 for mod in kpy.moduli(m.blocks)]
+    top = [mod - 1 for mod in m.blocks.moduli]
     assert m.element(top).coords == tuple(top)
 
 
