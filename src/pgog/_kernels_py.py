@@ -312,7 +312,8 @@ def sift(layout, p, terms, table, g):
     entry of the table, the remainder depends only on the right coset of
     the table's subgroup that g lies in: it is that coset's canonical
     representative (Holt, Eick and O'Brien, 2005, §8.3), and the identity
-    exactly when g lies in the subgroup."""
+    exactly when g lies in the subgroup.  Outside the kernel, only
+    models.Pcgs calls it."""
     skipped = None, 0
     for d, (c, place) in enumerate(terms):
         e = g[c] // place % p

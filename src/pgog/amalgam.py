@@ -3,14 +3,15 @@
 Every graph the tower assembles is a path, so elements of its fundamental
 group carry a canonical alternating form: a head element in the leftmost
 vertex group followed by coset-representative syllables walking the path.
-A syllable's representative is what is left after sifting it through the
-induced pcgs of the edge image (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, §8.3), and the same sift carries the
-edge-group part across the edge; nothing is enumerated and no table is
-stored, and normal forms are reproducible across runs.  The form is empty
-exactly for the trivial element, solving the word problem.  The reduction
-runs on coordinate tuples, with representatives interned per transversal;
-group elements are made only for the resulting ReducedWord.
+A syllable's representative is what the split of a Transversal, the
+models.Pcgs of the graph of an edge's two maps, leaves of it (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, §8.3), and the
+same split carries the edge-group part across the edge; nothing is
+enumerated and no table is stored, and normal forms are reproducible
+across runs.  The form is empty exactly for the trivial element, solving
+the word problem.  The reduction runs on coordinate tuples, with heads
+and representatives interned per path; group elements are made only for
+the resulting ReducedWord.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -62,48 +63,25 @@ def _path_order(gog):
     return tuple(order)
 
 
-class Transversal:
+class Transversal(models.Pcgs):
     """Right-coset representatives of one edge-group image in one vertex
-    model, read off one sift instead of a table.
-
-    Holds the induced pcgs of the graph <(phi(k), psi(k))> in vertex x
-    other end, vertex depths first, where phi is the certified edge map
-    into this end and psi the one into the other end.  phi is injective,
-    so every entry sits at a vertex depth: the image of phi has
-    p^entries elements.
+    model, read off one sift instead of a table: the Pcgs of the graph
+    <(phi(k), psi(k))> in vertex x other end, phi the certified edge map
+    into this end and psi the one into the other end.  split(y) is (s, c)
+    with y = phi(kappa) s for an edge element kappa: s is the canonical
+    representative of y's right coset and c = psi(kappa), all as
+    coordinate tuples.  phi is injective: the graph has the edge's order.
     """
 
     def __init__(self, edge_id, end, vertex, hom, other):
+        super().__init__(hom.target, other.target,
+                         [(hom.image_of(g).coords, other.image_of(g).coords)
+                          for g in hom.source.generators])
         self.edge_id = edge_id
         self.end = end
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
-        model, far = hom.target, other.target
-        self._blocks, self._terms, self._table = models.graph_pcgs(
-            model, far,
-            [(hom.image_of(g).coords, other.image_of(g).coords)
-             for g in hom.source.generators])
-        entries = sum(entry is not None for entry in self._table)
-        self.coset_count = model.order // model.p ** entries
-        self._p, self._width = model.p, model.width
-        self._pad, self._far_blocks = far.identity.coords, far.blocks
-        self._reps = {}                     # coords -> the same, interned
-
-    def split(self, y):
-        """(s, c) with y = phi(kappa) s for an edge element kappa: s is the
-        canonical representative of y's right coset, c = psi(kappa), all
-        as coordinate tuples.
-
-        Sifting (y, 1) through the vertex depths leaves
-        (phi(kappa)^-1 y, psi(kappa)^-1).  Representatives are interned,
-        so reduced words share them."""
-        _, _, rest = kernel.sift(self._blocks, self._p, self._terms,
-                                 self._table, y + self._pad)
-        s, c = rest[:self._width], rest[self._width:]
-        s = self._reps.setdefault(s, s)
-        if any(c):
-            c = kernel.inv(self._far_blocks, c)
-        return s, c
+        self.coset_count = hom.target.order // self.order
 
     def __repr__(self):
         return (f"<Transversal {self.edge_id}@{self.vertex}: "
@@ -143,7 +121,7 @@ class _PathTables:
             a, b = gog.graph.ends(eid)
             self.edge_between[(a, b)] = eid
             self.edge_between[(b, a)] = eid
-        self.heads = {}                     # coords -> the same, interned
+        self.interned = {}      # coords -> the same: heads and representatives
         # keyed by (edge, end vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
@@ -252,7 +230,8 @@ class _Accumulator:
             self._merge(c)
             return
         if not any(c):
-            self.stack.append((vertex, s, entry))
+            self.stack.append(
+                (vertex, self.tables.interned.setdefault(s, s), entry))
             return
         self._merge(c)
         self.push(vertex, s)
@@ -260,7 +239,7 @@ class _Accumulator:
     def result(self):
         element = models.GroupElement
         vertex_models = self.tables.models
-        head = self.tables.heads.setdefault(self.head, self.head)
+        head = self.tables.interned.setdefault(self.head, self.head)
         return ReducedWord(
             self.gog, self.base, element(vertex_models[self.base], head),
             [(v, element(vertex_models[v], rep), eid)

@@ -207,7 +207,7 @@ def _separation_check(letters, args, levels):
 
 def _params(args):
     out = {}
-    for key in ("p", "n", "m", "max_level"):
+    for key in ("p", "n", "max_level"):
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value
@@ -232,14 +232,20 @@ def _add_json(sp):
                     help="emit the report as stable JSON")
 
 
-def _add_params(sp, keys=("p", "n", "m", "max_level")):
-    flags = {"p": "--p", "n": "--n", "m": "--m", "max_level": "--max-level"}
-    for key in keys:
-        sp.add_argument(flags[key], dest=key, type=int, default=None)
+def _add_params(sp):
+    for flag in ("--p", "--n", "--max-level"):
+        sp.add_argument(flag, type=int, default=None)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Full option names only: --m must not stand for --max-level."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pgog",
         description="Verification tools for finite graphs of finite p-groups.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,10 +4,11 @@ Every model's coordinates are laid out by a kernel Layout, a tuple of
 coordinate blocks that the arithmetic kernel interprets and that keeps
 its own law, series and moduli (see _kernels_py).  Elements are immutable
 coordinate tuples tagged with their model; elements of structurally
-different models never compare equal.  Subgroup orders and membership
-sift through induced polycyclic sequences, and so do element images
-under homomorphisms (presentations.GroupHom, through the graph of the
-hom).
+different models never compare equal.  Every induced polycyclic
+sequence is a Pcgs, the one object that knows how a subgroup of a model,
+or of a product a x b, is laid out and sifted: subgroup orders and
+membership read it, and so do homomorphisms (presentations.GroupHom,
+through the graph of the hom) and normal forms (amalgam.Transversal).
 Enumeration (breadth-first closure, with a shortest word per element) is
 left only as the exhaustive reference that tests check the sifts
 against; no command calls it.  Models with a lamp window refuse, before
@@ -56,14 +57,18 @@ class PrimeLevel:
         self.n = n
 
 
+class BudgetError(ValueError):
+    """Models over the coordinate budget: a usage error, no failed check."""
+
+
 def budget(name, gens, width):
     """Refuse a model whose generator tuples would hold more than
     COORDINATE_BUDGET coordinates in all, before any is allocated.
     Takes a family's shape, (name, generator count, width), and returns
     the width."""
     if gens * width > COORDINATE_BUDGET:
-        raise ValueError(f"{name} needs {gens} generators of {width} "
-                         "coordinates, over the 2^22 coordinate budget")
+        raise BudgetError(f"{name} needs {gens} generators of {width} "
+                          "coordinates, over the 2^22 coordinate budget")
     return width
 
 
@@ -132,18 +137,50 @@ class ClosureTable:
         return Word(tuple(reversed(letters)))
 
 
-class Subgroup:
-    """A subgroup as an induced polycyclic sequence: nothing enumerated."""
+class Pcgs:
+    """Induced polycyclic sequence of the subgroup of a, or with b of
+    a x b, a's depths first, that coordinate tuples of a or pairs (x, y)
+    generate (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 8).  Its order is p^(a_entries + b_entries), its
+    entry counts at a's and at b's depths.  An entry past a's depths is
+    some (1, y), y != 1; first_b is the first such y, else None.  `in`
+    asks whether an element of a lies in the projection to a."""
 
-    def __init__(self, model, table):
-        self.model, self._table = model, table
-        self.order = model.p ** sum(entry is not None for entry in table)
+    def __init__(self, a, b, gens):
+        if b is None:
+            layout, self._pad, self._far = a.blocks, (), None
+        else:
+            if a.p != b.p:
+                raise ValueError(f"{a.name} and {b.name}: primes differ")
+            layout, self._pad, self._far = (product_blocks(a, b),
+                                            b.identity.coords, b.blocks)
+            gens = [x + y for x, y in gens]
+        table = kernel.induced_pcgs(layout, gens)
+        depth = len(a.blocks.series)
+        self.a_entries = sum(entry is not None for entry in table[:depth])
+        self.b_entries = sum(entry is not None for entry in table[depth:])
+        self.order = a.p ** (self.a_entries + self.b_entries)
+        self.first_b = next((entry[0][a.width:] for entry in table[depth:]
+                             if entry is not None), None)
+        self._a, self._p, self._width = a, a.p, a.width
+        self._layout, self._terms, self._table = (
+            layout, layout.series[:depth], table)
+
+    def split(self, x):
+        """(s, y) for coordinates x of a, with (x s^-1, y) in the subgroup:
+        sifting (x, 1) through a's depths leaves (s, y^-1).  s is the
+        canonical representative of x's right coset of the projection to
+        a, the identity exactly when x lies in it."""
+        _, _, rest = kernel.sift(self._layout, self._p, self._terms,
+                                 self._table, x + self._pad)
+        s, y = rest[:self._width], rest[self._width:]
+        if any(y):
+            y = kernel.inv(self._far, y)
+        return s, y
 
     def __contains__(self, element):
-        m = self.model
-        return element.model == m and kernel.sift(
-            m.blocks, m.p, m.blocks.series, self._table,
-            element.coords)[0] is None
+        return element.model == self._a and not any(
+            self.split(element.coords)[0])
 
 
 class FiniteGroupModel:
@@ -226,8 +263,7 @@ class FiniteGroupModel:
             return self._whole
         gens = [self.generators[g] if isinstance(g, str) else g
                 for g in generators]
-        return Subgroup(self, kernel.induced_pcgs(
-            self.blocks, [self._own(g) for g in gens]))
+        return Pcgs(self, None, [self._own(g) for g in gens])
 
     @cached_property
     def _whole(self):
@@ -550,19 +586,3 @@ def product_blocks(a, b):
     """Layout of a x b: a's blocks, then b's shifted past a's coordinates."""
     return kernel.Layout(a.blocks + tuple(
         (kind, p, n, q, off + a.width, w) for kind, p, n, q, off, w in b.blocks))
-
-
-def graph_pcgs(a, b, pairs):
-    """Induced pcgs of the subgroup of a x b generated by coordinate pairs
-    (x, y), a's depths first: (layout, a_terms, table).
-
-    Sifting (x, 1) through a_terms, the series terms of a's depths, leaves
-    some (1, y^-1) with (x, y) in the subgroup when x lies in the
-    subgroup's projection to a; an entry at a depth past
-    a_terms is some (1, y) with y != 1 (Holt, Eick and O'Brien, Handbook
-    of Computational Group Theory, 2005, ch. 8)."""
-    if a.p != b.p:
-        raise ValueError(f"{a.name} and {b.name}: primes differ")
-    layout = product_blocks(a, b)
-    table = kernel.induced_pcgs(layout, [x + y for x, y in pairs])
-    return layout, layout.series[:len(a.blocks.series)], table

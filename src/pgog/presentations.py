@@ -4,12 +4,12 @@ A FinitePresentation is the shared currency between concrete models and
 graph-of-groups assembly.  A map out of a model is checked by its graph
 (GroupHom.verify), never by relators: a presentation is only known to
 present a quotient of its model, so its relators vanishing under a map
-does not make the map a homomorphism of the model.  One induced pcgs of
+does not make the map a homomorphism of the model.  One models.Pcgs of
 the graph, target depths first, gives the hom verdict, the image order
 and injectivity; the graph with the source depths first is built only to
-map elements and to report a map that is no hom.  Relators are
-evaluated only for a map out of a presentation, check_model_satisfies
-included.  coset_enumerate certifies presentation orders independently of
+map elements, by its split, and to report a map that is no hom.
+Relators are evaluated only for a map out of a presentation,
+check_model_satisfies included.  coset_enumerate certifies presentation orders independently of
 the models' orders: it is a semi-decision procedure, so a non-completing
 run is reported as unknown, never as failure.  mod_p_rank is the
 dimension of the mod-p abelianization, i.e. the minimal generator number
@@ -18,8 +18,7 @@ of the pro-p completion.
 
 from functools import cached_property
 
-from . import _kernels_py as kernel
-from .models import FiniteGroupModel, GroupElement, graph_pcgs
+from .models import FiniteGroupModel, GroupElement, Pcgs
 from .words import Word, commutator, gen
 
 
@@ -169,11 +168,11 @@ class GroupHom:
 
     @cached_property
     def _census(self):
-        """(hom, image order, injective), read off one induced pcgs: that
-        of the graph <(image of g, g)> in target x source, target depths
-        first.  Its entries at target depths are a pcgs of the image, and
-        those at source depths one of the graph's meet with 1 x source.
-        The graph projects onto the source, so the map extends to a hom
+        """(hom, image order, injective), read off one Pcgs: that of the
+        graph <(image of g, g)> in target x source, target depths first.
+        Its entries at target depths are a pcgs of the image, and those
+        at source depths one of the graph's meet with 1 x source.  The
+        graph projects onto the source, so the map extends to a hom
         exactly when the graph has the source's order, and the hom is
         injective exactly when no entry sits at a source depth.  Into a
         group of another prime only the trivial map is a hom, and the
@@ -183,13 +182,10 @@ class GroupHom:
         if src.p != tgt.p:
             order = tgt.subgroup(images).order
             return order == 1, order, order == 1 == src.order
-        _, terms, table = graph_pcgs(
-            tgt, src, [(y.coords, x.coords)
-                       for y, x in zip(images, src.generators.values())])
-        image = sum(entry is not None for entry in table[:len(terms)])
-        kernel = sum(entry is not None for entry in table[len(terms):])
-        hom = tgt.p ** (image + kernel) == src.order
-        return hom, tgt.p ** image, hom and kernel == 0
+        graph = Pcgs(tgt, src, [(y.coords, x.coords) for y, x
+                                in zip(images, src.generators.values())])
+        hom = graph.order == src.order
+        return hom, tgt.p ** graph.a_entries, hom and not graph.b_entries
 
     @property
     def image_order(self):
@@ -198,38 +194,29 @@ class GroupHom:
 
     @cached_property
     def _graph(self):
-        """Induced pcgs of the graph <(g, image of g)> in source x target:
-        (blocks, source terms, table, t).  The source depths come first,
-        so it maps elements (apply_element); only that and the report of
-        a map that is no hom build it.  An entry at a target depth is
-        some (1, t) with t != 1, so the generator map extends to no
-        homomorphism; t is the first such entry's target part, None when
-        there is none."""
+        """The Pcgs of the graph <(g, image of g)> in source x target,
+        source depths first.  It maps elements (apply_element); only that
+        and the report of a map that is no hom build it.  Its first_b,
+        some t != 1 with (1, t) in the graph, shows that the generator
+        map extends to no homomorphism."""
         src = self._model_source()
-        blocks, terms, table = graph_pcgs(
-            src, self.target,
-            [(e.coords, self.mapping[g].coords) for g, e in src.generators.items()])
-        t = next((entry[0][src.width:] for entry in table[len(terms):]
-                  if entry is not None), None)
-        return blocks, terms, table, t
+        return Pcgs(src, self.target, [(e.coords, self.mapping[g].coords)
+                                       for g, e in src.generators.items()])
 
     def apply_element(self, element):
-        """Image of a source-model element.  (element, 1) is sifted through
-        the source depths of the graph's induced pcgs; that leaves
-        (1, image^-1), so nothing is enclosed and no word is evaluated.
-        Raises ValueError when the generator map is not a homomorphism or
-        the element lies outside the subgroup the source generators
-        generate."""
-        blocks, terms, table, t = self._graph
-        src, tgt = self.source, self.target
-        if t is not None:
+        """Image of a source-model element: the graph's split of it, which
+        is (1, image) when the element lies in the subgroup the source
+        generators generate, so nothing is enclosed and no word is
+        evaluated.  Raises ValueError when the generator map is not a
+        homomorphism or the element lies outside that subgroup."""
+        graph = self._graph
+        if graph.first_b is not None:
             raise ValueError(f"{self!r} is not a homomorphism")
-        depth, _, rest = kernel.sift(blocks, src.p, terms, table,
-                                     src._own(element) + tgt.identity.coords)
-        if depth is not None:
+        s, image = graph.split(self.source._own(element))
+        if any(s):
             raise ValueError(f"{element!r} lies outside the subgroup the "
-                             f"generators of {src.name} generate")
-        return GroupElement(tgt, kernel.inv(tgt.blocks, rest[src.width:]))
+                             f"generators of {self.source.name} generate")
+        return GroupElement(self.target, image)
 
     def verify(self):
         """Check the hom property; returns a {check, status, violations} report.
@@ -237,8 +224,8 @@ class GroupHom:
         A model source is checked by its graph: the generator map extends
         to a hom exactly when the graph has the source's order (_census).
         Nothing is enclosed.  A map that is no hom is reported by the
-        graph with the source depths first: its first entry at a target
-        depth is some (1, t) with t != 1, and t's coordinates are the
+        graph with the source depths first (_graph): the coordinates of
+        its first_b, some t != 1 with (1, t) in the graph, are the
         violation.  Into a group of another prime only the trivial map is
         a hom, and each nontrivial generator image is a violation.  A
         FinitePresentation source is checked against its own relators: by
@@ -261,7 +248,7 @@ class GroupHom:
                 for g in src.generators if not self.mapping[g].is_identity])
         if self._census[0]:
             return _report("hom", [])
-        return _report("hom", [{"kind": "graph", "image": list(self._graph[3])}])
+        return _report("hom", [{"kind": "graph", "image": list(self._graph.first_b)}])
 
 
 def hom_injective_on(hom):

@@ -14,6 +14,8 @@ import json
 import math
 from fractions import Fraction
 
+from .models import BudgetError
+
 PASS = "pass"
 FAIL = "fail"
 UNKNOWN = "unknown"
@@ -29,9 +31,12 @@ def make_check(name, status, **details):
 
 def guarded(name, thunk):
     """The checks thunk() returns; if it raises ValueError, one failing
-    check `name` with the error as its reason.  Anything else propagates."""
+    check `name` with the error as its reason.  Anything else propagates,
+    and so does a BudgetError, which is a usage error."""
     try:
         return thunk()
+    except BudgetError:
+        raise
     except ValueError as exc:
         return [make_check(name, FAIL, reason=str(exc))]
 

@@ -20,7 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:           # argparse refused the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -182,17 +185,6 @@ def run_fresh(*argv):
                              for c in json.loads(done.stdout)["checks"]}
 
 
-def test_tripped_size_guard_reads_unknown():
-    # there is no size guard left to trip: orders, element images and the
-    # hom checks sift through polycyclic sequences, so the tower enumerates
-    # nothing (test_no_command_path_encloses_a_group) and decides every check
-    code, checks = run_fresh("tower", "verify-all", "--p", "2",
-                             "--max-level", "2")
-    assert code == 0
-    assert checks["retraction-square-n2"]["status"] == "pass"
-    assert {c["status"] for c in checks.values()} == {"pass"}
-
-
 @pytest.mark.parametrize("p, max_level, passed", [(3, 3, 22), (2, 4, 32)])
 def test_tower_reaches_past_any_enumeration(p, max_level, passed):
     # levels whose vertex groups are far too large to list: they finish
@@ -287,12 +279,22 @@ def test_verify_all_rejects_a_composite_prime(capsys):
     (("run-all", "--examples", "nothing"),
      "error: no example id matches 'nothing'; known ids: "
      "chains/improper-n2, "),
+    # no example reads a tail length, and --m is no prefix of --max-level
+    (("run-all", "--m", "1"), "usage: pgog [-h]"),
+    (("run", "tower/path-witness", "--n", "11"),
+     "error: EA(2;2049 names) needs 2049 generators of 2049 coordinates, "
+     "over the 2^22 coordinate budget\n"),
+    (("run", "tower/two-generation", "--p", "4099"),
+     "error: EA(4099;4099 names) needs 4099 generators of 4099 "
+     "coordinates, over the 2^22 coordinate budget\n"),
 ], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
         "run-n-0", "run-all-max-level-0", "separate-max-level-0",
-        "empty-glob"])
+        "empty-glob", "run-all-m", "run-over-budget-level",
+        "run-over-budget-prime"])
 def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
-    # a level below 1, a negative tail or a glob that selects no example
-    # is unusable input: no report, not "no checks -> exit 0" or a failure
+    # a level below 1, a negative tail, a glob that selects no example or
+    # a level over the coordinate budget is unusable input: no report, not
+    # "no checks -> exit 0" or a failure
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert err.startswith(message)

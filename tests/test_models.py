@@ -13,7 +13,9 @@ The remaining tests pin down the defining relations, the closed-form
 orders, and the model API surface.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -452,6 +454,24 @@ def test_pc_matches_bfs_on_every_subgroup_the_commands_ask_for(
 
 
 # -- API surface --------------------------------------------------------------
+
+def test_only_models_sifts():
+    # the layout of a graph pcgs (a's depths first, b padded with its
+    # identity, b's remainder inverted) is known to models.Pcgs alone: no
+    # other module but the kernel sifts or builds an induced pcgs
+    names = ("sift", "induced_pcgs")
+    users = []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        if path.name in ("_kernels_py.py", "models.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+
 
 def test_element_validation():
     m = models.GnModel(2, 1)
