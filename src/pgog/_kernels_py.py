@@ -94,6 +94,29 @@ class Layout(tuple):
         return terms
 
     @cached_property
+    def acting(self):
+        """Per block, (off, end, start, stop): the block's coordinates
+        [off, end) and its acting ones [start, stop), where the block's
+        elements that are zero there form an abelian subgroup.  None for
+        EA and CYC; the twisting u (HEIS) or u_{n-1} (GN); the shift t
+        (LAMP); the multipliers and t (MOD), leaving the square-zero
+        module; the whole block for EN."""
+        spans = []
+        for kind, p, n, q, off, width in self:
+            end = off + width
+            if kind in (EA, CYC):
+                spans.append((off, end, end, end))
+            elif kind in (HEIS, GN):
+                spans.append((off, end, off, off + 1))
+            elif kind == LAMP:
+                spans.append((off, end, end - 1, end))
+            elif kind == MOD:
+                spans.append((off, end, off + q * (1 << n), end))
+            else:
+                spans.append((off, end, off, end))
+        return spans
+
+    @cached_property
     def moduli(self):
         """The modulus of each coordinate: q for a Z/q coordinate, else p."""
         mods = [0] * max(off + width for *_, off, width in self)
@@ -312,8 +335,10 @@ def sift(layout, p, terms, table, g):
     entry of the table, the remainder depends only on the right coset of
     the table's subgroup that g lies in: it is that coset's canonical
     representative (Holt, Eick and O'Brien, 2005, §8.3), and the identity
-    exactly when g lies in the subgroup.  Outside the kernel, only
-    models.Pcgs calls it."""
+    exactly when g lies in the subgroup.  A caller that needs no skipped
+    depth (models.Pcgs.split) passes only the terms that hold an entry,
+    and their entries as the table: the other depths would only be read.
+    Outside the kernel, only models.Pcgs calls it."""
     skipped = None, 0
     for d, (c, place) in enumerate(terms):
         e = g[c] // place % p
@@ -326,6 +351,19 @@ def sift(layout, p, terms, table, g):
     return (*skipped, g)
 
 
+def _support(layout, g):
+    # bitmasks of the blocks where g is nonzero and where it acts: g and
+    # h commute when no block is in one's first mask and the other's
+    # second, since blocks multiply independently
+    nonzero = acting = 0
+    for i, (off, end, start, stop) in enumerate(layout.acting):
+        if any(g[off:end]):
+            nonzero |= 1 << i
+            if any(g[start:stop]):
+                acting |= 1 << i
+    return nonzero, acting
+
+
 def induced_pcgs(layout, gens):
     """Induced polycyclic sequence of <gens> by noncommutative Gaussian
     elimination (Holt, Eick and O'Brien, Handbook of Computational Group
@@ -333,18 +371,29 @@ def induced_pcgs(layout, gens):
     (g, back, u), g of leading exponent 1/u mod p there, back[k] = g^-k.
     Entries' p-th powers and commutators are sifted in too, so the order
     is p^(number of entries).
+
+    It skips only work whose result is known: an identity is never
+    sifted (its sift changes nothing); a pair of entries whose blocks
+    commute (see _support) forms no commutator; and any other pair
+    forms [g, h] = (hg)^-1 gh only when gh != hg, so the trivial
+    commutators are never sifted.  Every nontrivial insertion happens
+    in the same order as without the skips, so the table is the same.
     """
     p, terms = layout[0][1], layout.series
     table = [None] * len(terms)
+    support = [None] * len(terms)
     fresh, done = [], []
 
     def insert(g):
+        if not any(g):
+            return
         d, e, g = sift(layout, p, terms, table, g)
         if d is not None:
             back = [None, inv(layout, g)]
             while len(back) <= p:
                 back.append(mul(layout, back[-1], back[1]))
             table[d] = (g, back, pow(e, -1, p))
+            support[d] = _support(layout, g)
             fresh.append(d)
 
     for g in gens:
@@ -352,8 +401,14 @@ def induced_pcgs(layout, gens):
     while fresh:
         d = fresh.pop()
         g, back, _ = table[d]
+        nonzero, acting = support[d]
         insert(back[p])                         # g^-p
-        for h, h_back, _ in map(table.__getitem__, done):   # [g, h]
-            insert(mul(layout, mul(layout, mul(layout, back[1], h_back[1]), g), h))
+        for k in done:
+            h_nonzero, h_acting = support[k]
+            if nonzero & h_acting or acting & h_nonzero:
+                h, h_back, _ = table[k]
+                gh = mul(layout, g, h)
+                if gh != mul(layout, h, g):     # [g, h] = (hg)^-1 gh
+                    insert(mul(layout, mul(layout, back[1], h_back[1]), gh))
         done.append(d)
     return table

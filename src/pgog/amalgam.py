@@ -186,7 +186,9 @@ class ReducedWord:
 
 class _Accumulator:
     """Right-multiplies letters into a reduced word, one at a time, on
-    coordinate tuples; elements are made only for the result."""
+    coordinate tuples; elements are made only for the result.  A coset
+    representative s that a split returns is stored as it is, never
+    split again: it would split to (s, 1) (see _merge)."""
 
     def __init__(self, gog, tables):
         self.tables = tables
@@ -200,6 +202,12 @@ class _Accumulator:
 
     def push(self, vertex, x):
         """Multiply by x, coordinates in the vertex's model, on the right."""
+        self._walk(vertex)
+        self._merge(x)
+
+    def _walk(self, vertex):
+        # append an identity syllable at each vertex from the end vertex
+        # along the path to vertex
         cur = self.end_vertex()
         if cur != vertex:
             pos, walk = self.tables.position, self.tables.order
@@ -209,7 +217,6 @@ class _Accumulator:
                 eid = self.tables.edge_between[(walk[k - step], w)]
                 self.stack.append(
                     (w, self.tables.models[w].identity.coords, eid))
-        self._merge(x)
 
     def _merge(self, x):
         # multiply x into the current end vertex and restore canonical form
@@ -229,12 +236,17 @@ class _Accumulator:
         if not any(s):
             self._merge(c)
             return
-        if not any(c):
-            self.stack.append(
-                (vertex, self.tables.interned.setdefault(s, s), entry))
-            return
-        self._merge(c)
-        self.push(vertex, s)
+        if any(c):
+            # c lies in the entry edge's image at the vertex before, and
+            # merging it stops short of any turn of the walk (a turn's
+            # representative times c stays outside that image), so the
+            # walk back re-enters vertex by the entry edge, where s, this
+            # transversal's canonical representative, splits to (s, 1)
+            self._merge(c)
+            self._walk(vertex)
+            self.stack.pop()
+        self.stack.append(
+            (vertex, self.tables.interned.setdefault(s, s), entry))
 
     def result(self):
         element = models.GroupElement

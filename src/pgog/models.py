@@ -78,7 +78,7 @@ class GroupElement:
     def __init__(self, model, coords):
         self.model = model
         self.coords = coords
-        self._hash = hash((model._hash, coords))
+        self._hash = None           # computed on the first __hash__
 
     def __eq__(self, other):
         return (isinstance(other, GroupElement)
@@ -86,7 +86,10 @@ class GroupElement:
                 and self.coords == other.coords)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.model._hash, self.coords))
+        return h
 
     def __mul__(self, other):
         return self.model.multiply(self, other)
@@ -162,17 +165,22 @@ class Pcgs:
         self.order = a.p ** (self.a_entries + self.b_entries)
         self.first_b = next((entry[0][a.width:] for entry in table[depth:]
                              if entry is not None), None)
-        self._a, self._p, self._width = a, a.p, a.width
-        self._layout, self._terms, self._table = (
-            layout, layout.series[:depth], table)
+        self._a, self._p, self._width, self._layout = a, a.p, a.width, layout
+        live = [(term, entry) for term, entry
+                in zip(layout.series[:depth], table) if entry is not None]
+        self._terms = [term for term, _ in live]
+        self._entries = [entry for _, entry in live]
 
     def split(self, x):
         """(s, y) for coordinates x of a, with (x s^-1, y) in the subgroup:
         sifting (x, 1) through a's depths leaves (s, y^-1).  s is the
         canonical representative of x's right coset of the projection to
-        a, the identity exactly when x lies in it."""
+        a, the identity exactly when x lies in it.  The sift reads only
+        the depths that hold an entry: the others keep their digits
+        whether read or not.  s has a zero digit at every such depth, so
+        split(s) is (s, 1)."""
         _, _, rest = kernel.sift(self._layout, self._p, self._terms,
-                                 self._table, x + self._pad)
+                                 self._entries, x + self._pad)
         s, y = rest[:self._width], rest[self._width:]
         if any(y):
             y = kernel.inv(self._far, y)

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from pgog import _kernels_py as kernel
 from pgog import amalgam, models
 from pgog.amalgam import (Verdict, build_transversals, check_search,
                           lamp_letter, nf_multiply, normal_form, path_letter,
@@ -14,6 +15,7 @@ from pgog.gog import (Graph, GraphOfGroups, VertexData,
                       verify_properness_witness)
 from pgog.registry import free_product_line
 from pgog.tower import (_path_gog, build_graphs, build_witnesses,
+                        joined_witness_specialisation,
                         path_witness_specialisation)
 from pgog.words import Word, from_letters, gen
 
@@ -63,6 +65,34 @@ def test_split_matches_the_enumerated_cosets(gog):
             assert table.split(s.coords)[0] == s.coords
             assert coset == {phi.apply_element(k) * s
                              for k in phi.source.closure()}
+
+
+def test_split_reads_only_the_live_depths_on_the_benchmarked_splitting():
+    # the level-3 joined splitting at p = 2 that the nf-products benchmark
+    # reduces over: split sifts only the depths that hold an entry, and
+    # leaves what the sift through all of a's depths leaves
+    gog, _ = joined_witness_specialisation(2, 3)
+    rng = random.Random(3)
+    dead = 0
+    for (eid, end), table in build_transversals(gog).items():
+        phi, psi = gog.edge_homs[eid][end], gog.edge_homs[eid][1 - end]
+        a, b = phi.target, psi.target
+        layout = models.product_blocks(a, b)
+        full = kernel.induced_pcgs(layout, [
+            phi.image_of(g).coords + psi.image_of(g).coords
+            for g in phi.source.generators])
+        terms = layout.series[:len(a.blocks.series)]
+        dead += full[:len(terms)].count(None)
+        for _ in range(60):
+            x = tuple(rng.randrange(m) for m in a.blocks.moduli)
+            _, _, rest = kernel.sift(layout, a.p, terms, full,
+                                     x + b.identity.coords)
+            s, y = table.split(x)
+            assert s == rest[:a.width]
+            assert kernel.mul(b.blocks, y, rest[a.width:]) == \
+                b.identity.coords
+            assert table.split(s) == (s, b.identity.coords)
+    assert dead > 0
 
 
 class _ShortlexTransversal:

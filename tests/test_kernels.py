@@ -19,6 +19,8 @@ from pgog import _kernels_py as kpy
 from pgog import _laws
 from pgog import models
 
+import reference_elimination
+
 
 def coordinate_moduli(blocks, width):
     """Modulus of each coordinate, as the layout reads it off its blocks."""
@@ -404,3 +406,78 @@ def test_closure_is_deterministic_and_bfs(m, names, order):
     for i in range(1, len(elements)):
         assert elements[i] == kpy.mul(m.blocks, elements[parent[i]],
                                       gens[genidx[i]])
+
+
+# -- elimination shortcuts -----------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks,width", law_cases())
+def test_acting_coordinates_bound_an_abelian_subgroup(blocks, width):
+    # per block, the elements zero outside the block and at its acting
+    # coordinates are closed under products and commute: what lets the
+    # elimination skip a pair of entries without forming gh and hg
+    rng = random.Random(width)
+    mods = coordinate_moduli(blocks, width)
+    assert len(blocks.acting) == len(blocks)
+    for (*_, off, w), (start, end, a0, a1) in zip(blocks, blocks.acting):
+        assert (start, end) == (off, off + w) and start <= a0 <= a1 <= end
+
+        def draw():
+            return tuple(rng.randrange(m) if start <= i < end
+                         and not a0 <= i < a1 else 0
+                         for i, m in enumerate(mods))
+
+        for _ in range(20):
+            a, b = draw(), draw()
+            ab = kpy.mul(blocks, a, b)
+            assert ab == kpy.mul(blocks, b, a)
+            assert not any(ab[a0:a1]) and not any(ab[:start] + ab[end:])
+
+
+def assert_same_table(layout, gens):
+    assert kpy.induced_pcgs(layout, gens) == \
+        reference_elimination.induced_pcgs(layout, gens), (layout, gens)
+
+
+@pytest.mark.parametrize("m", ZOO, ids=lambda m: m.name)
+def test_the_elimination_matches_the_unskipped_one(m):
+    # the whole model, and random subgroups: of a few generators, of
+    # random elements and of sparse ones, whose entries share few blocks
+    rng = random.Random(m.name)
+    mods = m.blocks.moduli
+    names = list(m.generators)
+    assert_same_table(m.blocks, [m.generators[g].coords for g in names])
+    for _ in range(6):
+        picked = rng.sample(names, rng.randint(1, min(3, len(names))))
+        assert_same_table(m.blocks, [m.generators[g].coords for g in picked])
+        assert_same_table(m.blocks, [random_coords(rng, mods)
+                                     for _ in range(rng.randint(1, 3))])
+        assert_same_table(m.blocks, [sparse_coords(rng, mods, 0.1)
+                                     for _ in range(rng.randint(1, 4))])
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 3)])
+def test_the_elimination_matches_the_unskipped_one_on_every_tower_pcgs(
+        p, top, monkeypatch, capsys):
+    # every induced pcgs `tower verify-all` builds, the witness maps'
+    # graph pcgs in target x source among them
+    from pgog import cli, tower
+    for cached in (tower.vertex_data, tower._edge_data, tower.build_level,
+                   tower.build_graphs):
+        cached.cache_clear()    # so that every pcgs is built here
+    built = []
+    eliminate = kpy.induced_pcgs
+
+    def recording(layout, gens):
+        built.append((layout, list(gens), eliminate(layout, gens)))
+        return built[-1][2]
+
+    monkeypatch.setattr(kpy, "induced_pcgs", recording)
+    assert cli.main(["tower", "verify-all", "--p", str(p), "--max-level",
+                     str(top), "--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(built) > 20
+    assert any(len(layout) > 1 for layout, _, _ in built)
+    for layout, gens, table in built:
+        assert table == reference_elimination.induced_pcgs(layout, gens)
