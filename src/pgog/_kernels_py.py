@@ -7,8 +7,8 @@ each block owns a contiguous slice of the coordinate tuple and carries its
 own multiplication law.
 
 Block descriptor: (kind, p, n, q, off, width) with kind one of the codes
-below, q the cyclic modulus (p**n where relevant), off the first
-coordinate index and width the number of coordinates.
+below, q the modulus of a Z/q coordinate (0 where there is none), off the
+first coordinate index and width the number of coordinates.
 
 `mul` and `inv` are the only entry points for products and inverses, and
 they interpret the blocks one by one until a layout object has made
@@ -21,12 +21,13 @@ coordinates in range (`Layout.moduli`).
 from functools import cached_property
 
 EA = 0      # F_p^width, componentwise addition
-CYC = 1     # Z/q, one coordinate
+LAMP = 1    # (u_{i,r} row-major, x_0..x_{w-1}, t), w = (width-1)/(n+1):
+            # n twisted layers u_1..u_n over w lamps x, all shifted
+            # cyclically by t in Z/q; u_{i,r} (1 < i <= n) is twisted by
+            # u_{i-1,r} * y_{p^(i-1)+r}.  n = 0 is the lamplighter, and
+            # width 1 (no lamps) the cyclic group Z/q
 HEIS = 2    # mod-p Heisenberg on (a, b, c), 3 coordinates
 GN = 3      # (u0, u1, x_0..x_{p^n-1}), twist u0 * y_{p^(n-1)} on u1
-LAMP = 5    # (x_0..x_{p^n-1}, t), t shifts lamp indices cyclically
-EN = 6      # (u_{i,r} row-major, x_0..x_{p^n-1}, t): layers u_1..u_n,
-            # u_{i,r} twisted by u_{i-1,r} * y_{p^(i-1)+r}, shifted by t
 MOD = 7     # square-zero monomial module acted on by commuting unipotent
             # multipliers, one orbit of each per shift position:
             # (m[r][subset-of-n-variables], a[var][r], t), t in Z/q
@@ -39,7 +40,7 @@ MOD = 7     # square-zero monomial module acted on by commuting unipotent
 # 347,594 calls, replayed: 1.00 s interpreted, 0.48 s compiled).  So the
 # first layout to compile repays its ~3.5 ms after ~2,500 calls, and
 # HOT_CALLS is the power of two below: the one-off layouts of a short
-# command (at most 623 calls each in `run-all`) never pay for the
+# command (at most 605 calls each in `run-all`) never pay for the
 # generator.  MOD layouts never compile: their interpreted loop skips zero
 # module rows, which straight-line code would lose, and they run to
 # thousands of coordinates.
@@ -74,13 +75,11 @@ class Layout(tuple):
                 coords = range(off, end)
             elif kind == GN:                    # (u_{n-1}, lamps, u_n)
                 coords = [off, *range(off + 2, end), off + 1]
-            elif kind in (CYC, LAMP):           # (digits of t, lamps)
-                coords = range(off, end - 1)
-            elif kind == EN:                    # (digits of t, u_1, lamps, u_2..u_n)
-                pn = (width - 1) // (n + 1)
-                x0 = off + n * pn
-                coords = [*range(off, off + pn), *range(x0, end - 1),
-                          *range(off + pn, x0)]
+            elif kind == LAMP:                  # (digits of t, u_1, lamps, u_2..u_n)
+                w = (width - 1) // (n + 1)
+                x0 = off + n * w
+                coords = [*range(off, min(off + w, x0)), *range(x0, end - 1),
+                          *range(off + w, x0)]
             elif kind == MOD:                   # (digits of t, multipliers, module)
                 a0 = off + q * (1 << n)
                 coords = [*range(a0, end - 1), *range(off, a0)]
@@ -98,31 +97,38 @@ class Layout(tuple):
         """Per block, (off, end, start, stop): the block's coordinates
         [off, end) and its acting ones [start, stop), where the block's
         elements that are zero there form an abelian subgroup.  None for
-        EA and CYC; the twisting u (HEIS) or u_{n-1} (GN); the shift t
-        (LAMP); the multipliers and t (MOD), leaving the square-zero
-        module; the whole block for EN."""
+        EA; the twisting u (HEIS) or u_{n-1} (GN); for LAMP, the whole
+        block when it has layers, else the shift t when it has lamps to
+        move, else none; the multipliers and t (MOD), leaving the
+        square-zero module."""
         spans = []
         for kind, p, n, q, off, width in self:
             end = off + width
-            if kind in (EA, CYC):
+            if kind == EA:
                 spans.append((off, end, end, end))
             elif kind in (HEIS, GN):
                 spans.append((off, end, off, off + 1))
             elif kind == LAMP:
-                spans.append((off, end, end - 1, end))
+                start = off if n else end - 1 if width > 1 else end
+                spans.append((off, end, start, end))
             elif kind == MOD:
                 spans.append((off, end, off + q * (1 << n), end))
             else:
-                spans.append((off, end, off, end))
+                raise ValueError(f"unknown block kind {kind}")
         return spans
+
+    @property
+    def width(self):
+        """The number of coordinates: where the last block ends."""
+        return max(off + width for *_, off, width in self)
 
     @cached_property
     def moduli(self):
         """The modulus of each coordinate: q for a Z/q coordinate, else p."""
-        mods = [0] * max(off + width for *_, off, width in self)
+        mods = [0] * self.width
         for kind, p, n, q, off, width in self:
             mods[off:off + width] = [p] * width
-            if kind in (CYC, LAMP, EN, MOD):
+            if q:
                 mods[off + width - 1] = q
         return mods
 
@@ -145,8 +151,6 @@ def mul(layout, a, b):
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = (a[i] + b[i]) % p
-        elif kind == CYC:
-            out[off] = (a[off] + b[off]) % q
         elif kind == HEIS:
             out[off] = (a[off] + b[off]) % p
             out[off + 1] = (a[off + 1] + b[off + 1]) % p
@@ -159,28 +163,26 @@ def mul(layout, a, b):
             for j in range(width - 2):
                 out[off + 2 + j] = (a[off + 2 + j] + b[off + 2 + j]) % p
         elif kind == LAMP:
-            pn = width - 1
-            t = a[off + pn]
-            for j in range(pn):
-                out[off + j] = (a[off + j] + b[off + (j + t) % pn]) % p
-            out[off + pn] = (t + b[off + pn]) % q
-        elif kind == EN:
-            pn = (width - 1) // (n + 1)
-            x0 = off + n * pn
-            t = a[x0 + pn]
-            for r in range(pn):
-                out[off + r] = (a[off + r] + b[off + (r + t) % pn]) % p
-            ppow = p
-            for i in range(1, n):
-                row = off + i * pn
-                prev = off + (i - 1) * pn
-                for r in range(pn):
-                    out[row + r] = (a[row + r] + b[row + (r + t) % pn]
-                                    + a[prev + r] * b[x0 + (ppow + r + t) % pn]) % p
+            # row i < n is layer u_{i+1} and row n the lamps, w
+            # coordinates each, read from b shifted by t; a twisted row i
+            # (0 < i < n) adds a's row i-1 times b's lamp p^i + r
+            w = (width - 1) // (n + 1)
+            tc = off + width - 1
+            x0 = tc - w
+            t = a[tc]
+            ppow = 1
+            for i in range(n + 1):
+                row = off + i * w
+                if 0 < i < n:
+                    for r in range(w):
+                        s = (r + t) % w
+                        out[row + r] = (a[row + r] + b[row + s]
+                                        + a[row - w + r] * b[x0 + (ppow + s) % w]) % p
+                else:
+                    for r in range(w):
+                        out[row + r] = (a[row + r] + b[row + (r + t) % w]) % p
                 ppow *= p
-            for j in range(pn):
-                out[x0 + j] = (a[x0 + j] + b[x0 + (j + t) % pn]) % p
-            out[x0 + pn] = (t + b[x0 + pn]) % q
+            out[tc] = (t + b[tc]) % q
         elif kind == MOD:
             dim = 1 << n
             a0 = off + q * dim
@@ -228,8 +230,6 @@ def inv(layout, a):
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = -a[i] % p
-        elif kind == CYC:
-            out[off] = -a[off] % q
         elif kind == HEIS:
             out[off] = -a[off] % p
             out[off + 1] = -a[off + 1] % p
@@ -240,36 +240,24 @@ def inv(layout, a):
             for j in range(width - 2):
                 out[off + 2 + j] = -a[off + 2 + j] % p
         elif kind == LAMP:
-            pn = width - 1
-            t = a[off + pn]
-            for j in range(pn):
-                out[off + j] = -a[off + (j - t) % pn] % p
-            out[off + pn] = -t % q
-        elif kind == EN:
-            pn = (width - 1) // (n + 1)
-            x0 = off + n * pn
-            t = a[x0 + pn]
-            # base-group inverse first, then undo the shift by t
-            w = [0] * (width - 1)
-            for r in range(pn):
-                w[r] = -a[off + r] % p
-            ppow = p
-            for i in range(1, n):
-                row = i * pn
-                prev = (i - 1) * pn
-                for r in range(pn):
-                    w[row + r] = (-a[off + row + r]
-                                  + a[off + prev + r] * a[x0 + (ppow + r) % pn]) % p
+            # the base group's inverse, read shifted back by t
+            w = (width - 1) // (n + 1)
+            tc = off + width - 1
+            x0 = tc - w
+            t = a[tc]
+            ppow = 1
+            for i in range(n + 1):
+                row = off + i * w
+                if 0 < i < n:
+                    for r in range(w):
+                        s = (r - t) % w
+                        out[row + r] = (-a[row + s]
+                                        + a[row - w + s] * a[x0 + (ppow + s) % w]) % p
+                else:
+                    for r in range(w):
+                        out[row + r] = -a[row + (r - t) % w] % p
                 ppow *= p
-            for j in range(pn):
-                w[n * pn + j] = -a[x0 + j] % p
-            for i in range(n):
-                row = i * pn
-                for r in range(pn):
-                    out[off + row + r] = w[row + (r - t) % pn]
-            for j in range(pn):
-                out[x0 + j] = w[n * pn + (j - t) % pn]
-            out[x0 + pn] = -t % q
+            out[tc] = -t % q
         elif kind == MOD:
             dim = 1 << n
             a0 = off + q * dim

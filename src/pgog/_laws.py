@@ -12,21 +12,7 @@ The source formats nothing but the ints of the block descriptors.
 
 from operator import index
 
-from ._kernels_py import CYC, EA, EN, GN, HEIS, LAMP
-
-
-def _shifted(k, off, pn, count):
-    """(mul statements, inv statements) for block k's shift: t{k} is read
-    from coordinate off + count*pn, and w{k}_i is window i (the pn
-    coordinates from off + i*pn) rotated by it, b's in mul with
-    w[r] = b[s + (r + t) % pn], a's in inv with w[r] = a[s + (r - t) % pn]."""
-    t = f"t{k} = a[{off + count * pn}]"
-    mul, inv = [t], [t]
-    for i in range(count):
-        s, e = off + i * pn, off + (i + 1) * pn
-        mul.append(f"w{k}_{i} = b[t{k} + {s}:{e}] + b[{s}:t{k} + {s}]")
-        inv.append(f"w{k}_{i} = a[{e} - t{k}:{e}] + a[{s}:{e} - t{k}]")
-    return mul, inv
+from ._kernels_py import EA, GN, HEIS, LAMP
 
 
 def _block(k, kind, p, n, q, off, width):
@@ -36,8 +22,6 @@ def _block(k, kind, p, n, q, off, width):
     if kind == EA:
         return ([], [f"(a[{i}] + b[{i}]) % {p}" for i in range(off, end)],
                 [], [f"-a[{i}] % {p}" for i in range(off, end)])
-    if kind == CYC:
-        return [], [f"(a[{off}] + b[{off}]) % {q}"], [], [f"-a[{off}] % {q}"]
     if kind in (HEIS, GN):
         # coordinate -> (u, y): it adds the twist u * y, read from the left
         # factor's u and the right factor's y; every other coordinate adds
@@ -56,29 +40,28 @@ def _block(k, kind, p, n, q, off, width):
                 inv.append(f"-a[{i}] % {p}")
         return [], mul, [], inv
     if kind == LAMP:
-        pn = width - 1
-        mul, inv = _shifted(k, off, pn, 1)
-        return (mul, [f"(a[{off + j}] + w{k}_0[{j}]) % {p}" for j in range(pn)]
-                + [f"(t{k} + b[{end - 1}]) % {q}"],
-                inv, [f"-w{k}_0[{j}] % {p}" for j in range(pn)]
-                + [f"-t{k} % {q}"])
-    if kind == EN:
         # rows 0..n-1 hold the layers and row n the lamps, each a window
-        # of pn coordinates read through the shift; row i (0 < i < n)
-        # adds row i-1 times the lamp p^i + r further on
-        pn = (width - 1) // (n + 1)
-        mul, inv = [], []
-        for i in range(n + 1):
-            for r in range(pn):
-                c = off + i * pn + r
+        # of w coordinates from s; t{k} is the shift and w{k}_i row i
+        # rotated by it, b's in mul with w[r] = b[s + (r + t) % w], a's
+        # in inv with w[r] = a[s + (r - t) % w].  Row i (0 < i < n) adds
+        # row i-1 times the lamp p^i + r further on.  A block without
+        # lamps is Z/q alone and has no rows
+        w = (width - 1) // (n + 1)
+        t = f"t{k} = a[{end - 1}]"
+        mul_lines, inv_lines, mul, inv = [t], [t], [], []
+        for i in range(n + 1 if w else 0):
+            s, e = off + i * w, off + (i + 1) * w
+            mul_lines.append(f"w{k}_{i} = b[t{k} + {s}:{e}] + b[{s}:t{k} + {s}]")
+            inv_lines.append(f"w{k}_{i} = a[{e} - t{k}:{e}] + a[{s}:{e} - t{k}]")
+            for r in range(w):
+                c = s + r
                 if 0 < i < n:
-                    y = f"w{k}_{n}[{(p ** i + r) % pn}]"
-                    mul.append(f"(a[{c}] + w{k}_{i}[{r}] + a[{c - pn}] * {y}) % {p}")
+                    y = f"w{k}_{n}[{(p ** i + r) % w}]"
+                    mul.append(f"(a[{c}] + w{k}_{i}[{r}] + a[{c - w}] * {y}) % {p}")
                     inv.append(f"(-w{k}_{i}[{r}] + w{k}_{i - 1}[{r}] * {y}) % {p}")
                 else:
                     mul.append(f"(a[{c}] + w{k}_{i}[{r}]) % {p}")
                     inv.append(f"-w{k}_{i}[{r}] % {p}")
-        mul_lines, inv_lines = _shifted(k, off, pn, n + 1)
         return (mul_lines, mul + [f"(t{k} + b[{end - 1}]) % {q}"],
                 inv_lines, inv + [f"-t{k} % {q}"])
     raise ValueError(f"unknown block kind {kind}")

@@ -431,9 +431,10 @@ def search_levels(letters, start_level, max_level):
 def check_search(letters, p, start_level, max_level):
     """Raise ValueError for input no search can use (p not prime, a start
     level below 1, no level in range holding every letter, a path letter
-    at G_i, i <= max_level, naming a generator G_i lacks), so that a
-    failure inside the search is a failed check.  Returns the levels the
-    search will try."""
+    at G_i, i <= max_level, naming a generator G_i lacks, a lamp letter
+    of native level l naming a lamp h_j, j >= p^l, that Lamp(p, l) lacks),
+    so that a failure inside the search is a failed check.  Returns the
+    levels the search will try."""
     models.PrimeLevel(p, start_level)
     levels = search_levels(letters, start_level, max_level)
     for i, letter in enumerate(letters):
@@ -443,6 +444,17 @@ def check_search(letters, p, start_level, max_level):
                 vertex_data(p, level).model.evaluate(letter.word)
             except KeyError as exc:
                 raise ValueError(f"letter {i} at {letter.vertex}: {exc}") from None
+        elif isinstance(letter, LampLetter):
+            for name, _ in letter.word.syllables:
+                if name == "t":
+                    continue
+                # p^l > j once l reaches j's bit length, so the power
+                # stays small however high the native level l
+                j = int(name[1:])
+                if j >= p ** min(letter.level, j.bit_length()):
+                    raise ValueError(
+                        f"letter {i} at L{letter.level}: Lamp({p},"
+                        f"{letter.level}) has no generator {name}")
     return levels
 
 

@@ -20,7 +20,7 @@ so a caller can check a model without building it.
 from functools import cached_property
 
 from . import _kernels_py as kernel
-from ._kernels_py import CYC, EA, EN, GN, HEIS, LAMP, MOD
+from ._kernels_py import EA, GN, HEIS, LAMP, MOD
 from .words import Word, gen
 
 DESK_CAP = 2 ** 20          # largest prime p, and largest p^n, accepted
@@ -192,15 +192,17 @@ class Pcgs:
 
 
 class FiniteGroupModel:
-    """A finite p-group with executable coordinate arithmetic."""
+    """A finite p-group with executable coordinate arithmetic: a name, a
+    block layout, and named generators as coordinate tuples.  The prime
+    and the number of coordinates are the layout's."""
 
-    def __init__(self, name, p, blocks, width, gen_items):
+    def __init__(self, name, blocks, gen_items):
         self.name = name
-        self.p = p
         self.blocks = kernel.Layout(blocks)
-        self.width = width
-        self._hash = hash((self.blocks, width, tuple(n for n, _ in gen_items)))
-        self.identity = GroupElement(self, (0,) * width)
+        self.p = self.blocks[0][1]
+        self.width = self.blocks.width
+        self._hash = hash((self.blocks, tuple(n for n, _ in gen_items)))
+        self.identity = GroupElement(self, (0,) * self.width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
 
     def __eq__(self, other):
@@ -208,7 +210,6 @@ class FiniteGroupModel:
             return True
         return (isinstance(other, FiniteGroupModel)
                 and self.blocks == other.blocks
-                and self.width == other.width
                 and tuple(self.generators) == tuple(other.generators))
 
     def __hash__(self):
@@ -343,14 +344,14 @@ def ElementaryAbelian(p, names):
         coords = [0] * k
         coords[i] = 1
         gens.append((name, tuple(coords)))
-    return FiniteGroupModel(f"EA({p};{','.join(names)})", p,
-                            [(EA, p, 0, 0, 0, k)], k, gens)
+    return FiniteGroupModel(f"EA({p};{','.join(names)})",
+                            [(EA, p, 0, 0, 0, k)], gens)
 
 
 def CyclicModel(p, n=1, name="z"):
     """Z/p^n on a single coordinate."""
     PrimeLevel(p, n)
-    return FiniteGroupModel(f"Cyc({p}^{n})", p, [(CYC, p, n, p ** n, 0, 1)], 1,
+    return FiniteGroupModel(f"Cyc({p}^{n})", [(LAMP, p, 0, p ** n, 0, 1)],
                             [(name, (1,))])
 
 
@@ -362,7 +363,7 @@ def HeisenbergModP(p, names=("x", "y")):
     """
     PrimeLevel(p)
     a, b = names
-    return FiniteGroupModel(f"Heis({p};{a},{b})", p, [(HEIS, p, 0, 0, 0, 3)], 3,
+    return FiniteGroupModel(f"Heis({p};{a},{b})", [(HEIS, p, 0, 0, 0, 3)],
                             [(a, (1, 0, 0)), (b, (0, 1, 0))])
 
 
@@ -384,7 +385,7 @@ def GnModel(p, n):
         coords = [0] * width
         coords[2 + j] = 1
         gens.append((f"h{j}", tuple(coords)))
-    return FiniteGroupModel(f"Gn({p},{n})", p, [(GN, p, n, 0, 0, width)], width, gens)
+    return FiniteGroupModel(f"Gn({p},{n})", [(GN, p, n, 0, 0, width)], gens)
 
 
 def fn_shape(p, n):
@@ -420,7 +421,7 @@ def FnModel(p, n):
         coords[n + j] = 1
         gens.append((f"h{j}", tuple(coords)))
     block = (GN, p, 2, 0, 0, width) if n == 2 else (EA, p, 0, 0, 0, width)
-    return FiniteGroupModel(f"Fn({p},{n})", p, [block], width, gens)
+    return FiniteGroupModel(f"Fn({p},{n})", [block], gens)
 
 
 def lamp_shape(p, n):
@@ -442,8 +443,8 @@ def LamplighterLevel(p, n):
         coords[j] = 1
         gens.append((f"h{j}", tuple(coords)))
     gens.append(("t", (0,) * pn + (1,)))
-    return FiniteGroupModel(f"Lamp({p},{n})", p,
-                            [(LAMP, p, n, pn, 0, width)], width, gens)
+    return FiniteGroupModel(f"Lamp({p},{n})", [(LAMP, p, 0, pn, 0, width)],
+                            gens)
 
 
 def en_shape(p, n):
@@ -477,8 +478,8 @@ def EnWitnessModel(p, n):
         coords[n * pn + j] = 1
         gens.append((f"h{j}", tuple(coords)))
     gens.append(("t", (0,) * (width - 1) + (1,)))
-    return FiniteGroupModel(f"En({p},{n})", p,
-                            [(EN, p, n, pn, 0, width)], width, gens)
+    return FiniteGroupModel(f"En({p},{n})", [(LAMP, p, n, pn, 0, width)],
+                            gens)
 
 
 def _chain_witness_parts(p, n):
@@ -532,7 +533,7 @@ def ChainWitness(p, n):
         coords[mwidth + j] = 1
         gens.append((f"h{j}", tuple(coords)))
     gens.append(("c", (0,) * (width - 1) + (1,)))
-    return FiniteGroupModel(f"CW({p},{n})", p, blocks, width, gens)
+    return FiniteGroupModel(f"CW({p},{n})", blocks, gens)
 
 
 def scw_shape(p, n):
@@ -555,7 +556,7 @@ def ShiftedChainWitness(p, n):
     width = budget(*scw_shape(p, n))
     mwidth = width - (pn + 1) - 1       # all but the lamplighter and c
     blocks = [(MOD, p, nm, pn, 0, mwidth),
-              (LAMP, p, n, pn, mwidth, pn + 1),
+              (LAMP, p, 0, pn, mwidth, pn + 1),
               (EA, p, 0, 0, mwidth + pn + 1, 1)]
     gens = []
     for i in range(1, n + 1):
@@ -573,7 +574,7 @@ def ShiftedChainWitness(p, n):
     coords[mwidth + pn] = 1
     gens.append(("t", tuple(coords)))
     gens.append(("c", (0,) * (width - 1) + (1,)))
-    return FiniteGroupModel(f"SCW({p},{n})", p, blocks, width, gens)
+    return FiniteGroupModel(f"SCW({p},{n})", blocks, gens)
 
 
 def DirectProduct(a, b):
@@ -583,11 +584,9 @@ def DirectProduct(a, b):
     clash = set(a.generators) & set(b.generators)
     if clash:
         raise ValueError(f"generator names collide: {sorted(clash)}")
-    width = a.width + b.width
     gens = [(name, e.coords + (0,) * b.width) for name, e in a.generators.items()]
     gens += [(name, (0,) * a.width + e.coords) for name, e in b.generators.items()]
-    return FiniteGroupModel(f"{a.name}x{b.name}", a.p, product_blocks(a, b),
-                            width, gens)
+    return FiniteGroupModel(f"{a.name}x{b.name}", product_blocks(a, b), gens)
 
 
 def product_blocks(a, b):

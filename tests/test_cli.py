@@ -276,6 +276,14 @@ def test_verify_all_rejects_a_composite_prime(capsys):
      "error: --max-level must be >= 1, got 0\n"),
     (("separate", "--word", "L1:t", "--max-level", "0"),
      "error: --max-level must be >= 1, got 0\n"),
+    # a lamp letter is folded down from its native level, where its lamps
+    # must exist: Lamp(2,1) has h0 and h1 only
+    (("separate", "--p", "2", "--word", "L1:h5"),
+     "error: letter 0 at L1: Lamp(2,1) has no generator h5\n"),
+    (("separate", "--p", "2", "--word", "L2:h7"),
+     "error: letter 0 at L2: Lamp(2,2) has no generator h7\n"),
+    (("separate", "--p", "2", "--word", "G2:k1 L3:h9"),
+     "error: letter 1 at L3: Lamp(2,3) has no generator h9\n"),
     (("run-all", "--examples", "nothing"),
      "error: no example id matches 'nothing'; known ids: "
      "chains/improper-n2, "),
@@ -289,12 +297,14 @@ def test_verify_all_rejects_a_composite_prime(capsys):
      "coordinates, over the 2^22 coordinate budget\n"),
 ], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
         "run-n-0", "run-all-max-level-0", "separate-max-level-0",
+        "separate-no-lamp-h5", "separate-no-lamp-h7", "separate-no-lamp-h9",
         "empty-glob", "run-all-m", "run-over-budget-level",
         "run-over-budget-prime"])
 def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
-    # a level below 1, a negative tail, a glob that selects no example or
-    # a level over the coordinate budget is unusable input: no report, not
-    # "no checks -> exit 0" or a failure
+    # a level below 1, a negative tail, a glob that selects no example, a
+    # lamp that its letter's level lacks or a level over the coordinate
+    # budget is unusable input: no report, not "no checks -> exit 0" or a
+    # failure
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert err.startswith(message)

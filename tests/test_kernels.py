@@ -50,6 +50,7 @@ ZOO = [
     models.LamplighterLevel(3, 1),
     models.EnWitnessModel(2, 2),
     models.EnWitnessModel(3, 1),
+    models.EnWitnessModel(3, 2),
     models.ChainWitness(2, 3),
     models.ChainWitness(2, 4),
     models.ChainWitness(3, 3),
@@ -61,11 +62,14 @@ ZOO = [
 ]
 
 # Raw layouts the public constructors never emit, still legal for the
-# kernel: a twist block whose lamp range is wider than p^n.
+# kernel: a twist block whose lamp range is wider than p^n, and lampless
+# (cyclic) LAMP blocks next to a Heisenberg block and to a lamplighter
+# block at a nonzero offset.
 RAW_BLOCKS = [
     (((kpy.GN, 2, 2, 0, 0, 2 + 7),), 9),
     (((kpy.GN, 3, 1, 0, 0, 2 + 5),), 7),
-    (((kpy.CYC, 2, 2, 4, 0, 1), (kpy.HEIS, 2, 0, 0, 1, 3)), 4),
+    (((kpy.LAMP, 2, 0, 4, 0, 1), (kpy.HEIS, 2, 0, 0, 1, 3)), 4),
+    (((kpy.LAMP, 3, 0, 9, 0, 1), (kpy.LAMP, 3, 0, 3, 1, 4)), 5),
 ]
 
 
@@ -166,8 +170,8 @@ def test_mod_mul_skips_zero_rows_exactly(m):
 # -- polycyclic series ----------------------------------------------------------
 
 
-KIND_NAMES = {kpy.EA: "EA", kpy.CYC: "CYC", kpy.HEIS: "HEIS", kpy.GN: "GN",
-              kpy.LAMP: "LAMP", kpy.EN: "EN", kpy.MOD: "MOD"}
+KIND_NAMES = {kpy.EA: "EA", kpy.HEIS: "HEIS", kpy.GN: "GN", kpy.LAMP: "LAMP",
+              kpy.MOD: "MOD"}
 
 
 def test_every_block_kind_has_a_series_case():
@@ -182,6 +186,35 @@ def test_series_splits_every_coordinate_into_digits_once(blocks, width):
     assert len(set(terms)) == len(terms)
     assert blocks[0][1] ** len(terms) == math.prod(
         coordinate_moduli(blocks, width))
+
+
+def ones(start, stop):
+    return [(c, 1) for c in range(start, stop)]
+
+
+SHIFT_BLOCK_CASES = [
+    (models.CyclicModel(2, 3), [(0, 1), (0, 2), (0, 4)], [(0, 1, 1, 1)]),
+    (models.LamplighterLevel(2, 2), [(4, 1), (4, 2), *ones(0, 4)],
+     [(0, 5, 4, 5)]),
+    # (t, u_1, lamps, u_2) over u_1 = 0..3, u_2 = 4..7, lamps 8..11
+    (models.EnWitnessModel(2, 2),
+     [(12, 1), (12, 2), *ones(0, 4), *ones(8, 12), *ones(4, 8)],
+     [(0, 13, 0, 13)]),
+    # MOD (module 0..7, multipliers 8..11, t 12), Lamp(2,2) at 13, EA at 18
+    (models.ShiftedChainWitness(2, 2),
+     [(12, 1), (12, 2), *ones(8, 12), *ones(0, 8),
+      (17, 1), (17, 2), *ones(13, 17), (18, 1)],
+     [(0, 13, 8, 13), (13, 18, 17, 18), (18, 19, 19, 19)]),
+]
+
+
+@pytest.mark.parametrize("m,series,acting", SHIFT_BLOCK_CASES,
+                         ids=[case[0].name for case in SHIFT_BLOCK_CASES])
+def test_series_and_acting_of_the_shift_blocks(m, series, acting):
+    # canonical representatives, and so report bytes, follow the series
+    # order; the elimination's skips follow the acting spans
+    assert m.blocks.series == series
+    assert m.blocks.acting == acting
 
 
 def digit(terms, p, x, depth):
@@ -230,7 +263,7 @@ def test_shifted_stacked_twist_depth3_is_not_a_group():
     # product of the first two already carries a middle layer that the
     # third letter twists.  Any group model built on this law is
     # inconsistent.
-    blocks = kpy.Layout(((kpy.EN, 2, 3, 8, 0, 33),))
+    blocks = kpy.Layout(((kpy.LAMP, 2, 3, 8, 0, 33),))
     a = unit(33, 0)        # bottom layer, orbit 0
     b = unit(33, 24 + 2)   # lamp at the first twist index
     c = unit(33, 24 + 4)   # lamp at the second twist index
@@ -249,6 +282,8 @@ def test_unknown_block_kind_rejected(monkeypatch):
         kpy.inv(bad, (0,))
     with pytest.raises(ValueError, match="unknown block kind"):
         bad.series
+    with pytest.raises(ValueError, match="unknown block kind"):
+        bad.acting
     with pytest.raises(ValueError, match="unknown block kind 99"):
         _laws.compile_laws(bad)
     # a layout's hot call hands it to the generator, which refuses it too
@@ -369,7 +404,8 @@ def test_a_layout_object_keeps_its_own_law(monkeypatch):
 
 
 def closure_cases():
-    """Whole models over the GN, LAMP, EN and MOD blocks, and one subgroup."""
+    """Whole models over the GN, LAMP (with and without layers) and MOD
+    blocks, and one subgroup."""
     cases = [pytest.param(m, list(m.generators), order, id=m.name)
              for m, order in [(models.GnModel(2, 2), 64),
                               (models.LamplighterLevel(2, 2), 64),
