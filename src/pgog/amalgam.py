@@ -7,11 +7,13 @@ A syllable's representative is what the split of a Transversal, the
 models.Pcgs of the graph of an edge's two maps, leaves of it (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005, §8.3), and the
 same split carries the edge-group part across the edge; nothing is
-enumerated and no table is stored, and normal forms are reproducible
-across runs.  The form is empty exactly for the trivial element, solving
-the word problem.  The reduction runs on coordinate tuples, with heads
-and representatives interned per path; group elements are made only for
-the resulting ReducedWord.
+enumerated, and normal forms are reproducible across runs.  Each
+Transversal remembers the splits it has made, up to a bound: a split is
+a pure function of its argument, so a remembered one is exactly what a
+fresh sift returns.  The form is empty exactly for the trivial element,
+solving the word problem.  The reduction runs on coordinate tuples, with
+heads and representatives interned per path; group elements are made
+only for the resulting ReducedWord.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -31,6 +33,17 @@ from .words import Word, from_letters
 
 
 # -- transversals ------------------------------------------------------------
+
+
+# Measured with Python 3.11 on a shared 2-core x86-64 host: one
+# nf-products pass of the benchmark (seed 7, 4,000 ops over the level-3
+# joined splitting at p = 2) makes 104,822 splits of only 1,403 distinct
+# arguments.  Its six memos then hold 13,112 coordinates of x in 341 KB
+# (tracemalloc: keys, values and dicts), ~26 B per coordinate, and the
+# largest, K2@G3, 690 entries of width 10.  So one memo of at most
+# SPLIT_MEMO_COORDS coordinates holds at most ~1.7 MB, ~9 times the
+# largest seen.
+SPLIT_MEMO_COORDS = 2 ** 16
 
 
 def _path_order(gog):
@@ -71,6 +84,13 @@ class Transversal(models.Pcgs):
     with y = phi(kappa) s for an edge element kappa: s is the canonical
     representative of y's right coset and c = psi(kappa), all as
     coordinate tuples.  phi is injective: the graph has the edge's order.
+
+    split remembers its results in a memo of this object's own, never
+    shared with another Transversal, however equal: that is exact,
+    since a sift depends on x alone.  The memo keeps at most
+    SPLIT_MEMO_COORDS coordinates of x, entries times the vertex width;
+    a full one serves its hits and takes no new entry.  Entries share
+    one tuple per distinct s or c, so the identity c is stored once.
     """
 
     def __init__(self, edge_id, end, vertex, hom, other):
@@ -82,6 +102,19 @@ class Transversal(models.Pcgs):
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
         self.coset_count = hom.target.order // self.order
+        self._splits = {}                   # x -> split(x)
+        self._parts = {}                    # s or y -> the same
+
+    def split(self, x):
+        """models.Pcgs.split(x), remembered (see the class docstring)."""
+        hit = self._splits.get(x)
+        if hit is None:
+            s, y = hit = super().split(x)
+            if (len(self._splits) + 1) * self._width <= SPLIT_MEMO_COORDS:
+                parts = self._parts
+                hit = self._splits[x] = (parts.setdefault(s, s),
+                                         parts.setdefault(y, y))
+        return hit
 
     def __repr__(self):
         return (f"<Transversal {self.edge_id}@{self.vertex}: "

@@ -300,6 +300,7 @@ class _Parser:
         self.pres_rels = []
         self.graph = None
         self.last_graph = None
+        self.word_at = {}           # word name -> (line, column) of its body
 
     def _close_presentation(self, ln):
         if self.pres_name is None:
@@ -483,7 +484,26 @@ class _Parser:
         if name in self.doc.words:
             ln.error(f"duplicate word name {name!r}")
         ln.take(":=")
+        ln.skip_ws()
+        self.word_at[name] = (ln.number, ln.i + 1)
         self.doc.words[name] = _letters(ln)
+
+    def _check_words(self):
+        # the rules `separate` applies, at the document's prime (2 without
+        # a `p` line, as for separate's --p), over the levels from 1 to the
+        # highest a letter names: a word fails here exactly when separate
+        # refuses it at every --max-level
+        if not self.doc.words:
+            return
+        from .amalgam import PathLetter, check_search
+        p = self.doc.prime or 2
+        for name, letters in self.doc.words.items():
+            top = max(int(letter.vertex[1:]) if isinstance(letter, PathLetter)
+                      else letter.level for letter in letters)
+            try:
+                check_search(letters, p, 1, max(top, 1))
+            except ValueError as exc:
+                raise DslError(str(exc), *self.word_at[name]) from None
 
     def run(self, text):
         handlers = {
@@ -508,6 +528,7 @@ class _Parser:
                 ln.error("trailing input after statement")
             final = _Line("", number)
         self._close_blocks(final)
+        self._check_words()
         return self.doc
 
 

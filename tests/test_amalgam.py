@@ -1,8 +1,10 @@
 """Transversals, path normal forms, and the separation search."""
 
+import collections
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from pgog.tower import (_path_gog, build_graphs, build_witnesses,
                         joined_witness_specialisation,
                         path_witness_specialisation)
 from pgog.words import Word, from_letters, gen
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def p2_path():
@@ -210,6 +214,75 @@ def test_tables_die_with_their_graph():
     del gog
     gc.collect()
     assert ref() is None
+
+
+# -- the split memo ----------------------------------------------------------
+
+
+@pytest.fixture
+def checked_splits(monkeypatch):
+    """Checks every Transversal.split the test makes, hit or miss, against
+    the unmemoised sift models.Pcgs.split on the same transversal; counts
+    them under "splits"."""
+    counts = collections.Counter()
+    memoised = amalgam.Transversal.split
+
+    def split(self, x):
+        got = memoised(self, x)
+        assert got == models.Pcgs.split(self, x), (self, x)
+        counts["splits"] += 1
+        return got
+
+    monkeypatch.setattr(amalgam.Transversal, "split", split)
+    return counts
+
+
+def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
+        checked_splits, monkeypatch):
+    # one whole nf-products pass at the benchmark's seed 7: 104,822
+    # splits of only 1,403 distinct arguments over six transversals, two
+    # of them at G3 and of equal width
+    monkeypatch.syspath_prepend(str(BENCH))
+    import nf
+    gog, _ = nf.setup()
+    inputs = nf.Inputs(gog, 7)
+    for i in range(len(inputs)):
+        nf.op(gog, *inputs[i])
+    assert checked_splits["splits"] == 104822
+
+
+def test_a_full_memo_serves_hits_and_takes_no_entry(monkeypatch):
+    table = build_transversals(joined_witness_specialisation(2, 3)[0])[
+        ("K2", 1)]
+    model = table.hom.target
+    assert (table.vertex, model.width) == ("G3", 10)
+    # room for three entries of width 10, not four
+    monkeypatch.setattr(amalgam, "SPLIT_MEMO_COORDS", 39)
+    rng = random.Random(5)
+    xs = [tuple(rng.randrange(m) for m in model.blocks.moduli)
+          for _ in range(40)]
+    first = [table.split(x) for x in xs]
+    assert list(table._splits) == list(dict.fromkeys(xs))[:3]
+    for x, got in zip(xs, first):
+        assert got == models.Pcgs.split(table, x)
+        assert table.split(x) == got
+    for x in xs[:3]:
+        assert table.split(x) is table._splits[x]
+    assert len(table._splits) == 3
+
+
+def test_separately_built_splittings_keep_separate_memos():
+    gog = p2_joined()
+    first, second = build_transversals(gog), build_transversals(gog)
+    x = gog.vertices["G2"].model.generators["k1"].coords
+    at_g2 = [key for key, table in first.items() if table.vertex == "G2"]
+    assert len(at_g2) == 2
+    for key in at_g2:
+        assert first[key].split(x) == models.Pcgs.split(first[key], x)
+        assert second[key]._splits == {}
+    assert first[at_g2[0]].split(x) != first[at_g2[1]].split(x)
+    assert all(first[key]._splits is not second[key]._splits
+               for key in first)
 
 
 # -- normal forms ------------------------------------------------------------
@@ -427,7 +500,7 @@ def _census(p, letters, max_level=3):
     return counts
 
 
-def test_census_of_short_words_at_p2():
+def test_census_of_short_words_at_p2(checked_splits):
     letters = [path_letter("G1", gen("k1")), path_letter("G1", gen("h0")),
                path_letter("G1", gen("c")), lamp_letter(1, gen("t")),
                lamp_letter(1, gen("h0")), path_letter("G2", gen("k2")),
@@ -435,9 +508,10 @@ def test_census_of_short_words_at_p2():
                lamp_letter(2, gen("h1"))]
     assert _census(2, letters) == {
         "words": 819, "empty range": 176, "level checks": 953}
+    assert checked_splits["splits"] > 0
 
 
-def test_census_of_short_words_at_p3():
+def test_census_of_short_words_at_p3(checked_splits):
     letters = [path_letter("G1", gen("k1", sign)) for sign in (1, -1)] + \
         [path_letter("G1", gen(name, sign))
          for name in ("h0", "c") for sign in (1, -1)] + \
@@ -445,6 +519,7 @@ def test_census_of_short_words_at_p3():
          for name in ("t", "h0") for sign in (1, -1)]
     assert _census(3, letters) == {
         "words": 1110, "empty range": 0, "level checks": 1626}
+    assert checked_splits["splits"] > 0
 
 
 @pytest.mark.parametrize("p,level,target", [

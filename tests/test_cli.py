@@ -284,6 +284,10 @@ def test_verify_all_rejects_a_composite_prime(capsys):
      "error: letter 0 at L2: Lamp(2,2) has no generator h7\n"),
     (("separate", "--p", "2", "--word", "G2:k1 L3:h9"),
      "error: letter 1 at L3: Lamp(2,3) has no generator h9\n"),
+    # a document's word is held to the same rules as separate's
+    (("parse", str(ROOT / "tests" / "data" / "word_missing_generators.gog")),
+     "error: line 6, column 11: letter 0 at G1: 'no image for generator "
+     "h3'\n"),
     (("run-all", "--examples", "nothing"),
      "error: no example id matches 'nothing'; known ids: "
      "chains/improper-n2, "),
@@ -298,13 +302,14 @@ def test_verify_all_rejects_a_composite_prime(capsys):
 ], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
         "run-n-0", "run-all-max-level-0", "separate-max-level-0",
         "separate-no-lamp-h5", "separate-no-lamp-h7", "separate-no-lamp-h9",
+        "parse-word-missing-generators",
         "empty-glob", "run-all-m", "run-over-budget-level",
         "run-over-budget-prime"])
 def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
     # a level below 1, a negative tail, a glob that selects no example, a
-    # lamp that its letter's level lacks or a level over the coordinate
-    # budget is unusable input: no report, not "no checks -> exit 0" or a
-    # failure
+    # lamp that its letter's level lacks, a document word that separate
+    # refuses or a level over the coordinate budget is unusable input: no
+    # report, not "no checks -> exit 0" or a failure
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert err.startswith(message)

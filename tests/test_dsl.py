@@ -85,6 +85,9 @@ def test_word_statement_builds_letters():
     assert letters[1].level == 2
     doc = parse_dsl("word j := G1:c G2:k2")
     assert len(doc.words["j"]) == 2
+    # Lamp(3,1) has h2, so the document's prime decides
+    doc = parse_dsl("p 3\nword j := L1:h2 G1:k1")
+    assert len(doc.words["j"]) == 2
 
 
 @pytest.mark.parametrize("text", ["G1:k1 #L1:t", "G1:k1\nL1:t",
@@ -121,6 +124,9 @@ def test_word_error_columns_count_from_the_start_of_the_word(text, column):
     ("rel a^2", "undeclared", 1),
     ("gens a\nrel a^2\ngens b", "must precede", 3),
     ("word w :=", "no letters", 1),
+    ("p 2\nword w := G1:k1 L1:h2", "Lamp\\(2,1\\) has no generator h2", 2),
+    ("word v := G1:k1\nword w := G2:k2 L1:t", "holds every letter", 2),
+    ("word w := G1:h3", "no image for generator h3", 1),
     ("witness W : EA(x) map L.a -> x", "preceding graph", 1),
 ])
 def test_errors_carry_line_and_column(text, fragment, line):
