@@ -37,13 +37,13 @@ MOD = 7     # square-zero monomial module acted on by commuting unipotent
 # _laws takes ~3 ms in a fresh process without bytecode caches, compiling
 # one law pair 0.2-0.6 ms for layouts of 4-19 coordinates, and a compiled
 # law saves ~1.4 us per call (one nf-products pass of the benchmark,
-# 347,594 calls, replayed: 1.00 s interpreted, 0.48 s compiled).  So the
-# first layout to compile repays its ~3.5 ms after ~2,500 calls, and
-# HOT_CALLS is the power of two below: the one-off layouts of a short
-# command (at most 605 calls each in `run-all`) never pay for the
-# generator.  MOD layouts never compile: their interpreted loop skips zero
-# module rows, which straight-line code would lose, and they run to
-# thousands of coordinates.
+# 101,886 calls, replayed three times: 0.22-0.29 s interpreted,
+# 0.09-0.13 s compiled).  So the first layout to compile repays its
+# ~3.5 ms after ~2,500 calls, and HOT_CALLS is the power of two below:
+# the one-off layouts of a short command (at most 363 calls each in
+# `run-all`) never pay for the generator.  MOD layouts never compile:
+# their interpreted loop skips zero module rows, which straight-line code
+# would lose, and they run to thousands of coordinates.
 HOT_CALLS = 2048
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from . import _kernels_py as kernel
 from . import models
-from .tower import build_witnesses, vertex_data
+from .tower import LEVEL_CACHE, build_witnesses, vertex_data
 from .words import Word, from_letters
 
 
@@ -146,14 +146,23 @@ class _PathTables:
     """
 
     def __init__(self, gog):
-        self.order = _path_order(gog)
-        self.models = {v: gog.vertices[v].model for v in self.order}
-        self.position = {v: i for i, v in enumerate(self.order)}
-        self.edge_between = {}
+        self.order = order = _path_order(gog)
+        self.models = {v: gog.vertices[v].model for v in order}
+        self.blocks = {v: model.blocks for v, model in self.models.items()}
+        edge_between = {}
         for eid in gog.graph.edges:
             a, b = gog.graph.ends(eid)
-            self.edge_between[(a, b)] = eid
-            self.edge_between[(b, a)] = eid
+            edge_between[(a, b)] = edge_between[(b, a)] = eid
+        # (a, b) -> the identity syllables at each vertex after a along
+        # the path up to b, each with the edge it is entered by
+        self.walks = {}
+        for i, a in enumerate(order):
+            for j, b in enumerate(order):
+                step = 1 if j > i else -1
+                self.walks[(a, b)] = tuple(
+                    (order[k], self.models[order[k]].identity.coords,
+                     edge_between[(order[k - step], order[k])])
+                    for k in range(i + step, j + step, step))
         self.interned = {}      # coords -> the same: heads and representatives
         # keyed by (edge, end vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
@@ -221,7 +230,9 @@ class _Accumulator:
     """Right-multiplies letters into a reduced word, one at a time, on
     coordinate tuples; elements are made only for the result.  A coset
     representative s that a split returns is stored as it is, never
-    split again: it would split to (s, 1) (see _merge)."""
+    split again: it would split to (s, 1) (see _merge).  Walking the
+    path appends a precomputed run of identity syllables, and a split
+    with s = 1 carries its edge part back by a loop, not a call."""
 
     def __init__(self, gog, tables):
         self.tables = tables
@@ -229,9 +240,6 @@ class _Accumulator:
         self.base = tables.order[0]
         self.head = tables.models[self.base].identity.coords
         self.stack = []     # (vertex, representative coords, entry edge)
-
-    def end_vertex(self):
-        return self.stack[-1][0] if self.stack else self.base
 
     def push(self, vertex, x):
         """Multiply by x, coordinates in the vertex's model, on the right."""
@@ -241,34 +249,30 @@ class _Accumulator:
     def _walk(self, vertex):
         # append an identity syllable at each vertex from the end vertex
         # along the path to vertex
-        cur = self.end_vertex()
-        if cur != vertex:
-            pos, walk = self.tables.position, self.tables.order
-            step = 1 if pos[vertex] > pos[cur] else -1
-            for k in range(pos[cur] + step, pos[vertex] + step, step):
-                w = walk[k]
-                eid = self.tables.edge_between[(walk[k - step], w)]
-                self.stack.append(
-                    (w, self.tables.models[w].identity.coords, eid))
+        stack = self.stack
+        stack.extend(self.tables.walks[
+            (stack[-1][0] if stack else self.base, vertex)])
 
     def _merge(self, x):
         # multiply x into the current end vertex and restore canonical form
-        if not any(x):
-            while self.stack and not any(self.stack[-1][1]):
-                self.stack.pop()
-            return
-        if not self.stack:
-            blocks = self.tables.models[self.base].blocks
-            self.head = kernel.mul(blocks, self.head, x)
-            return
-        vertex, rep, entry = self.stack.pop()
-        # rep * x = phi(kappa) s; psi(kappa) moves back across the entry edge
-        if any(rep):
-            x = kernel.mul(self.tables.models[vertex].blocks, rep, x)
-        s, c = self.tables.transversals[(entry, vertex)].split(x)
-        if not any(s):
-            self._merge(c)
-            return
+        tables, stack = self.tables, self.stack
+        while True:
+            if not any(x):
+                while stack and not any(stack[-1][1]):
+                    stack.pop()
+                return
+            if not stack:
+                self.head = kernel.mul(tables.blocks[self.base], self.head, x)
+                return
+            vertex, rep, entry = stack.pop()
+            # rep * x = phi(kappa) s; psi(kappa) moves back across the
+            # entry edge, into the syllable before
+            if any(rep):
+                x = kernel.mul(tables.blocks[vertex], rep, x)
+            s, c = tables.transversals[(entry, vertex)].split(x)
+            if any(s):
+                break
+            x = c
         if any(c):
             # c lies in the entry edge's image at the vertex before, and
             # merging it stops short of any turn of the walk (a turn's
@@ -277,9 +281,8 @@ class _Accumulator:
             # transversal's canonical representative, splits to (s, 1)
             self._merge(c)
             self._walk(vertex)
-            self.stack.pop()
-        self.stack.append(
-            (vertex, self.tables.interned.setdefault(s, s), entry))
+            stack.pop()
+        stack.append((vertex, tables.interned.setdefault(s, s), entry))
 
     def result(self):
         element = models.GroupElement
@@ -393,7 +396,7 @@ def _fold_lamp_word(p, level, word):
     return from_letters(letters)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE)
 def _level_data(p, level):
     """The lamp-joined splitting and its certified properness witness map."""
     spec = build_witnesses(p, level)[1].specialisation

@@ -204,6 +204,8 @@ class FiniteGroupModel:
         self._hash = hash((self.blocks, tuple(n for n, _ in gen_items)))
         self.identity = GroupElement(self, (0,) * self.width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
+        self._coords = dict(gen_items)  # evaluate's generator table
+        self._inverses = {}             # filled on a name's first inverse
 
     def __eq__(self, other):
         if self is other:
@@ -310,23 +312,39 @@ class FiniteGroupModel:
         """Evaluate a Word; assignment maps names to elements (default: generators).
 
         Each syllable x^e is squared and multiplied into the product on
-        coordinate tuples, as power() does, without an element per step."""
-        assignment = assignment if assignment is not None else self.generators
+        coordinate tuples, as power() does, without an element per step,
+        and the product starts from its first factor, not the identity.
+        Without an assignment, or with the generators themselves, x is
+        read from this model's own table of generator coordinates, and
+        x^-1 from its table of inverses, which holds the names so far
+        used with a negative exponent."""
+        own = assignment is None or assignment is self.generators
         blocks, mul = self.blocks, kernel.mul
-        acc = self.identity.coords
+        acc = None
         for name, exp in word.syllables:
-            if name not in assignment:
+            if own:
+                x = self._coords.get(name)
+            elif name in assignment:
+                x = self._own(assignment[name])
+            else:
+                x = None
+            if x is None:
                 raise KeyError(f"no image for generator {name}")
-            x = self._own(assignment[name])
             if exp < 0:
-                x, exp = kernel.inv(blocks, x), -exp
+                exp = -exp
+                if not own:
+                    x = kernel.inv(blocks, x)
+                elif (y := self._inverses.get(name)) is not None:
+                    x = y
+                else:
+                    x = self._inverses[name] = kernel.inv(blocks, x)
             while exp:
                 if exp & 1:
-                    acc = mul(blocks, acc, x)
+                    acc = x if acc is None else mul(blocks, acc, x)
                 exp >>= 1
                 if exp:
                     x = mul(blocks, x, x)
-        return GroupElement(self, acc)
+        return self.identity if acc is None else GroupElement(self, acc)
 
 
 def ea_shape(p, k):

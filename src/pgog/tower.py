@@ -29,6 +29,17 @@ from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                   verify_properness_witness)
 from .words import IDENTITY, gen
 
+# Entries each level builder below, and amalgam._level_data, keeps.  One
+# command builds at one prime, and cache_info() after it reads at most
+# one entry per level in each: 3..7 in every cache here after `tower
+# verify-all --p 2 --max-level 3..7`, 5 after `tower build --p 2 --n 3
+# --m 2` and `separate --p 2 ... --max-level 5`, whose build_graphs and
+# _level_data hold 1.  The coordinate budget stops the commands that
+# build witnesses at level 7 at p = 2 (SCW(2,8) would need 266 generators
+# of 34,819 coordinates) and `tower build` at level 10 (K_11: 2,049 of
+# 2,049), so no command evicts an entry it uses again.
+LEVEL_CACHE = 10
+
 
 def mu(p, n, k):
     """Fold an index into the level-n lamp window: k mod p^n."""
@@ -121,7 +132,7 @@ def check_budget(p, top, witnesses):
             models.budget(*shape)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE)
 def vertex_data(p, i):
     """G_i with its presentation: elementary abelian on k1, the lamps and c
     at i = 1, the twisted group Gn(p, i) above."""
@@ -133,7 +144,7 @@ def vertex_data(p, i):
     return VertexData(models.GnModel(p, i), P.gn_presentation(p, i))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE)
 def _edge_data(p, i):
     """K_i = <k_i> x lamps with its elementary abelian presentation, the
     lone vertex of the (i, 0) tail."""
@@ -143,7 +154,7 @@ def _edge_data(p, i):
         P.elementary_abelian_presentation(p, names, name=f"K({p},{i})"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE)
 def build_level(p, n):
     """Build level n, verifying every hom and every inclusion's injectivity."""
     models.PrimeLevel(p, n)
@@ -269,7 +280,7 @@ class TowerGraphs(namedtuple("TowerGraphs", (
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE)
 def build_graphs(p, n, m=0):
     """Assemble the level-(n, m) splittings; certification runs on assembly."""
     if n < 1 or m < 0:

@@ -2,6 +2,7 @@
 
 import collections
 import gc
+import hashlib
 import random
 import weakref
 from pathlib import Path
@@ -16,8 +17,9 @@ from pgog.amalgam import (Verdict, build_transversals, check_search,
 from pgog.gog import (Graph, GraphOfGroups, VertexData,
                       verify_properness_witness)
 from pgog.registry import free_product_line
-from pgog.tower import (_path_gog, build_graphs, build_witnesses,
-                        joined_witness_specialisation,
+from pgog import tower
+from pgog.tower import (LEVEL_CACHE, _path_gog, build_graphs,
+                        build_witnesses, joined_witness_specialisation,
                         path_witness_specialisation)
 from pgog.words import Word, from_letters, gen
 
@@ -216,6 +218,33 @@ def test_tables_die_with_their_graph():
     assert ref() is None
 
 
+def _stepwise_walk(gog, a, b):
+    """The identity syllables from a to b, one path vertex at a time."""
+    order = amalgam._path_order(gog)
+    i, j = order.index(a), order.index(b)
+    step = 1 if j > i else -1
+    walk = []
+    for k in range(i + step, j + step, step):
+        ends = {order[k - step], order[k]}
+        eid = next(e for e in gog.graph.edges
+                   if set(gog.graph.ends(e)) == ends)
+        walk.append(
+            (order[k], gog.vertices[order[k]].model.identity.coords, eid))
+    return tuple(walk)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_precomputed_walks_equal_the_stepwise_walks(p):
+    # the level-3 joined splittings: nf-products reduces over p = 2's
+    gog, _ = joined_witness_specialisation(p, 3)
+    walks = amalgam._paths(gog).walks
+    vertices = list(gog.graph.vertices)
+    assert len(vertices) == 4
+    assert walks == {(a, b): _stepwise_walk(gog, a, b)
+                     for a in vertices for b in vertices}
+    assert walks[("G1", "W")] and not walks[("G2", "G2")]
+
+
 # -- the split memo ----------------------------------------------------------
 
 
@@ -241,14 +270,18 @@ def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
         checked_splits, monkeypatch):
     # one whole nf-products pass at the benchmark's seed 7: 104,822
     # splits of only 1,403 distinct arguments over six transversals, two
-    # of them at G3 and of equal width
+    # of them at G3 and of equal width; the digest of its results was
+    # taken before the walks were precomputed and the merge made a loop
     monkeypatch.syspath_prepend(str(BENCH))
     import nf
     gog, _ = nf.setup()
     inputs = nf.Inputs(gog, 7)
+    digest = hashlib.sha256()
     for i in range(len(inputs)):
-        nf.op(gog, *inputs[i])
+        digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
     assert checked_splits["splits"] == 104822
+    assert digest.hexdigest() == (
+        "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
 
 def test_a_full_memo_serves_hits_and_takes_no_entry(monkeypatch):
@@ -520,6 +553,34 @@ def test_census_of_short_words_at_p3(checked_splits):
     assert _census(3, letters) == {
         "words": 1110, "empty range": 0, "level checks": 1626}
     assert checked_splits["splits"] > 0
+
+
+def test_level_caches_stay_bounded_across_many_levels():
+    # more (p, level) pairs than the caches keep, each searched at its
+    # own level alone; a second sweep rebuilds what the first evicted
+    pairs = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+             (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)]
+    assert len(pairs) > LEVEL_CACHE
+    caches = (tower.vertex_data, tower._edge_data, tower.build_level,
+              tower.build_graphs, amalgam._level_data)
+
+    def sweep():
+        out = []
+        for p, level in pairs:
+            verdict, cert = separate(
+                [path_letter(f"G{level}", gen(f"k{level}")),
+                 lamp_letter(level, gen("t"))], p, level, level)
+            assert all(cache.cache_info().currsize <= LEVEL_CACHE
+                       for cache in caches)
+            out.append((verdict, cert.level, cert.image.coords,
+                        repr(cert.reduced)))
+        return out
+
+    first = sweep()
+    assert all(cache.cache_info().currsize == LEVEL_CACHE
+               for cache in caches)
+    assert {verdict for verdict, *_ in first} == {Verdict.SEPARATED}
+    assert sweep() == first
 
 
 @pytest.mark.parametrize("p,level,target", [

@@ -617,6 +617,50 @@ def test_evaluate_refuses_foreign_elements_and_missing_names():
         m.evaluate(gen("a", -1) * gen("b"), {"a": k1})
 
 
+def test_evaluate_fills_its_inverse_table_on_first_use():
+    m = models.GnModel(2, 2)
+    assert m._inverses == {}
+    assert m.evaluate(gen("k1") * gen("h0") ** 3) == \
+        m.generators["k1"] * m.generators["h0"] ** 3
+    assert m._inverses == {}
+    word = gen("h1", -1) * gen("k2") * gen("h1", -2)
+    assert m.evaluate(word) == fold(m, word, m.generators)
+    assert list(m._inverses) == ["h1"]
+    names = list(m.generators)
+    for name in names * 2:
+        assert m.evaluate(gen(name, -1)) == ~m.generators[name]
+    assert list(m._inverses) == ["h1"] + [n for n in names if n != "h1"]
+    # an assignment other than the generators reads no table
+    m.evaluate(gen("a", -1), {"a": m.generators["k1"]})
+    assert "a" not in m._inverses and len(m._inverses) == len(names)
+
+
+def test_equal_models_keep_their_own_evaluate_tables():
+    fn, gn = models.FnModel(2, 2), models.GnModel(2, 2)
+    assert fn == gn
+    assert fn.evaluate(gen("k1", -1)) == gn.inverse(gn.generators["k1"])
+    assert list(fn._inverses) == ["k1"] and gn._inverses == {}
+    assert fn._coords is not gn._coords
+
+
+def test_a_one_letter_word_makes_no_product(monkeypatch):
+    m = models.LamplighterLevel(2, 2)
+    calls = {"mul": 0, "inv": 0}
+    for op in calls:
+        def counted(*args, op=op, real=getattr(kpy, op)):
+            calls[op] += 1
+            return real(*args)
+        monkeypatch.setattr(kpy, op, counted)
+    t = m.generators["t"]
+    assert m.evaluate(gen("t")) == t
+    assert m.evaluate(gen("t"), {"t": t}) == t
+    assert calls == {"mul": 0, "inv": 0}
+    assert m.evaluate(gen("t", -1)) == m.evaluate(gen("t", -1)) == ~t
+    assert calls == {"mul": 0, "inv": 2}    # ~t above, and one table fill
+    assert m.evaluate(gen("t") * gen("h0")) == t * m.generators["h0"]
+    assert calls == {"mul": 2, "inv": 2}    # one product, and one above
+
+
 def test_direct_product_orders_multiply_and_names_guarded():
     h = models.HeisenbergModP(2)
     ea = models.ElementaryAbelian(2, ["a", "b"])
