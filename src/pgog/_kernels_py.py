@@ -6,9 +6,13 @@ coordinates are laid out by a Layout, the tuple of its block descriptors;
 each block owns a contiguous slice of the coordinate tuple and carries its
 own multiplication law.
 
-Block descriptor: (kind, p, n, q, off, width) with kind one of the codes
-below, q the modulus of a Z/q coordinate (0 where there is none), off the
-first coordinate index and width the number of coordinates.
+Block descriptor: (kind, p, n, q, off, width) with kind one of the three
+codes below; n is an EA block's twist (0 for none), a LAMP block's
+number of layers or a MOD block's number of variables, q the modulus of a
+Z/q coordinate (0 where there is none), off the first coordinate index
+and width the number of coordinates.  Twisted EA blocks carry the
+Heisenberg group on (a, [a,b], b), the tower's G_n and the witness target
+Fn(p,2).
 
 `mul` and `inv` are the only entry points for products and inverses, and
 they interpret the blocks one by one until a layout object has made
@@ -20,15 +24,14 @@ coordinates in range (`Layout.moduli`).
 
 from functools import cached_property
 
-EA = 0      # F_p^width, componentwise addition
+EA = 0      # F_p^width, componentwise addition; n >= 2 twists it:
+            # coordinate off+1 adds u * y, u = a[off] and y = b[off+n]
 LAMP = 1    # (u_{i,r} row-major, x_0..x_{w-1}, t), w = (width-1)/(n+1):
             # n twisted layers u_1..u_n over w lamps x, all shifted
             # cyclically by t in Z/q; u_{i,r} (1 < i <= n) is twisted by
             # u_{i-1,r} * y_{p^(i-1)+r}.  n = 0 is the lamplighter, and
             # width 1 (no lamps) the cyclic group Z/q
-HEIS = 2    # mod-p Heisenberg on (a, b, c), 3 coordinates
-GN = 3      # (u0, u1, x_0..x_{p^n-1}), twist u0 * y_{p^(n-1)} on u1
-MOD = 7     # square-zero monomial module acted on by commuting unipotent
+MOD = 2     # square-zero monomial module acted on by commuting unipotent
             # multipliers, one orbit of each per shift position:
             # (m[r][subset-of-n-variables], a[var][r], t), t in Z/q
 
@@ -71,10 +74,9 @@ class Layout(tuple):
         terms = []
         for kind, p, n, q, off, width in self:
             end = off + width
-            if kind in (EA, HEIS):              # HEIS: (a, b, c)
-                coords = range(off, end)
-            elif kind == GN:                    # (u_{n-1}, lamps, u_n)
-                coords = [off, *range(off + 2, end), off + 1]
+            if kind == EA:                      # twisted: (u, the rest, off + 1)
+                coords = ([off, *range(off + 2, end), off + 1] if n
+                          else range(off, end))
             elif kind == LAMP:                  # (digits of t, u_1, lamps, u_2..u_n)
                 w = (width - 1) // (n + 1)
                 x0 = off + n * w
@@ -97,7 +99,7 @@ class Layout(tuple):
         """Per block, (off, end, start, stop): the block's coordinates
         [off, end) and its acting ones [start, stop), where the block's
         elements that are zero there form an abelian subgroup.  None for
-        EA; the twisting u (HEIS) or u_{n-1} (GN); for LAMP, the whole
+        plain EA, the twisting u of a twisted one; for LAMP, the whole
         block when it has layers, else the shift t when it has lamps to
         move, else none; the multipliers and t (MOD), leaving the
         square-zero module."""
@@ -105,9 +107,7 @@ class Layout(tuple):
         for kind, p, n, q, off, width in self:
             end = off + width
             if kind == EA:
-                spans.append((off, end, end, end))
-            elif kind in (HEIS, GN):
-                spans.append((off, end, off, off + 1))
+                spans.append((off, end, off, off + 1) if n else (off, end, end, end))
             elif kind == LAMP:
                 start = off if n else end - 1 if width > 1 else end
                 spans.append((off, end, start, end))
@@ -151,17 +151,8 @@ def mul(layout, a, b):
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = (a[i] + b[i]) % p
-        elif kind == HEIS:
-            out[off] = (a[off] + b[off]) % p
-            out[off + 1] = (a[off + 1] + b[off + 1]) % p
-            out[off + 2] = (a[off + 2] + b[off + 2] + a[off] * b[off + 1]) % p
-        elif kind == GN:
-            # two layers (u_{n-1}, u_n) over width-2 lamp coordinates;
-            # the lamp range may exceed p^n (widened witness windows)
-            out[off] = (a[off] + b[off]) % p
-            out[off + 1] = (a[off + 1] + b[off + 1] + a[off] * b[off + 2 + p ** (n - 1)]) % p
-            for j in range(width - 2):
-                out[off + 2 + j] = (a[off + 2 + j] + b[off + 2 + j]) % p
+            if n:
+                out[off + 1] = (out[off + 1] + a[off] * b[off + n]) % p
         elif kind == LAMP:
             # row i < n is layer u_{i+1} and row n the lamps, w
             # coordinates each, read from b shifted by t; a twisted row i
@@ -230,15 +221,8 @@ def inv(layout, a):
         if kind == EA:
             for i in range(off, off + width):
                 out[i] = -a[i] % p
-        elif kind == HEIS:
-            out[off] = -a[off] % p
-            out[off + 1] = -a[off + 1] % p
-            out[off + 2] = (-a[off + 2] + a[off] * a[off + 1]) % p
-        elif kind == GN:
-            out[off] = -a[off] % p
-            out[off + 1] = (-a[off + 1] + a[off] * a[off + 2 + p ** (n - 1)]) % p
-            for j in range(width - 2):
-                out[off + 2 + j] = -a[off + 2 + j] % p
+            if n:
+                out[off + 1] = (out[off + 1] + a[off] * a[off + n]) % p
         elif kind == LAMP:
             # the base group's inverse, read shifted back by t
             w = (width - 1) // (n + 1)

@@ -1,18 +1,19 @@
 """Straight-line group laws for hot block layouts.
 
 `compile_laws(blocks)` generates and compiles a (mul, inv) pair for one
-layout of the fixed-formula block kinds, every kind but MOD: functions of
-coordinate tuples, with one expression per output coordinate, that give
-`_kernels_py.mul` and `inv`'s results on in-range coordinates.  Twist
-terms read constant indices.  A shift by t reads each lamp or layer window
-through one rotated copy, a slice concatenation, so a shift coordinate
-outside [0, q) would rotate differently from the kernel's `(j + t) % q`.
+layout of EA and LAMP blocks, the fixed-formula kinds (every kind but
+MOD): functions of coordinate tuples, with one expression per output
+coordinate, that give `_kernels_py.mul` and `inv`'s results on in-range
+coordinates.  Twist terms read constant indices.  A shift by t reads
+each lamp or layer window through one rotated copy, a slice
+concatenation, so a shift coordinate outside [0, q) would rotate
+differently from the kernel's `(j + t) % q`.
 The source formats nothing but the ints of the block descriptors.
 """
 
 from operator import index
 
-from ._kernels_py import EA, GN, HEIS, LAMP
+from ._kernels_py import EA, LAMP
 
 
 def _block(k, kind, p, n, q, off, width):
@@ -20,24 +21,14 @@ def _block(k, kind, p, n, q, off, width):
     for block k; the expressions give coordinates off..off+width-1."""
     end = off + width
     if kind == EA:
-        return ([], [f"(a[{i}] + b[{i}]) % {p}" for i in range(off, end)],
-                [], [f"-a[{i}] % {p}" for i in range(off, end)])
-    if kind in (HEIS, GN):
-        # coordinate -> (u, y): it adds the twist u * y, read from the left
-        # factor's u and the right factor's y; every other coordinate adds
-        if kind == HEIS:
-            twists = {off + 2: (off, off + 1)}
-        else:
-            twists = {off + 1: (off, off + 2 + p ** (n - 1))}
-        mul, inv = [], []
-        for i in range(off, end):
-            if i in twists:
-                u, y = twists[i]
-                mul.append(f"(a[{i}] + b[{i}] + a[{u}] * b[{y}]) % {p}")
-                inv.append(f"(-a[{i}] + a[{u}] * a[{y}]) % {p}")
-            else:
-                mul.append(f"(a[{i}] + b[{i}]) % {p}")
-                inv.append(f"-a[{i}] % {p}")
+        # every coordinate adds; a twisted block's off + 1 also adds u * y,
+        # read from the left factor's u = off and the right factor's y
+        mul = [f"(a[{i}] + b[{i}]) % {p}" for i in range(off, end)]
+        inv = [f"-a[{i}] % {p}" for i in range(off, end)]
+        if n:
+            i, u, y = off + 1, off, off + n
+            mul[1] = f"(a[{i}] + b[{i}] + a[{u}] * b[{y}]) % {p}"
+            inv[1] = f"(-a[{i}] + a[{u}] * a[{y}]) % {p}"
         return [], mul, [], inv
     if kind == LAMP:
         # rows 0..n-1 hold the layers and row n the lamps, each a window

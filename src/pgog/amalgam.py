@@ -21,6 +21,7 @@ the level's verified finite quotient, which certifies the separation, and
 otherwise says the word is trivial or no searched level separates it.
 """
 
+import re
 import weakref
 from collections import namedtuple
 from enum import Enum
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 from . import _kernels_py as kernel
 from . import models
-from .tower import LEVEL_CACHE, build_witnesses, vertex_data
+from .tower import LEVEL_CACHE, build_witnesses, check_budget, vertex_data
 from .words import Word, from_letters
 
 
@@ -373,13 +374,13 @@ def lamp_letter(level, item):
     if not isinstance(item, Word):
         raise ValueError("lamp letter: expected a Word")
     for name in item.names():
-        if name != "t" and not (name.startswith("h") and name[1:].isdigit()):
+        if name != "t" and not re.fullmatch("h[0-9]+", name):
             raise ValueError(f"lamp letter: unknown generator {name!r}")
     return LampLetter(int(level), item)
 
 
 def _vertex_index(vertex):
-    if not (vertex.startswith("G") and vertex[1:].isdigit()):
+    if not re.fullmatch("G[0-9]+", vertex):
         raise ValueError(
             f"path letters live at vertices 'G<i>', got {vertex!r}")
     return int(vertex[1:])
@@ -466,13 +467,15 @@ def search_levels(letters, start_level, max_level):
 
 def check_search(letters, p, start_level, max_level):
     """Raise ValueError for input no search can use (p not prime, a start
-    level below 1, no level in range holding every letter, a path letter
+    level below 1, no level in range holding every letter, a first level
+    whose tower or witnesses exceed the coordinate budget, a path letter
     at G_i, i <= max_level, naming a generator G_i lacks, a lamp letter
     of native level l naming a lamp h_j, j >= p^l, that Lamp(p, l) lacks),
     so that a failure inside the search is a failed check.  Returns the
     levels the search will try."""
     models.PrimeLevel(p, start_level)
     levels = search_levels(letters, start_level, max_level)
+    check_budget(p, levels[0], witnesses=True)  # every search builds levels[0]
     for i, letter in enumerate(letters):
         if isinstance(letter, PathLetter) and \
                 (level := _vertex_index(letter.vertex)) <= max_level:

@@ -22,6 +22,8 @@ Cyclic(n), Gn(n), Fn(n), En(n), K(n), Lamp(n); each accepts `p=<prime>`
 to override the document default.  Errors carry the line and column.
 """
 
+import re
+
 from . import models
 from . import presentations as P
 from .gog import Graph, GraphOfGroups, Specialisation, VertexData
@@ -90,7 +92,7 @@ class _Line:
         if j < len(self.text) and self.text[j] == "-":
             j += 1
         k = j
-        while k < len(self.text) and self.text[k].isdigit():
+        while k < len(self.text) and "0" <= self.text[k] <= "9":
             k += 1
         if k == j:
             self.error(f"expected {what}")
@@ -223,12 +225,7 @@ def _parametric(model_of, presentation_of, family):
         p = _prime_of(ctx, kwargs, ln)
         n = _level_of(args, kwargs, ln, family)
         _no_leftovers(args, kwargs, ln, family)
-        try:
-            model = model_of(p, n)
-        except ValueError as exc:
-            ln.error(str(exc))
-        pres = presentation_of(p, n) if presentation_of else None
-        return model, pres
+        return model_of(p, n), presentation_of(p, n) if presentation_of else None
     return build
 
 
@@ -238,6 +235,7 @@ def _build_k(ctx, args, kwargs, ln):
     _no_leftovers(args, kwargs, ln, "K")
     if n < 1:
         ln.error("K levels start at 1")
+    models.PrimeLevel(p, n)
     names = [f"k{n}"] + lamp_names(p, n)
     return (models.ElementaryAbelian(p, names),
             P.elementary_abelian_presentation(p, names, name=f"K({p},{n})"))
@@ -264,7 +262,12 @@ def _model_ref(ctx, ln):
     if builder is None:
         ln.error(f"unknown model name {nm!r} (expected one of "
                  f"{', '.join(sorted(_BUILTINS))})", column=col)
-    return builder(ctx, args, kwargs, ln)
+    try:
+        return builder(ctx, args, kwargs, ln)
+    except DslError:
+        raise
+    except ValueError as exc:           # the family's own refusal
+        ln.error(str(exc))
 
 
 # -- document assembly --------------------------------------------------------
@@ -546,7 +549,7 @@ def _letters(ln):
         ln.take(":")
         word = _expr(ln)
         try:
-            if tag[:1] == "L" and tag[1:].isdigit():
+            if re.fullmatch("L[0-9]+", tag):
                 letters.append(lamp_letter(int(tag[1:]), word))
             else:
                 letters.append(path_letter(tag, word))

@@ -20,7 +20,7 @@ so a caller can check a model without building it.
 from functools import cached_property
 
 from . import _kernels_py as kernel
-from ._kernels_py import EA, GN, HEIS, LAMP, MOD
+from ._kernels_py import EA, LAMP, MOD
 from .words import Word, gen
 
 DESK_CAP = 2 ** 20          # largest prime p, and largest p^n, accepted
@@ -376,13 +376,15 @@ def CyclicModel(p, n=1, name="z"):
 def HeisenbergModP(p, names=("x", "y")):
     """Mod-p Heisenberg group: two generators with central commutator.
 
+    Coordinates (a, [a,b], b), one EA block twisted by a * b on the
+    commutator; its series, and so its digit order, is a, b, [a,b].
     names renames the generators (the commutator stays anonymous, reach it
     via model.commutator).
     """
     PrimeLevel(p)
     a, b = names
-    return FiniteGroupModel(f"Heis({p};{a},{b})", [(HEIS, p, 0, 0, 0, 3)],
-                            [(a, (1, 0, 0)), (b, (0, 1, 0))])
+    return FiniteGroupModel(f"Heis({p};{a},{b})", [(EA, p, 2, 0, 0, 3)],
+                            [(a, (1, 0, 0)), (b, (0, 0, 1))])
 
 
 def gn_shape(p, n):
@@ -403,7 +405,8 @@ def GnModel(p, n):
         coords = [0] * width
         coords[2 + j] = 1
         gens.append((f"h{j}", tuple(coords)))
-    return FiniteGroupModel(f"Gn({p},{n})", [(GN, p, n, 0, 0, width)], gens)
+    return FiniteGroupModel(f"Gn({p},{n})",
+                            [(EA, p, 2 + p ** (n - 1), 0, 0, width)], gens)
 
 
 def fn_shape(p, n):
@@ -415,8 +418,9 @@ def FnModel(p, n):
     """Coordinates (u_1..u_n, x_0..x_{p^n-1}); at n = 2, twist u_1*y_p on u_2.
 
     Generators k1..k{n}, h0..h{p^n-1}; order p^(n+p^n).  At n = 2 this is
-    GnModel(p, 2), one GN block with the same coordinates and generators;
-    at n = 1 it is elementary abelian, one EA block.  There is no n >= 3:
+    GnModel(p, 2), one EA block twisted by u_1 * y_p, with the same
+    coordinates and generators; at n = 1 it is elementary abelian, one
+    plain EA block.  There is no n >= 3:
     a third layer twisted by u_2*y_{p^2} gives a law that is not
     associative ((k1 h_p) h_{p^2} has u_3 = 1, k1 (h_p h_{p^2}) has
     u_3 = 0), so no group has these coordinates.  Use ChainWitness for
@@ -438,8 +442,8 @@ def FnModel(p, n):
         coords = [0] * width
         coords[n + j] = 1
         gens.append((f"h{j}", tuple(coords)))
-    block = (GN, p, 2, 0, 0, width) if n == 2 else (EA, p, 0, 0, 0, width)
-    return FiniteGroupModel(f"Fn({p},{n})", [block], gens)
+    twist = 2 + p if n == 2 else 0
+    return FiniteGroupModel(f"Fn({p},{n})", [(EA, p, twist, 0, 0, width)], gens)
 
 
 def lamp_shape(p, n):

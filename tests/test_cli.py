@@ -288,6 +288,16 @@ def test_verify_all_rejects_a_composite_prime(capsys):
     (("parse", str(ROOT / "tests" / "data" / "word_missing_generators.gog")),
      "error: line 6, column 11: letter 0 at G1: 'no image for generator "
      "h3'\n"),
+    # every search through G8 at p = 2 builds SCW(2,8), over the budget
+    (("parse", str(ROOT / "tests" / "data" / "word_over_budget.gog")),
+     "error: line 7, column 11: SCW(2,8) needs 266 generators of 34819 "
+     "coordinates, over the 2^22 coordinate budget\n"),
+    # tags and lamp names take ASCII digits only
+    (("separate", "--word", "G\u0661:k1 L1:t"),
+     "error: line 1, column 7: path letters live at vertices 'G<i>', got "
+     "'G\u0661'\n"),
+    (("separate", "--word", "L1:h\u00b2"),
+     "error: line 1, column 6: lamp letter: unknown generator 'h\u00b2'\n"),
     (("run-all", "--examples", "nothing"),
      "error: no example id matches 'nothing'; known ids: "
      "chains/improper-n2, "),
@@ -302,14 +312,16 @@ def test_verify_all_rejects_a_composite_prime(capsys):
 ], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
         "run-n-0", "run-all-max-level-0", "separate-max-level-0",
         "separate-no-lamp-h5", "separate-no-lamp-h7", "separate-no-lamp-h9",
-        "parse-word-missing-generators",
-        "empty-glob", "run-all-m", "run-over-budget-level",
-        "run-over-budget-prime"])
+        "parse-word-missing-generators", "parse-word-over-budget",
+        "separate-non-ascii-vertex",
+        "separate-non-ascii-lamp", "empty-glob", "run-all-m",
+        "run-over-budget-level", "run-over-budget-prime"])
 def test_usage_errors_exit_2_without_a_report(capsys, argv, message):
     # a level below 1, a negative tail, a glob that selects no example, a
     # lamp that its letter's level lacks, a document word that separate
-    # refuses or a level over the coordinate budget is unusable input: no
-    # report, not "no checks -> exit 0" or a failure
+    # refuses, a tag or lamp name with a digit outside 0-9 or a level over
+    # the coordinate budget is unusable input: no report, not "no checks
+    # -> exit 0" or a failure
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert err.startswith(message)
@@ -334,6 +346,17 @@ def test_over_budget_levels_exit_2_before_any_model_is_built(
     monkeypatch.setattr("pgog.models.FiniteGroupModel.__init__", refuse)
     code, out, err = run_cli(capsys, "tower", *argv, "--json")
     assert (code, out, err) == (2, "", message)
+
+
+def test_over_budget_separate_exits_2_before_any_witness_is_built(
+        capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+
+    monkeypatch.setattr("pgog.amalgam.build_witnesses", refuse)
+    code, out, err = run_cli(capsys, "separate", "--p", "2", "--word", "G8:k8",
+                             "--max-level", "8", "--json")
+    assert (code, out) == (2, "") and err.startswith("error: SCW(2,8) needs")
 
 
 def test_separate_command_paths(capsys):

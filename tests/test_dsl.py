@@ -101,7 +101,7 @@ def test_word_rejects_comment_marks_and_line_breaks(text):
 
 @pytest.mark.parametrize("text,column", [
     ("G1:k1 ?L1:t", 7), ("?", 1), ("G1:k1 #L1:t", 7), ("G1:k1 L1", 9),
-    ("W:t", 4),
+    ("W:t", 4), ("G1:k1^\u00b2", 7),      # exponents are ASCII digits
 ])
 def test_word_error_columns_count_from_the_start_of_the_word(text, column):
     with pytest.raises(DslError) as err:
@@ -128,6 +128,11 @@ def test_word_error_columns_count_from_the_start_of_the_word(text, column):
     ("word v := G1:k1\nword w := G2:k2 L1:t", "holds every letter", 2),
     ("word w := G1:h3", "no image for generator h3", 1),
     ("witness W : EA(x) map L.a -> x", "preceding graph", 1),
+    # a family's own refusal, and K's bound before its p^n lamps exist
+    ("graph g\nvertex A : EA(a, p=4)", "p must be prime, got 4", 2),
+    ("graph g\nvertex A : EA(a, a, p=2)", "duplicate generator names", 2),
+    ("graph g\nvertex A : Heisenberg(a, a, p=2)", "duplicate generator", 2),
+    ("graph g\nvertex A : K(21, p=2)", "2\\^21 exceeds the 2\\^20", 2),
 ])
 def test_errors_carry_line_and_column(text, fragment, line):
     with pytest.raises(DslError, match=fragment) as err:

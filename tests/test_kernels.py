@@ -62,13 +62,13 @@ ZOO = [
 ]
 
 # Raw layouts the public constructors never emit, still legal for the
-# kernel: a twist block whose lamp range is wider than p^n, and lampless
-# (cyclic) LAMP blocks next to a Heisenberg block and to a lamplighter
-# block at a nonzero offset.
+# kernel: twisted EA blocks with more lamps than the Gn whose twist they
+# share (Gn(2,2), Gn(3,1)), and lampless (cyclic) LAMP blocks next to a
+# Heisenberg block and to a lamplighter block at a nonzero offset.
 RAW_BLOCKS = [
-    (((kpy.GN, 2, 2, 0, 0, 2 + 7),), 9),
-    (((kpy.GN, 3, 1, 0, 0, 2 + 5),), 7),
-    (((kpy.LAMP, 2, 0, 4, 0, 1), (kpy.HEIS, 2, 0, 0, 1, 3)), 4),
+    (((kpy.EA, 2, 4, 0, 0, 2 + 7),), 9),
+    (((kpy.EA, 3, 3, 0, 0, 2 + 5),), 7),
+    (((kpy.LAMP, 2, 0, 4, 0, 1), (kpy.EA, 2, 2, 0, 1, 3)), 4),
     (((kpy.LAMP, 3, 0, 9, 0, 1), (kpy.LAMP, 3, 0, 3, 1, 4)), 5),
 ]
 
@@ -170,8 +170,7 @@ def test_mod_mul_skips_zero_rows_exactly(m):
 # -- polycyclic series ----------------------------------------------------------
 
 
-KIND_NAMES = {kpy.EA: "EA", kpy.HEIS: "HEIS", kpy.GN: "GN", kpy.LAMP: "LAMP",
-              kpy.MOD: "MOD"}
+KIND_NAMES = {kpy.EA: "EA", kpy.LAMP: "LAMP", kpy.MOD: "MOD"}
 
 
 def test_every_block_kind_has_a_series_case():
@@ -213,6 +212,30 @@ SHIFT_BLOCK_CASES = [
 def test_series_and_acting_of_the_shift_blocks(m, series, acting):
     # canonical representatives, and so report bytes, follow the series
     # order; the elimination's skips follow the acting spans
+    assert m.blocks.series == series
+    assert m.blocks.acting == acting
+
+
+TWIST_BLOCK_CASES = [
+    # (a, [a,b], b): digits a, b, [a,b]
+    (models.HeisenbergModP(2), [(0, 1), (2, 1), (1, 1)], [(0, 3, 0, 1)]),
+    # (u_1, u_2, lamps 2..5) twisted by u_1 * y_2, coordinate 4
+    (models.GnModel(2, 2), [(0, 1), *ones(2, 6), (1, 1)], [(0, 6, 0, 1)]),
+    (models.FnModel(2, 2), [(0, 1), *ones(2, 6), (1, 1)], [(0, 6, 0, 1)]),
+    (models.FnModel(2, 1), ones(0, 3), [(0, 3, 3, 3)]),
+    # a Heisenberg block at 2..4 after an untwisted one at 0..1
+    (models.DirectProduct(models.ElementaryAbelian(2, ["d", "e"]),
+                          models.HeisenbergModP(2)),
+     [(0, 1), (1, 1), (2, 1), (4, 1), (3, 1)],
+     [(0, 2, 2, 2), (2, 5, 2, 3)]),
+]
+
+
+@pytest.mark.parametrize("m,series,acting", TWIST_BLOCK_CASES,
+                         ids=[case[0].name for case in TWIST_BLOCK_CASES])
+def test_series_and_acting_of_the_twisted_blocks(m, series, acting):
+    # the twisting u first and the twisted coordinate last: report bytes
+    # follow this digit order
     assert m.blocks.series == series
     assert m.blocks.acting == acting
 
@@ -404,8 +427,8 @@ def test_a_layout_object_keeps_its_own_law(monkeypatch):
 
 
 def closure_cases():
-    """Whole models over the GN, LAMP (with and without layers) and MOD
-    blocks, and one subgroup."""
+    """Whole models over the twisted EA, LAMP (with and without layers) and
+    MOD blocks, and one subgroup."""
     cases = [pytest.param(m, list(m.generators), order, id=m.name)
              for m, order in [(models.GnModel(2, 2), 64),
                               (models.LamplighterLevel(2, 2), 64),

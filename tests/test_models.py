@@ -27,7 +27,7 @@ from pgog.words import Word, commutator, gen
 # -- Heisenberg vs unitriangular matrices -----------------------------------
 
 def as_matrix(coords):
-    a, b, c = coords
+    a, c, b = coords
     return ((1, a, c), (0, 1, b), (0, 0, 1))
 
 
