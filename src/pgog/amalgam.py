@@ -7,13 +7,15 @@ A syllable's representative is what the split of a Transversal, the
 models.Pcgs of the graph of an edge's two maps, leaves of it (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005, §8.3), and the
 same split carries the edge-group part across the edge; nothing is
-enumerated, and normal forms are reproducible across runs.  Each
-Transversal remembers the splits it has made, up to a bound: a split is
-a pure function of its argument, so a remembered one is exactly what a
-fresh sift returns.  The form is empty exactly for the trivial element,
-solving the word problem.  The reduction runs on coordinate tuples, with
-heads and representatives interned per path; group elements are made
-only for the resulting ReducedWord.
+enumerated, and normal forms are reproducible across runs.  A letter
+merges in place, one loop down the syllable stack, each step replacing a
+representative and carrying an edge part into the syllable before.  Each
+(edge, vertex) slot of a path remembers the steps it has made, up to a
+bound: a step is a pure function of its representative and letter, so a
+remembered one is exactly what a fresh split returns.  The form is empty
+exactly for the trivial element, solving the word problem.  The
+reduction runs on coordinate tuples, interned per path; group elements
+are made only for the resulting ReducedWord.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -38,13 +40,14 @@ from .words import Word, from_letters
 
 # Measured with Python 3.11 on a shared 2-core x86-64 host: one
 # nf-products pass of the benchmark (seed 7, 4,000 ops over the level-3
-# joined splitting at p = 2) makes 104,822 splits of only 1,403 distinct
-# arguments.  Its six memos then hold 13,112 coordinates of x in 341 KB
-# (tracemalloc: keys, values and dicts), ~26 B per coordinate, and the
-# largest, K2@G3, 690 entries of width 10.  So one memo of at most
-# SPLIT_MEMO_COORDS coordinates holds at most ~1.7 MB, ~9 times the
-# largest seen.
-SPLIT_MEMO_COORDS = 2 ** 16
+# joined splitting at p = 2) makes 104,822 merge steps of only 3,822
+# distinct (representative, letter) pairs.  Its six slot memos then hold
+# 626 KB (tracemalloc: keys, values, interned tuples and dicts); entries x
+# width, bytes: K1@G1 30 x 4, 6 KB; K1@G2 337 x 6, 51 KB; K2@G2 89 x 6,
+# 18 KB; K2@G3 2,508 x 10, 375 KB; H3@G3 349 x 10, 67 KB; H3@W 509 x 9,
+# 87 KB.  So a slot of at most STEP_MEMO_COORDS coordinates of x, 6,553
+# entries at width 10, holds ~1 MB, ~2.6 times the largest seen.
+STEP_MEMO_COORDS = 2 ** 16
 
 
 def _path_order(gog):
@@ -85,13 +88,8 @@ class Transversal(models.Pcgs):
     with y = phi(kappa) s for an edge element kappa: s is the canonical
     representative of y's right coset and c = psi(kappa), all as
     coordinate tuples.  phi is injective: the graph has the edge's order.
-
-    split remembers its results in a memo of this object's own, never
-    shared with another Transversal, however equal: that is exact,
-    since a sift depends on x alone.  The memo keeps at most
-    SPLIT_MEMO_COORDS coordinates of x, entries times the vertex width;
-    a full one serves its hits and takes no new entry.  Entries share
-    one tuple per distinct s or c, so the identity c is stored once.
+    A Transversal keeps no splits: the reduction remembers its merge
+    steps per path (_Steps).
     """
 
     def __init__(self, edge_id, end, vertex, hom, other):
@@ -103,19 +101,6 @@ class Transversal(models.Pcgs):
         self.vertex = vertex
         self.hom = hom                      # edge group -> vertex model
         self.coset_count = hom.target.order // self.order
-        self._splits = {}                   # x -> split(x)
-        self._parts = {}                    # s or y -> the same
-
-    def split(self, x):
-        """models.Pcgs.split(x), remembered (see the class docstring)."""
-        hit = self._splits.get(x)
-        if hit is None:
-            s, y = hit = super().split(x)
-            if (len(self._splits) + 1) * self._width <= SPLIT_MEMO_COORDS:
-                parts = self._parts
-                hit = self._splits[x] = (parts.setdefault(s, s),
-                                         parts.setdefault(y, y))
-        return hit
 
     def __repr__(self):
         return (f"<Transversal {self.edge_id}@{self.vertex}: "
@@ -139,8 +124,39 @@ def build_transversals(gog):
             for eid in gog.graph.edges for end in (0, 1)}
 
 
+class _Steps(dict):
+    """The merge steps at one (edge, vertex) slot of a path: (rep, x) ->
+    (s, c) with rep x = phi(kappa) s for an edge element kappa, s the
+    canonical representative and c = psi(kappa) (see Transversal).  A
+    step depends on the pair alone, so a remembered one is exactly what
+    a fresh split of rep x returns.  A missing step is split and kept
+    while the slot holds at most STEP_MEMO_COORDS coordinates of x,
+    entries times the vertex width; a full slot still serves its hits but
+    takes no new entry.  s, c and x are interned in the path's table, and
+    a trivial c is None, which ends a merge."""
+
+    def __init__(self, tables, slot):
+        super().__init__()
+        self.tables = tables
+        self.slot = slot
+
+    def __missing__(self, key):
+        rep, x = key
+        tables = self.tables
+        s, c = tables.transversals[self.slot].split(
+            kernel.mul(tables.blocks[self.slot[1]], rep, x) if any(rep)
+            else x)
+        interned = tables.interned
+        step = (interned.setdefault(s, s),
+                interned.setdefault(c, c) if any(c) else None)
+        if (len(self) + 1) * len(x) <= STEP_MEMO_COORDS:
+            self[rep, interned.setdefault(x, x)] = step
+        return step
+
+
 class _PathTables:
-    """Path layout, vertex models and transversals, built once per graph.
+    """Path layout, vertex models, transversals and merge steps, built
+    once per graph.
 
     Never holds the GraphOfGroups: _PATHS is keyed weakly by it, and a
     value referring to its key would keep it alive.
@@ -164,10 +180,11 @@ class _PathTables:
                     (order[k], self.models[order[k]].identity.coords,
                      edge_between[(order[k - step], order[k])])
                     for k in range(i + step, j + step, step))
-        self.interned = {}      # coords -> the same: heads and representatives
-        # keyed by (edge, end vertex): a path has no loops
+        self.interned = {}      # coords -> the same: heads and steps
+        # keyed by the slot (entry edge, vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
+        self.steps = {slot: _Steps(self, slot) for slot in self.transversals}
 
 
 _PATHS = weakref.WeakKeyDictionary()
@@ -229,11 +246,12 @@ class ReducedWord:
 
 class _Accumulator:
     """Right-multiplies letters into a reduced word, one at a time, on
-    coordinate tuples; elements are made only for the result.  A coset
-    representative s that a split returns is stored as it is, never
-    split again: it would split to (s, 1) (see _merge).  Walking the
-    path appends a precomputed run of identity syllables, and a split
-    with s = 1 carries its edge part back by a loop, not a call."""
+    coordinate tuples; elements are made only for the result.  A letter
+    x merges in place: each syllable, from the top down, takes the s of
+    its step (rep, x) and carries c to the one before it, or to the head,
+    until c is trivial; then trailing identity syllables are popped.  A
+    turn of the walk never becomes trivial: its rep lies outside the edge
+    image that c lies in, so rep c does too."""
 
     def __init__(self, gog, tables):
         self.tables = tables
@@ -243,47 +261,30 @@ class _Accumulator:
         self.stack = []     # (vertex, representative coords, entry edge)
 
     def push(self, vertex, x):
-        """Multiply by x, coordinates in the vertex's model, on the right."""
-        self._walk(vertex)
-        self._merge(x)
-
-    def _walk(self, vertex):
-        # append an identity syllable at each vertex from the end vertex
-        # along the path to vertex
+        """Multiply by x, coordinates in the vertex's model, on the right,
+        after walking to the vertex through identity syllables."""
         stack = self.stack
         stack.extend(self.tables.walks[
             (stack[-1][0] if stack else self.base, vertex)])
+        self._merge(x)
 
     def _merge(self, x):
-        # multiply x into the current end vertex and restore canonical form
-        tables, stack = self.tables, self.stack
-        while True:
-            if not any(x):
-                while stack and not any(stack[-1][1]):
-                    stack.pop()
-                return
-            if not stack:
-                self.head = kernel.mul(tables.blocks[self.base], self.head, x)
-                return
-            vertex, rep, entry = stack.pop()
-            # rep * x = phi(kappa) s; psi(kappa) moves back across the
-            # entry edge, into the syllable before
-            if any(rep):
-                x = kernel.mul(tables.blocks[vertex], rep, x)
-            s, c = tables.transversals[(entry, vertex)].split(x)
-            if any(s):
-                break
-            x = c
-        if any(c):
-            # c lies in the entry edge's image at the vertex before, and
-            # merging it stops short of any turn of the walk (a turn's
-            # representative times c stays outside that image), so the
-            # walk back re-enters vertex by the entry edge, where s, this
-            # transversal's canonical representative, splits to (s, 1)
-            self._merge(c)
-            self._walk(vertex)
+        # multiply x into the end syllable and restore canonical form
+        stack, steps = self.stack, self.tables.steps
+        if any(x):
+            i = len(stack) - 1
+            while i >= 0:
+                vertex, rep, entry = stack[i]
+                s, x = steps[(entry, vertex)][(rep, x)]
+                stack[i] = (vertex, s, entry)
+                if x is None:
+                    break
+                i -= 1
+            else:
+                self.head = kernel.mul(
+                    self.tables.blocks[self.base], self.head, x)
+        while stack and not any(stack[-1][1]):
             stack.pop()
-        stack.append((vertex, tables.interned.setdefault(s, s), entry))
 
     def result(self):
         element = models.GroupElement
@@ -376,25 +377,28 @@ def lamp_letter(level, item):
     for name in item.names():
         if name != "t" and not re.fullmatch("h[0-9]+", name):
             raise ValueError(f"lamp letter: unknown generator {name!r}")
-    return LampLetter(int(level), item)
+    level = int(level)
+    if level < 1:
+        raise ValueError(f"lamp letter at L{level}: levels start at 1")
+    return LampLetter(level, item)
 
 
 def _vertex_index(vertex):
     if not re.fullmatch("G[0-9]+", vertex):
         raise ValueError(
             f"path letters live at vertices 'G<i>', got {vertex!r}")
-    return int(vertex[1:])
+    index = int(vertex[1:])
+    if index < 1:
+        raise ValueError(f"path letter at {vertex}: vertices start at G1")
+    return index
 
 
 def _fold_lamp_word(p, level, word):
     """Project a lamplighter word down to the given level's window."""
     window = p ** level
-    letters = []
-    for name, sign in word.letters():
-        if name.startswith("h"):
-            name = f"h{int(name[1:]) % window}"
-        letters.append((name, sign))
-    return from_letters(letters)
+    return from_letters(
+        (f"h{int(name[1:]) % window}" if name.startswith("h") else name, sign)
+        for name, sign in word.letters())
 
 
 @lru_cache(maxsize=LEVEL_CACHE)
@@ -405,23 +409,15 @@ def _level_data(p, level):
 
 
 def _level_items(letters, p, level):
-    items = []
-    for letter in letters:
-        if isinstance(letter, PathLetter):
-            items.append((letter.vertex, letter.word))
-        else:
-            items.append(("W", _fold_lamp_word(p, level, letter.word)))
-    return items
+    return [(letter.vertex, letter.word) if isinstance(letter, PathLetter)
+            else ("W", _fold_lamp_word(p, level, letter.word))
+            for letter in letters]
 
 
 def _direct_image(letters, p, level, spec):
     image = spec.target.identity
-    for letter in letters:
-        if isinstance(letter, PathLetter):
-            image = image * spec.vertex_hom(letter.vertex).apply(letter.word)
-        else:
-            folded = _fold_lamp_word(p, level, letter.word)
-            image = image * spec.vertex_hom("W").apply(folded)
+    for vertex, word in _level_items(letters, p, level):
+        image = image * spec.vertex_hom(vertex).apply(word)
     return image
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_reduction
 from pgog import _kernels_py as kernel
 from pgog import amalgam, models
 from pgog.amalgam import (Verdict, build_transversals, check_search,
@@ -245,33 +246,46 @@ def test_precomputed_walks_equal_the_stepwise_walks(p):
     assert walks[("G1", "W")] and not walks[("G2", "G2")]
 
 
-# -- the split memo ----------------------------------------------------------
+# -- the step memo -----------------------------------------------------------
 
 
 @pytest.fixture
-def checked_splits(monkeypatch):
-    """Checks every Transversal.split the test makes, hit or miss, against
-    the unmemoised sift models.Pcgs.split on the same transversal; counts
-    them under "splits"."""
+def checked_steps(monkeypatch):
+    """Checks every merge step the test makes, hit or miss, against the
+    unmemoised sift models.Pcgs.split of rep x on that slot's
+    transversal; counts the steps under "steps" and the sifts the
+    reduction itself makes under "sifts".  Path tables, and so their
+    memos, are built afresh for the test."""
     counts = collections.Counter()
-    memoised = amalgam.Transversal.split
+    remembered = amalgam._Steps.__getitem__
 
-    def split(self, x):
-        got = memoised(self, x)
-        assert got == models.Pcgs.split(self, x), (self, x)
-        counts["splits"] += 1
+    def step(self, key):
+        got = remembered(self, key)
+        rep, x = key
+        transversal = self.tables.transversals[self.slot]
+        s, c = models.Pcgs.split(transversal, kernel.mul(
+            self.tables.blocks[self.slot[1]], rep, x))
+        assert got == (s, c if any(c) else None), (transversal, key)
+        counts["steps"] += 1
         return got
 
+    def split(self, x):
+        counts["sifts"] += 1
+        return models.Pcgs.split(self, x)
+
+    monkeypatch.setattr(amalgam, "_PATHS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(amalgam._Steps, "__getitem__", step)
     monkeypatch.setattr(amalgam.Transversal, "split", split)
     return counts
 
 
 def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
-        checked_splits, monkeypatch):
-    # one whole nf-products pass at the benchmark's seed 7: 104,822
-    # splits of only 1,403 distinct arguments over six transversals, two
-    # of them at G3 and of equal width; the digest of its results was
-    # taken before the walks were precomputed and the merge made a loop
+        checked_steps, monkeypatch):
+    # one whole nf-products pass at the benchmark's seed 7: 104,822 merge
+    # steps of only 3,822 distinct (representative, letter) pairs over
+    # six slots, two of them at G3 and of equal width; the digest of its
+    # results was taken before the walks were precomputed and the merge
+    # ran in place
     monkeypatch.syspath_prepend(str(BENCH))
     import nf
     gog, _ = nf.setup()
@@ -279,43 +293,56 @@ def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
     digest = hashlib.sha256()
     for i in range(len(inputs)):
         digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
-    assert checked_splits["splits"] == 104822
+    assert (checked_steps["steps"], checked_steps["sifts"]) == (104822, 3822)
     assert digest.hexdigest() == (
         "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
 
 def test_a_full_memo_serves_hits_and_takes_no_entry(monkeypatch):
-    table = build_transversals(joined_witness_specialisation(2, 3)[0])[
-        ("K2", 1)]
+    tables = amalgam._PathTables(joined_witness_specialisation(2, 3)[0])
+    steps, table = tables.steps[("K2", "G3")], tables.transversals[
+        ("K2", "G3")]
     model = table.hom.target
-    assert (table.vertex, model.width) == ("G3", 10)
+    assert model.width == 10
     # room for three entries of width 10, not four
-    monkeypatch.setattr(amalgam, "SPLIT_MEMO_COORDS", 39)
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 39)
     rng = random.Random(5)
-    xs = [tuple(rng.randrange(m) for m in model.blocks.moduli)
-          for _ in range(40)]
-    first = [table.split(x) for x in xs]
-    assert list(table._splits) == list(dict.fromkeys(xs))[:3]
-    for x, got in zip(xs, first):
-        assert got == models.Pcgs.split(table, x)
-        assert table.split(x) == got
-    for x in xs[:3]:
-        assert table.split(x) is table._splits[x]
-    assert len(table._splits) == 3
+
+    def random_coords():
+        return tuple(rng.randrange(m) for m in model.blocks.moduli)
+
+    reps = [model.identity.coords] + [table.split(random_coords())[0]
+                                      for _ in range(3)]
+    keys = [(rng.choice(reps), random_coords()) for _ in range(40)]
+    first = [steps[key] for key in keys]
+    assert list(steps) == list(dict.fromkeys(keys))[:3]
+    for (rep, x), got in zip(keys, first):
+        s, c = models.Pcgs.split(table, kernel.mul(model.blocks, rep, x))
+        assert got == (s, c if any(c) else None)
+        assert steps[rep, x] == got
+    for key in keys[:3]:
+        assert steps[key] is steps.get(key)
+    assert len(steps) == 3
 
 
 def test_separately_built_splittings_keep_separate_memos():
-    gog = p2_joined()
-    first, second = build_transversals(gog), build_transversals(gog)
-    x = gog.vertices["G2"].model.generators["k1"].coords
-    at_g2 = [key for key, table in first.items() if table.vertex == "G2"]
+    first, second = free_product_line(2), free_product_line(2)
+    nf = normal_form(first, [("L", gen("a")), ("R", gen("b")),
+                             ("L", gen("a"))])
+    assert nf.syllable_count == 2
+    ones, twos = amalgam._paths(first).steps, amalgam._paths(second).steps
+    assert set(ones) == set(twos) == {("e", "L"), ("e", "R")}
+    assert all(ones[slot] for slot in ones)
+    assert all(ones[slot] is not twos[slot] and twos[slot] == {}
+               for slot in ones)
+    # the same pair steps differently at a joined splitting's two slots
+    # at G2, so one slot never answers for another
+    tables = amalgam._paths(p2_joined())
+    at_g2 = [slot for slot in tables.steps if slot[1] == "G2"]
     assert len(at_g2) == 2
-    for key in at_g2:
-        assert first[key].split(x) == models.Pcgs.split(first[key], x)
-        assert second[key]._splits == {}
-    assert first[at_g2[0]].split(x) != first[at_g2[1]].split(x)
-    assert all(first[key]._splits is not second[key]._splits
-               for key in first)
+    x = tables.models["G2"].generators["k1"].coords
+    key = (tables.models["G2"].identity.coords, x)
+    assert tables.steps[at_g2[0]][key] != tables.steps[at_g2[1]][key]
 
 
 # -- normal forms ------------------------------------------------------------
@@ -430,6 +457,34 @@ def test_normal_form_agrees_with_the_witness_in_both_directions():
             assert not nf.is_trivial
 
 
+@pytest.mark.parametrize("p,level,counts", [
+    (2, 2, {"products": 150, "letters": 1263, "inverse": 598, "at W": 426}),
+    (2, 3, {"products": 150, "letters": 1328, "inverse": 634, "at W": 311}),
+    (2, 4, {"products": 150, "letters": 1337, "inverse": 657, "at W": 271}),
+    (3, 2, {"products": 150, "letters": 1385, "inverse": 692, "at W": 466}),
+    (3, 3, {"products": 150, "letters": 1375, "inverse": 693, "at W": 327}),
+])
+def test_in_place_reduction_equals_the_recursive_reference(p, level, counts):
+    # seeded letter lists over the joined splitting: words of up to three
+    # generators, inverses included, at every vertex W included
+    gog = build_graphs(p, level, 0).joined
+    rng = random.Random(f"{p}/{level}")
+    seen = collections.Counter()
+    for _ in range(counts["products"]):
+        a, b = (_random_letters(rng, gog, rng.randrange(1, 9))
+                for _ in range(2))
+        x, y = normal_form(gog, a), normal_form(gog, b)
+        assert x == reference_reduction.normal_form(gog, a), a
+        assert y == reference_reduction.normal_form(gog, b), b
+        assert nf_multiply(x, y) == reference_reduction.nf_multiply(x, y)
+        seen["products"] += 1
+        for v, word in a + b:
+            seen["letters"] += 1
+            seen["inverse"] += any(sign < 0 for _, sign in word.letters())
+            seen["at W"] += v == "W"
+    assert seen == counts
+
+
 def test_multiplying_by_the_empty_form_is_the_identity():
     path = p2_path()
     empty = normal_form(path, [])
@@ -533,7 +588,7 @@ def _census(p, letters, max_level=3):
     return counts
 
 
-def test_census_of_short_words_at_p2(checked_splits):
+def test_census_of_short_words_at_p2(checked_steps):
     letters = [path_letter("G1", gen("k1")), path_letter("G1", gen("h0")),
                path_letter("G1", gen("c")), lamp_letter(1, gen("t")),
                lamp_letter(1, gen("h0")), path_letter("G2", gen("k2")),
@@ -541,10 +596,10 @@ def test_census_of_short_words_at_p2(checked_splits):
                lamp_letter(2, gen("h1"))]
     assert _census(2, letters) == {
         "words": 819, "empty range": 176, "level checks": 953}
-    assert checked_splits["splits"] > 0
+    assert checked_steps["steps"] > 0
 
 
-def test_census_of_short_words_at_p3(checked_splits):
+def test_census_of_short_words_at_p3(checked_steps):
     letters = [path_letter("G1", gen("k1", sign)) for sign in (1, -1)] + \
         [path_letter("G1", gen(name, sign))
          for name in ("h0", "c") for sign in (1, -1)] + \
@@ -552,7 +607,7 @@ def test_census_of_short_words_at_p3(checked_splits):
          for name in ("t", "h0") for sign in (1, -1)]
     assert _census(3, letters) == {
         "words": 1110, "empty range": 0, "level checks": 1626}
-    assert checked_splits["splits"] > 0
+    assert checked_steps["steps"] > 0
 
 
 def test_level_caches_stay_bounded_across_many_levels():

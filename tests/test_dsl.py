@@ -102,6 +102,7 @@ def test_word_rejects_comment_marks_and_line_breaks(text):
 @pytest.mark.parametrize("text,column", [
     ("G1:k1 ?L1:t", 7), ("?", 1), ("G1:k1 #L1:t", 7), ("G1:k1 L1", 9),
     ("W:t", 4), ("G1:k1^\u00b2", 7),      # exponents are ASCII digits
+    ("G0:k1", 6), ("L0:t", 5),           # levels and vertices start at 1
 ])
 def test_word_error_columns_count_from_the_start_of_the_word(text, column):
     with pytest.raises(DslError) as err:
