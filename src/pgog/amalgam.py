@@ -363,11 +363,12 @@ class LampLetter(namedtuple("LampLetter", "level word")):
 
 
 def path_letter(vertex, word):
-    """A path letter: one Word at the path vertex `G<i>`."""
-    _vertex_index(vertex)
+    """A path letter: one Word at the path vertex `G<i>`, named by its
+    index alone, so that `G01` is `G1`."""
+    index = _vertex_index(vertex)
     if not isinstance(word, Word):
         raise ValueError(f"path letter at {vertex}: expected a Word")
-    return PathLetter(vertex, word)
+    return PathLetter(f"G{index}", word)
 
 
 def lamp_letter(level, item):

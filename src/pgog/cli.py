@@ -314,11 +314,13 @@ def build_parser():
 
 
 _LOWER_BOUNDS = (("n", "--n", 1), ("m", "--m", 0),
-                 ("max_level", "--max-level", 1))
+                 ("max_level", "--max-level", 1),
+                 ("start_level", "--start-level", 1))
 
 
 def _check_params(args):
-    """Refuse an out-of-range --p, --n, --m or --max-level before any work."""
+    """Refuse an out-of-range --p, --n, --m, --max-level or --start-level
+    before any work."""
     if getattr(args, "p", None) is not None:
         PrimeLevel(args.p)
     for key, flag, low in _LOWER_BOUNDS:

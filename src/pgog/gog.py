@@ -3,17 +3,16 @@
 Assembly and certification: every edge map is verified as an injective
 homomorphism at construction, vertex models are certified against their
 presentations, and the fundamental-group presentation is produced with
-stable letters for non-tree edges.  Certification happens once: a
-vertex's report is kept on its VertexData, however many graphs share
-it, and a graph may be handed the GroupHoms its edge maps already are,
-whose checks it reads instead of redoing.  Specialisations (target
-model, vertex maps, edge elements) are verified against the two
-defining conditions, and a specialisation injective on every vertex
-group is packaged as a PropernessWitness; it keeps one GroupHom per
-vertex, so the hom check and the image order read one graph.  Every map
-out of a model, edge map or vertex map, is checked by its graph
-(GroupHom.verify).  Relators are evaluated only to certify a vertex
-presentation and for a map out of a vertex that has no model.
+stable letters for non-tree edges.  A vertex presentation is certified
+once: its report is kept on its VertexData, however many graphs share
+it; each graph certifies its own edge maps, one GroupHom per model end.
+Specialisations (target model, vertex maps, edge elements) are verified
+against the two defining conditions, and a specialisation injective on
+every vertex group is packaged as a PropernessWitness; it keeps one
+GroupHom per vertex, so the hom check and the image order read one
+graph.  Every map out of a model, edge map or vertex map, is checked by
+its graph (GroupHom.verify).  Relators are evaluated only to certify a
+vertex presentation and for a map out of a vertex that has no model.
 
 Vertex groups are usually concrete models with certified presentations;
 a vertex may instead carry a presentation alone (used by
@@ -44,8 +43,8 @@ class Graph:
             if v0 not in vset or v1 not in vset:
                 raise ValueError(f"edge {eid} touches an unknown vertex")
             self.edges[eid] = (v0, v1)
-        if self.vertices and not self._is_connected():
-            raise ValueError("graph is not connected")
+        self.tree = (self._bfs_tree() if self.vertices
+                     else SpanningTree(None, ()))
 
     def ends(self, eid):
         return self.edges[eid]
@@ -54,17 +53,25 @@ class Graph:
         v0, v1 = self.edges[eid]
         return v0 == v1
 
-    def _is_connected(self):
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for v0, v1 in self.edges.values():
+    def _bfs_tree(self):
+        """BFS tree from the least vertex, loops skipped, in edge order."""
+        root = min(self.vertices)
+        seen = {root}
+        queue = [root]
+        tree = []
+        while queue:
+            v = queue.pop(0)
+            for eid, (v0, v1) in self.edges.items():
+                if v0 == v1:
+                    continue
                 for a, b in ((v0, v1), (v1, v0)):
                     if a == v and b not in seen:
                         seen.add(b)
-                        frontier.append(b)
-        return len(seen) == len(self.vertices)
+                        tree.append(eid)
+                        queue.append(b)
+        if len(seen) != len(self.vertices):
+            raise ValueError("graph is not connected")
+        return SpanningTree(root, tree)
 
 
 class SpanningTree:
@@ -82,24 +89,7 @@ class SpanningTree:
 
 def spanning_tree(graph_or_gog):
     """Deterministic BFS tree rooted at the lexicographically least vertex."""
-    graph = getattr(graph_or_gog, "graph", graph_or_gog)
-    root = min(graph.vertices)
-    seen = {root}
-    queue = [root]
-    tree = []
-    while queue:
-        v = queue.pop(0)
-        for eid, (v0, v1) in graph.edges.items():
-            if v0 == v1:
-                continue
-            for a, b in ((v0, v1), (v1, v0)):
-                if a == v and b not in seen:
-                    seen.add(b)
-                    tree.append(eid)
-                    queue.append(b)
-    if len(seen) != len(graph.vertices):
-        raise ValueError("graph is not connected")
-    return SpanningTree(root, tree)
+    return getattr(graph_or_gog, "graph", graph_or_gog).tree
 
 
 class VertexData:
@@ -135,18 +125,14 @@ class GraphOfGroups:
 
     edges[eid] is the edge group's model.  edge_maps[eid] = (map0, map1);
     each map sends every edge-model generator name to a Word over the end
-    vertex's generator names, stored beside the element it evaluates to
-    at a model end.  An image given as an element is refused: the
-    fundamental presentation needs words, and reading a word off an
-    element would enumerate the vertex group.
-    edge_homs[eid] = (hom0, hom1) may hand certification GroupHoms that
-    are these maps already, so that their checks are read, not redone.
-    Certification leaves every edge's two maps in edge_homs (None at a
-    presentation-only end).
+    vertex's generator names.  An image given as an element is refused:
+    the fundamental presentation needs words, and reading a word off an
+    element would enumerate the vertex group.  Certification evaluates
+    the words and leaves every edge's two maps as GroupHoms in edge_homs
+    (None at a presentation-only end).
     """
 
-    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True,
-                 edge_homs=None):
+    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True):
         self.graph = graph
         self.vertices = dict(vertex_data)
         self.edges = dict(edge_models)
@@ -159,14 +145,14 @@ class GraphOfGroups:
         self.edge_maps = {}
         for eid in graph.edges:
             self.edge_maps[eid] = tuple(
-                self._normalize_map(eid, k, edge_maps[eid][k]) for k in (0, 1))
+                self._check_words(eid, k, edge_maps[eid][k]) for k in (0, 1))
         self.edge_homs = {}
         if check:
-            self._certify(edge_homs or {})
+            self._certify()
 
-    def _normalize_map(self, eid, k, raw):
-        """Store (element, word) per edge generator; the element is None at
-        a presentation-only end."""
+    def _check_words(self, eid, k, raw):
+        """The image word of every edge generator, over the end vertex's
+        generator names."""
         vd = self.vertices[self.graph.ends(eid)[k]]
         names = (vd.model.generators if vd.is_model
                  else vd.presentation.generators)
@@ -182,11 +168,10 @@ class GraphOfGroups:
             if missing:
                 raise ValueError(f"edge {eid} end {k}: image word uses "
                                  f"unknown names {sorted(missing)}")
-            element = vd.model.evaluate(word) if vd.is_model else None
-            out[gname] = (element, word)
+            out[gname] = word
         return out
 
-    def _certify(self, given):
+    def _certify(self):
         for v, vd in self.vertices.items():
             if vd.is_model and vd.presentation is not None:
                 report = vd.certification
@@ -196,21 +181,14 @@ class GraphOfGroups:
         for eid in self.graph.edges:
             homs = []
             for k in (0, 1):
-                v = self.graph.ends(eid)[k]
-                vd = self.vertices[v]
+                vd = self.vertices[self.graph.ends(eid)[k]]
                 if not vd.is_model:
                     homs.append(None)
                     continue
-                edge = self.edges[eid]
-                mapping = {g: self.edge_maps[eid][k][g][0]
-                           for g in edge.generators}
-                hom = given.get(eid, (None, None))[k]
-                if hom is None:
-                    hom = GroupHom(edge, vd.model, mapping, name=f"d{k}({eid})")
-                elif (hom.source, hom.target, hom.mapping) != (
-                        edge, vd.model, mapping):
-                    raise ValueError(f"edge {eid} end {k}: the given hom is "
-                                     "not the edge map")
+                mapping = {g: vd.model.evaluate(w)
+                           for g, w in self.edge_maps[eid][k].items()}
+                hom = GroupHom(self.edges[eid], vd.model, mapping,
+                               name=f"d{k}({eid})")
                 report = hom.verify()
                 if report["status"] != "pass":
                     raise ValueError(f"edge {eid} end {k}: map is not a "
@@ -223,11 +201,7 @@ class GraphOfGroups:
     def image_word(self, eid, k, gname):
         """The image of an edge generator as a word over the end vertex's
         generators."""
-        return self.edge_maps[eid][k][gname][1]
-
-    def image_element(self, eid, k, gname):
-        element, _ = self.edge_maps[eid][k][gname]
-        return element
+        return self.edge_maps[eid][k][gname]
 
 
 def check_reduced(gog):
@@ -240,8 +214,8 @@ def check_reduced(gog):
             vd = gog.vertices[v]
             if not vd.is_model:
                 raise ValueError(f"vertex {v} has no model; cannot compare orders")
-            images = [gog.image_element(eid, k, g)
-                      for g in gog.edges[eid].generators]
+            images = [vd.model.evaluate(w)
+                      for w in gog.edge_maps[eid][k].values()]
             if vd.model.subgroup(images).order >= vd.model.order:
                 return False
     return True
@@ -301,47 +275,41 @@ def fundamental_presentation(gog, tree=None):
 
 
 class Specialisation:
-    """Target model, per-vertex generator images, and edge elements."""
+    """Target model, one GroupHom per vertex, and edge elements."""
 
     def __init__(self, gog, target, vertex_maps, edge_elements=None, name=""):
         self.gog = gog
         self.target = target
         self.name = name
-        self.vertex_maps = {}
+        self.homs = {}
         for v in gog.graph.vertices:
             vd = gog.vertices[v]
-            names = (vd.model.generators if vd.is_model
-                     else vd.presentation.generators)
-            vmap = dict(vertex_maps[v])
-            missing = set(names) - set(vmap)
-            if missing:
-                raise ValueError(f"vertex {v}: no image for {sorted(missing)}")
-            for img in vmap.values():
-                target._own(img)
-            self.vertex_maps[v] = vmap
+            source = vd.model if vd.is_model else vd.presentation
+            try:
+                self.homs[v] = GroupHom(source, target, vertex_maps[v],
+                                        name=f"nu({v})")
+            except ValueError as exc:
+                raise ValueError(f"vertex {v}: {exc}") from None
         self.edge_elements = {}
         for eid in gog.graph.edges:
             t = (edge_elements or {}).get(eid, target.identity)
             target._own(t)
             self.edge_elements[eid] = t
-        self._vertex_homs = {}
+
+    @property
+    def vertex_maps(self):
+        """Each vertex's generator images, read off its hom."""
+        return {v: hom.mapping for v, hom in self.homs.items()}
 
     def vertex_hom(self, v):
-        """nu_v as a GroupHom, one per vertex, so that every check of the
-        specialisation reads the same graph pcgs."""
-        hom = self._vertex_homs.get(v)
-        if hom is None:
-            vd = self.gog.vertices[v]
-            source = vd.model if vd.is_model else vd.presentation
-            hom = self._vertex_homs[v] = GroupHom(
-                source, self.target, self.vertex_maps[v], name=f"nu({v})")
-        return hom
+        """nu_v as a GroupHom, so that every check of the specialisation
+        reads the same graph pcgs."""
+        return self.homs[v]
 
     def edge_image(self, eid, k, gname):
         """nu_{d_k(e)} applied to the edge generator's image."""
         v = self.gog.graph.ends(eid)[k]
-        return self.target.evaluate(self.gog.image_word(eid, k, gname),
-                                    self.vertex_maps[v])
+        return self.homs[v].apply(self.gog.image_word(eid, k, gname))
 
 
 def verify_specialisation(gog, spec):

@@ -254,9 +254,9 @@ def _two_generation_runner(params):
 def _certification_runner(params):
     p = params.get("p", 2)
     n = params.get("n", 1)
+    # Fn(p, 2) is the only stacked-twist model, whatever the level
     pairs = [("level-group", models.GnModel(p, n), P.gn_presentation(p, n)),
-             ("path-witness", models.FnModel(p, max(n, 2)),
-              P.fn_presentation(p, max(n, 2))),
+             ("path-witness", models.FnModel(p, 2), P.fn_presentation(p, 2)),
              ("heisenberg", models.HeisenbergModP(p),
               P.heisenberg_presentation(p)),
              ("lamplighter", models.LamplighterLevel(p, n),

@@ -12,8 +12,8 @@ Each vertex group G_i and edge group K_i has one cached constructor
 (vertex_data, _edge_data), so a level, the three splittings and the
 transition tails share one model per group, and each vertex presentation
 is certified once.  Every hom is checked by its graph, so no
-presentation is built to check one, and each edge inclusion is checked
-once, by build_level: the splittings reuse the level's homs.
+presentation is built to check one; build_level checks the level's
+inclusions, and each splitting certifies its own edge maps.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -229,15 +229,13 @@ def check_retraction_square(level):
 # -- graphs ---------------------------------------------------------------------
 
 
-def _gog(vertices, edges, edge_models, homs=None, check=True):
+def _gog(vertices, edges, edge_models, check=True):
     """Graph of groups on vertices (id -> VertexData) whose every edge
-    group includes into both ends under its own generator names.  homs
-    are the certified level inclusions these maps are: certification
-    reads their checks instead of redoing them."""
+    group includes into both ends under its own generator names."""
     edge_maps = {eid: ({g: gen(g) for g in model.generators},) * 2
                  for eid, model in edge_models.items()}
     return GraphOfGroups(Graph(vertices, edges), vertices, edge_models,
-                         edge_maps, check=check, edge_homs=homs)
+                         edge_maps, check=check)
 
 
 def _path_parts(p, first, last):
@@ -247,17 +245,9 @@ def _path_parts(p, first, last):
     return vertices, edges, edge_models
 
 
-def _path_homs(p, first, last):
-    """The certified level inclusions K_i -> G_i and K_i -> G_{i+1}."""
-    return {f"K{i}": (build_level(p, i).edge_incl,
-                      build_level(p, i + 1).edge_incl_prev)
-            for i in range(first, last)}
-
-
 def _path_gog(p, first, last, check=True):
     """Path of vertex groups G_first .. G_last glued over the edge groups."""
-    homs = _path_homs(p, first, last) if check else None
-    return _gog(*_path_parts(p, first, last), homs, check=check)
+    return _gog(*_path_parts(p, first, last), check=check)
 
 
 def _tail_gog(p, n, m, check=True):
@@ -294,10 +284,7 @@ def build_graphs(p, n, m=0):
                                P.lamplighter_presentation(p, ell))
     edges[f"H{ell}"] = (f"G{ell}", "W")
     edge_models[f"H{ell}"] = top.lamps
-    homs = _path_homs(p, 1, ell)
-    homs[f"H{ell}"] = (top.lamp_to_vertex, top.lamp_to_lamplighter)
-    return TowerGraphs(p, n, m, path, tail,
-                       _gog(vertices, edges, edge_models, homs))
+    return TowerGraphs(p, n, m, path, tail, _gog(vertices, edges, edge_models))
 
 
 # -- witnesses -------------------------------------------------------------------

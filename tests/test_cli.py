@@ -276,6 +276,8 @@ def test_verify_all_rejects_a_composite_prime(capsys):
      "error: --max-level must be >= 1, got 0\n"),
     (("separate", "--word", "L1:t", "--max-level", "0"),
      "error: --max-level must be >= 1, got 0\n"),
+    (("separate", "--word", "L1:t", "--start-level", "0"),
+     "error: --start-level must be >= 1, got 0\n"),
     # a lamp letter is folded down from its native level, where its lamps
     # must exist: Lamp(2,1) has h0 and h1 only
     (("separate", "--p", "2", "--word", "L1:h5"),
@@ -311,6 +313,7 @@ def test_verify_all_rejects_a_composite_prime(capsys):
      "coordinates, over the 2^22 coordinate budget\n"),
 ], ids=["max-level-0", "max-level-negative", "build-n-0", "build-m-negative",
         "run-n-0", "run-all-max-level-0", "separate-max-level-0",
+        "separate-start-level-0",
         "separate-no-lamp-h5", "separate-no-lamp-h7", "separate-no-lamp-h9",
         "parse-word-missing-generators", "parse-word-over-budget",
         "separate-non-ascii-vertex",
@@ -385,6 +388,13 @@ def test_separate_command_paths(capsys):
 
     code, out, err = run_cli(capsys, "separate", "--word", "G1:k1 #L1:t")
     assert code == 2 and out == "" and "cannot appear in a word" in err
+
+    # leading zeros in a tag are ignored: G01 is G1
+    _, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t", "--json")
+    code, zero, _ = run_cli(capsys, "separate", "--word", "G01:k1 L1:t",
+                            "--json")
+    assert code == 0
+    assert json.loads(zero)["checks"] == json.loads(out)["checks"]
 
     # G16 is refused before any of its coordinates are allocated
     code, out, err = run_cli(capsys, "separate", "--word", "G16:k16",
@@ -503,6 +513,14 @@ def test_a_coset_count_that_runs_out_reads_unknown(monkeypatch):
     statuses = {c["name"]: c["status"] for c in report.checks}
     assert statuses["coset-count level-group"] == reports.UNKNOWN
     assert statuses["expected-outcome"] == reports.UNKNOWN
+    assert report.exit_code == 0
+
+
+def test_certification_example_passes_at_every_level():
+    # the path witness certified is Fn(p, 2) at any --n
+    report = registry.run_example("models/certification", n=3)
+    statuses = [c["status"] for c in report.checks]
+    assert reports.FAIL not in statuses and statuses.count(reports.PASS) == 7
     assert report.exit_code == 0
 
 

@@ -337,19 +337,6 @@ def test_a_passing_witness_builds_one_graph_per_vertex_map():
         assert "_census" in hom.__dict__ and "_graph" not in hom.__dict__
 
 
-def test_certification_reads_given_edge_homs_and_checks_they_match():
-    gog = small_path_gog()
-    hom0, hom1 = gog.edge_homs["e1"]
-    words = {"e1": tuple({g: w for g, (_, w) in m.items()}
-                         for m in gog.edge_maps["e1"])}
-    again = GraphOfGroups(gog.graph, gog.vertices, gog.edges, words,
-                          edge_homs={"e1": (hom0, hom1)})
-    assert again.edge_homs["e1"][0] is hom0 and again.edge_homs["e1"][1] is hom1
-    with pytest.raises(ValueError, match="not the edge map"):
-        GraphOfGroups(gog.graph, gog.vertices, gog.edges, words,
-                      edge_homs={"e1": (hom1, hom0)})
-
-
 def test_a_vertex_presentation_is_certified_once(monkeypatch):
     calls = []
     check = P.check_model_satisfies

@@ -153,20 +153,18 @@ def test_splittings_share_one_model_per_group():
 
 
 def test_splittings_reuse_the_level_inclusions():
-    # each edge inclusion is certified once, by build_level
+    # each splitting certifies its own edge maps between the level's models
     graphs = build_graphs(2, 3, 0)
     levels = {i: build_level(2, i) for i in (1, 2, 3)}
     for gog in (graphs.path, graphs.joined):
         for i in (1, 2):
             first, second = gog.edge_homs[f"K{i}"]
-            assert first is levels[i].edge_incl
-            assert second is levels[i + 1].edge_incl_prev
+            assert first.source is levels[i].edge_group
+            assert first.target is levels[i].vertex_group
+            assert second.target is levels[i + 1].vertex_group
     lamp, lamplighter = graphs.joined.edge_homs["H3"]
-    assert lamp is levels[3].lamp_to_vertex
-    assert lamplighter is levels[3].lamp_to_lamplighter
+    assert lamp.source is levels[3].lamps
     assert lamplighter.target is graphs.joined.vertices["W"].model
-    assert build_graphs(2, 2, 0).joined.edge_homs["K1"] == \
-        graphs.joined.edge_homs["K1"]
 
 
 def test_verify_all_certifies_each_vertex_group_once(monkeypatch, capsys):
@@ -189,6 +187,15 @@ def test_verify_all_certifies_each_vertex_group_once(monkeypatch, capsys):
     assert sorted(certified) == sorted(
         ["G(2,1)", "Gn(2,2)", "Gn(2,3)", "K(2,1)", "K(2,2)", "K(2,3)",
          "Lamp(2,1)", "Lamp(2,2)", "Lamp(2,3)"])
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 1, 2), (3, 1, 2)])
+def test_reducedness_reads_the_words_with_or_without_certification(p, n, m):
+    # check_reduced evaluates the edge words itself, so an unchecked tail,
+    # which keeps no edge homs, gets the checked tail's verdict
+    checked, unchecked = _tail_gog(p, n, m), _tail_gog(p, n, m, check=False)
+    assert unchecked.edge_homs == {} and checked.edge_homs
+    assert check_reduced(unchecked) == check_reduced(checked) is True
 
 
 def test_zero_tail_shares_the_level_edge_group():
