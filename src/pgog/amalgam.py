@@ -14,8 +14,9 @@ representative and carrying an edge part into the syllable before.  Each
 bound: a step is a pure function of its representative and letter, so a
 remembered one is exactly what a fresh split returns.  The form is empty
 exactly for the trivial element, solving the word problem.  The
-reduction runs on coordinate tuples, interned per path; group elements
-are made only for the resulting ReducedWord.
+reduction runs on coordinate tuples, interned per path, from the letters'
+words to the ReducedWord, which keeps them; group elements are made only
+when a caller reads the form's head, syllables or letters.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -205,117 +206,116 @@ class ReducedWord:
 
     head lives in the leftmost vertex group; each syllable records the
     vertex it sits in, its coset representative, and the edge it was
-    entered by, so the walk along the path is recoverable.
+    entered by, so the walk along the path is recoverable.  The form is
+    kept on coordinates: the constructor takes head as a coordinate
+    tuple and syllables as (vertex, representative coordinates, entry
+    edge), and head, syllables and letters() build group elements of the
+    vertex models each time they are read.
     """
 
     def __init__(self, gog, base_vertex, head, syllables):
         self.gog = gog
         self.base_vertex = base_vertex
-        self.head = head
-        self.syllables = tuple(syllables)
+        self._head = head
+        self._syllables = tuple(syllables)
+
+    @property
+    def head(self):
+        return models.GroupElement(
+            self.gog.vertices[self.base_vertex].model, self._head)
+
+    @property
+    def syllables(self):
+        vertices = self.gog.vertices
+        return tuple((v, models.GroupElement(vertices[v].model, rep), eid)
+                     for v, rep, eid in self._syllables)
 
     @property
     def is_trivial(self):
-        return self.head.is_identity and not self.syllables
+        return not self._syllables and not any(self._head)
 
-    @property
-    def syllable_count(self):
-        return len(self.syllables)
+    def _coord_letters(self):
+        # (vertex, coords) of the non-identity head and representatives
+        if any(self._head):
+            yield self.base_vertex, self._head
+        for v, rep, _ in self._syllables:
+            if any(rep):
+                yield v, rep
 
     def letters(self):
         """Vertex-tagged elements multiplying left-to-right to the element."""
-        out = []
-        if not self.head.is_identity:
-            out.append((self.base_vertex, self.head))
-        out.extend((v, rep) for v, rep, _ in self.syllables
-                   if not rep.is_identity)
-        return out
+        vertices = self.gog.vertices
+        return [(v, models.GroupElement(vertices[v].model, x))
+                for v, x in self._coord_letters()]
 
     def __eq__(self, other):
         return (isinstance(other, ReducedWord) and self.gog is other.gog
-                and self.head == other.head
-                and self.syllables == other.syllables)
+                and self._head == other._head
+                and self._syllables == other._syllables)
 
     def __repr__(self):
         if self.is_trivial:
             return "<ReducedWord trivial>"
-        parts = [f"{v}:{tuple(rep.coords)}" for v, rep, _ in self.syllables]
-        return (f"<ReducedWord head={tuple(self.head.coords)} "
-                + " ".join(parts) + ">")
+        parts = [f"{v}:{rep}" for v, rep, _ in self._syllables]
+        return f"<ReducedWord head={self._head} " + " ".join(parts) + ">"
 
 
-class _Accumulator:
-    """Right-multiplies letters into a reduced word, one at a time, on
-    coordinate tuples; elements are made only for the result.  A letter
-    x merges in place: each syllable, from the top down, takes the s of
-    its step (rep, x) and carries c to the one before it, or to the head,
+def _reduce(tables, head, stack, letters):
+    """Right-multiply (vertex, coords) letters into the reduced word with
+    head coordinates `head` and syllables `stack`, (vertex, representative
+    coordinates, entry edge) entries that are changed in place; returns
+    the new head.  A letter x first walks from the last syllable, or the
+    base vertex, to its vertex through identity syllables.  Then it
+    merges in place: each syllable, from the top down, takes the s of its
+    step (rep, x) and carries c to the one before it, or to the head,
     until c is trivial; then trailing identity syllables are popped.  A
     turn of the walk never becomes trivial: its rep lies outside the edge
     image that c lies in, so rep c does too."""
-
-    def __init__(self, gog, tables):
-        self.tables = tables
-        self.gog = gog
-        self.base = tables.order[0]
-        self.head = tables.models[self.base].identity.coords
-        self.stack = []     # (vertex, representative coords, entry edge)
-
-    def push(self, vertex, x):
-        """Multiply by x, coordinates in the vertex's model, on the right,
-        after walking to the vertex through identity syllables."""
-        stack = self.stack
-        stack.extend(self.tables.walks[
-            (stack[-1][0] if stack else self.base, vertex)])
-        self._merge(x)
-
-    def _merge(self, x):
-        # multiply x into the end syllable and restore canonical form
-        stack, steps = self.stack, self.tables.steps
+    walks, steps = tables.walks, tables.steps
+    base = tables.order[0]
+    for vertex, x in letters:
+        stack.extend(walks[(stack[-1][0] if stack else base, vertex)])
         if any(x):
             i = len(stack) - 1
             while i >= 0:
-                vertex, rep, entry = stack[i]
-                s, x = steps[(entry, vertex)][(rep, x)]
-                stack[i] = (vertex, s, entry)
+                v, rep, entry = stack[i]
+                s, x = steps[(entry, v)][(rep, x)]
+                stack[i] = (v, s, entry)
                 if x is None:
                     break
                 i -= 1
             else:
-                self.head = kernel.mul(
-                    self.tables.blocks[self.base], self.head, x)
+                head = kernel.mul(tables.blocks[base], head, x)
         while stack and not any(stack[-1][1]):
             stack.pop()
+    return head
 
-    def result(self):
-        element = models.GroupElement
-        vertex_models = self.tables.models
-        head = self.tables.interned.setdefault(self.head, self.head)
-        return ReducedWord(
-            self.gog, self.base, element(vertex_models[self.base], head),
-            [(v, element(vertex_models[v], rep), eid)
-             for v, rep, eid in self.stack])
+
+def _result(gog, tables, head, stack):
+    """The ReducedWord of a reduction's head and stack, its head interned."""
+    return ReducedWord(gog, tables.order[0],
+                       tables.interned.setdefault(head, head), stack)
 
 
 def _as_coords(gog, letters):
-    items = []
+    """(vertex, coords) of each letter, read as the reduction reaches it."""
     for i, (vertex, item) in enumerate(letters):
         if vertex not in gog.vertices:
             raise ValueError(f"letter {i}: unknown vertex {vertex!r}")
         model = gog.vertices[vertex].model
         if isinstance(item, Word):
             try:
-                element = model.evaluate(item)
+                x = model.word_coords(item)
             except KeyError as exc:
                 raise ValueError(f"letter {i} at {vertex}: {exc}") from None
         elif isinstance(item, models.GroupElement):
             if item.model != model:
                 raise ValueError(
                     f"letter {i}: element does not belong to vertex {vertex}")
-            element = item
+            x = item.coords
         else:
             raise ValueError(f"letter {i}: expected a Word or GroupElement")
-        items.append((vertex, element.coords))
-    return items
+        yield vertex, x
 
 
 def normal_form(gog, letters):
@@ -325,10 +325,11 @@ def normal_form(gog, letters):
     right; the result is empty exactly when the product is trivial in the
     path's fundamental group.
     """
-    acc = _Accumulator(gog, _paths(gog))
-    for vertex, x in _as_coords(gog, letters):
-        acc.push(vertex, x)
-    return acc.result()
+    tables = _paths(gog)
+    stack = []
+    head = _reduce(tables, tables.models[tables.order[0]].identity.coords,
+                   stack, _as_coords(gog, letters))
+    return _result(gog, tables, head, stack)
 
 
 def nf_multiply(x, y):
@@ -337,13 +338,11 @@ def nf_multiply(x, y):
         raise ValueError("nf_multiply needs two ReducedWords")
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
-    # x is already reduced, so the accumulator starts from its coordinates
-    acc = _Accumulator(x.gog, _paths(x.gog))
-    acc.head = x.head.coords
-    acc.stack = [(v, rep.coords, eid) for v, rep, eid in x.syllables]
-    for vertex, element in y.letters():
-        acc.push(vertex, element.coords)
-    return acc.result()
+    # x is already reduced, so the reduction starts from its coordinates
+    tables = _paths(x.gog)
+    stack = list(x._syllables)
+    head = _reduce(tables, x._head, stack, y._coord_letters())
+    return _result(x.gog, tables, head, stack)
 
 
 # -- separation --------------------------------------------------------------

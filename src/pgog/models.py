@@ -204,7 +204,7 @@ class FiniteGroupModel:
         self._hash = hash((self.blocks, tuple(n for n, _ in gen_items)))
         self.identity = GroupElement(self, (0,) * self.width)
         self.generators = {n: GroupElement(self, coords) for n, coords in gen_items}
-        self._coords = dict(gen_items)  # evaluate's generator table
+        self._coords = dict(gen_items)  # word_coords' generator table
         self._inverses = {}             # filled on a name's first inverse
 
     def __eq__(self, other):
@@ -212,7 +212,8 @@ class FiniteGroupModel:
             return True
         return (isinstance(other, FiniteGroupModel)
                 and self.blocks == other.blocks
-                and tuple(self.generators) == tuple(other.generators))
+                and tuple(self._coords.items())
+                == tuple(other._coords.items()))
 
     def __hash__(self):
         return self._hash
@@ -309,16 +310,22 @@ class FiniteGroupModel:
         return self.subgroup().order
 
     def evaluate(self, word, assignment=None):
-        """Evaluate a Word; assignment maps names to elements (default: generators).
+        """Evaluate a Word; assignment maps names to elements (default:
+        generators).  See word_coords."""
+        if assignment is self.generators:
+            assignment = None
+        return GroupElement(self, self.word_coords(word, assignment))
+
+    def word_coords(self, word, assignment=None):
+        """Coordinates of a Word, as evaluate gives them.
 
         Each syllable x^e is squared and multiplied into the product on
         coordinate tuples, as power() does, without an element per step,
         and the product starts from its first factor, not the identity.
-        Without an assignment, or with the generators themselves, x is
-        read from this model's own table of generator coordinates, and
-        x^-1 from its table of inverses, which holds the names so far
-        used with a negative exponent."""
-        own = assignment is None or assignment is self.generators
+        Without an assignment, x is read from this model's own table of
+        generator coordinates, and x^-1 from its table of inverses, which
+        holds the names so far used with a negative exponent."""
+        own = assignment is None
         blocks, mul = self.blocks, kernel.mul
         acc = None
         for name, exp in word.syllables:
@@ -344,7 +351,7 @@ class FiniteGroupModel:
                 exp >>= 1
                 if exp:
                     x = mul(blocks, x, x)
-        return self.identity if acc is None else GroupElement(self, acc)
+        return self.identity.coords if acc is None else acc
 
 
 def ea_shape(p, k):

@@ -55,11 +55,12 @@ class _Reference:
         stack.append((vertex, s, entry))
 
     def result(self):
+        # every coordinate checked against its vertex model's moduli
         vertex_models = self.tables.models
         return amalgam.ReducedWord(
             self.gog, self.base,
-            vertex_models[self.base].element(self.head),
-            [(v, vertex_models[v].element(rep), eid)
+            vertex_models[self.base].element(self.head).coords,
+            [(v, vertex_models[v].element(rep).coords, eid)
              for v, rep, eid in self.stack])
 
 

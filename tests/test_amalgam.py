@@ -128,10 +128,11 @@ class _ShortlexTransversal:
 
 
 def _shortlex_normal_form(gog, tables, letters):
-    acc = amalgam._Accumulator(gog, tables)
-    for vertex, x in amalgam._as_coords(gog, letters):
-        acc.push(vertex, x)
-    return acc.result()
+    stack = []
+    head = amalgam._reduce(
+        tables, tables.models[tables.order[0]].identity.coords, stack,
+        amalgam._as_coords(gog, letters))
+    return amalgam._result(gog, tables, head, stack)
 
 
 def test_sifted_and_shortlex_representatives_give_the_same_forms():
@@ -329,7 +330,7 @@ def test_separately_built_splittings_keep_separate_memos():
     first, second = free_product_line(2), free_product_line(2)
     nf = normal_form(first, [("L", gen("a")), ("R", gen("b")),
                              ("L", gen("a"))])
-    assert nf.syllable_count == 2
+    assert len(nf.syllables) == 2
     ones, twos = amalgam._paths(first).steps, amalgam._paths(second).steps
     assert set(ones) == set(twos) == {("e", "L"), ("e", "R")}
     assert all(ones[slot] for slot in ones)
@@ -381,8 +382,25 @@ def test_letters_are_validated():
     with pytest.raises(ValueError, match="no image for generator"):
         normal_form(path, [("G1", gen("zz"))])
     foreign = path.vertices["G2"].model.generators["k2"]
-    with pytest.raises(ValueError, match="does not belong"):
-        normal_form(path, [("G1", foreign)])
+    with pytest.raises(ValueError, match=(
+            "^letter 1: element does not belong to vertex G1$")):
+        normal_form(path, [("G2", gen("k2")), ("G1", foreign)])
+    with pytest.raises(ValueError, match=(
+            "^letter 1: expected a Word or GroupElement$")):
+        normal_form(path, [("G1", gen("c")), ("G2", "k2")])
+
+
+def test_a_failed_last_letter_leaves_no_trace():
+    # the letters are read as the reduction reaches them, so every letter
+    # before the bad one has been reduced, its steps remembered
+    prefix = [("G1", gen("c")), ("G2", gen("k2") * gen("h3", -1)),
+              ("G1", gen("k1", -1)), ("G2", gen("h0"))]
+    path, fresh = _path_gog(2, 1, 2), _path_gog(2, 1, 2)
+    with pytest.raises(ValueError, match="no image for generator zz"):
+        normal_form(path, prefix + [("G1", gen("zz"))])
+    assert any(amalgam._paths(path).steps.values())
+    got, want = normal_form(path, prefix), normal_form(fresh, prefix)
+    assert not got.is_trivial and repr(got) == repr(want)
 
 
 def _random_word(rng, names, max_len=3):
@@ -438,7 +456,8 @@ def test_a_thousand_inserted_cancelling_pairs_change_nothing():
         padded = letters[:at] + [(v, w), (v, ~w)] + letters[at:]
         plain = normal_form(path, letters)
         assert normal_form(path, padded) == plain
-        assert normal_form(path, padded).syllable_count == plain.syllable_count
+        assert len(normal_form(path, padded).syllables) == \
+            len(plain.syllables)
 
 
 def test_normal_form_agrees_with_the_witness_in_both_directions():

@@ -517,6 +517,24 @@ def test_structural_equality_between_instances():
     assert models.GnModel(2, 1) != models.FnModel(2, 1)
 
 
+def test_models_with_other_generator_coordinates_do_not_alias():
+    # one 2-coordinate EA layout, equal generator names, the coordinates
+    # swapped: two different models, so no element of one equals one of
+    # the other, not even the identity
+    layout = [(kpy.EA, 2, 0, 0, 0, 2)]
+    a = models.FiniteGroupModel("A", layout, [("x", (1, 0)), ("y", (0, 1))])
+    b = models.FiniteGroupModel("B", layout, [("x", (0, 1)), ("y", (1, 0))])
+    twin = models.FiniteGroupModel("C", layout,
+                                   [("x", (1, 0)), ("y", (0, 1))])
+    assert a != b and a == twin
+    assert a.identity != b.identity and a.identity == twin.identity
+    assert a.generators["x"] != b.generators["y"]
+    assert a.generators["x"].coords == b.generators["y"].coords
+    assert a.generators["x"] == twin.generators["x"]
+    with pytest.raises(ValueError, match="does not belong"):
+        a.multiply(a.generators["x"], b.generators["x"])
+
+
 def test_power_and_negative_exponents():
     m = models.LamplighterLevel(2, 2)
     t = m.generators["t"]
@@ -633,6 +651,30 @@ def test_evaluate_fills_its_inverse_table_on_first_use():
     # an assignment other than the generators reads no table
     m.evaluate(gen("a", -1), {"a": m.generators["k1"]})
     assert "a" not in m._inverses and len(m._inverses) == len(names)
+
+
+@pytest.mark.parametrize("p,level", [(2, 3), (3, 2)])
+def test_word_coords_equal_both_evaluate_paths(p, level):
+    # every vertex model of the joined splitting; the explicit assignment
+    # is a copy of the generators, so evaluate reads no table for it
+    from pgog.tower import build_graphs
+    gog = build_graphs(p, level, 0).joined
+    rng = random.Random(f"word-coords/{p}/{level}")
+    exponents = set()
+    for v in gog.graph.vertices:
+        m = gog.vertices[v].model
+        names = list(m.generators)
+        assignment = {g: m.generators[g] for g in names}
+        for _ in range(40):
+            drawn = [(rng.choice(names),
+                      rng.choice((-1, 1)) * rng.randint(1, 5))
+                     for _ in range(rng.randint(1, 6))]
+            exponents.update(exp for _, exp in drawn)
+            word = Word(tuple(drawn))
+            coords = m.word_coords(word)
+            assert coords == m.evaluate(word).coords, (v, word)
+            assert coords == m.evaluate(word, assignment).coords, (v, word)
+    assert exponents == set(range(-5, 0)) | set(range(1, 6))
 
 
 def test_equal_models_keep_their_own_evaluate_tables():
