@@ -7,16 +7,18 @@ A syllable's representative is what the split of a Transversal, the
 models.Pcgs of the graph of an edge's two maps, leaves of it (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005, §8.3), and the
 same split carries the edge-group part across the edge; nothing is
-enumerated, and normal forms are reproducible across runs.  A letter
-merges in place, one loop down the syllable stack, each step replacing a
-representative and carrying an edge part into the syllable before.  Each
-(edge, vertex) slot of a path remembers the steps it has made, up to a
+enumerated, and normal forms are reproducible across runs.  Each (entry
+edge, vertex) slot of a path remembers the steps it has made, up to a
 bound: a step is a pure function of its representative and letter, so a
-remembered one is exactly what a fresh split returns.  The form is empty
-exactly for the trivial element, solving the word problem.  The
-reduction runs on coordinate tuples, interned per path, from the letters'
-words to the ReducedWord, which keeps them; group elements are made only
-when a caller reads the form's head, syllables or letters.
+remembered one is exactly what a fresh split returns.  A syllable is the
+pair (slot, representative), so the slot that steps it is at hand.  A
+letter merges in place, one loop down the syllable stack, each step
+replacing a representative and carrying an edge part into the syllable
+before.  The form is empty exactly for the trivial element, solving the
+word problem.  The reduction runs on coordinate tuples, interned per
+path, from the letters' words to the ReducedWord, which keeps them;
+group elements are made only when a caller reads the form's head,
+syllables or letters.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -126,26 +128,31 @@ def build_transversals(gog):
 
 
 class _Steps(dict):
-    """The merge steps at one (edge, vertex) slot of a path: (rep, x) ->
-    (s, c) with rep x = phi(kappa) s for an edge element kappa, s the
-    canonical representative and c = psi(kappa) (see Transversal).  A
-    step depends on the pair alone, so a remembered one is exactly what
-    a fresh split of rep x returns.  A missing step is split and kept
-    while the slot holds at most STEP_MEMO_COORDS coordinates of x,
-    entries times the vertex width; a full slot still serves its hits but
-    takes no new entry.  s, c and x are interned in the path's table, and
-    a trivial c is None, which ends a merge."""
+    """The merge steps at one (entry edge, vertex) slot of a path, named by
+    its edge and vertex attributes: (rep, x) -> (s, c) with rep x =
+    phi(kappa) s for an edge element kappa, s the canonical
+    representative and c = psi(kappa) (see Transversal).  A step depends
+    on the pair alone, so a remembered one is exactly what a fresh split
+    of rep x returns.  A missing step is split and kept while the slot
+    holds at most STEP_MEMO_COORDS coordinates of x, entries times the
+    vertex width; a full slot still serves its hits but takes no new
+    entry.  s, c and x are interned in the path's table, and a trivial c
+    is None, which ends a merge.  A slot stands for its place in the
+    path: it equals, and hashes as, no other slot, whatever it holds."""
 
-    def __init__(self, tables, slot):
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __init__(self, tables, edge, vertex):
         super().__init__()
         self.tables = tables
-        self.slot = slot
+        self.edge = edge
+        self.vertex = vertex
 
     def __missing__(self, key):
         rep, x = key
         tables = self.tables
-        s, c = tables.transversals[self.slot].split(
-            kernel.mul(tables.blocks[self.slot[1]], rep, x) if any(rep)
+        s, c = tables.transversals[self.edge, self.vertex].split(
+            kernel.mul(tables.blocks[self.vertex], rep, x) if any(rep)
             else x)
         interned = tables.interned
         step = (interned.setdefault(s, s),
@@ -167,25 +174,31 @@ class _PathTables:
         self.order = order = _path_order(gog)
         self.models = {v: gog.vertices[v].model for v in order}
         self.blocks = {v: model.blocks for v, model in self.models.items()}
-        edge_between = {}
-        for eid in gog.graph.edges:
-            a, b = gog.graph.ends(eid)
-            edge_between[(a, b)] = edge_between[(b, a)] = eid
-        # (a, b) -> the identity syllables at each vertex after a along
-        # the path up to b, each with the edge it is entered by
-        self.walks = {}
-        for i, a in enumerate(order):
-            for j, b in enumerate(order):
-                step = 1 if j > i else -1
-                self.walks[(a, b)] = tuple(
-                    (order[k], self.models[order[k]].identity.coords,
-                     edge_between[(order[k - step], order[k])])
-                    for k in range(i + step, j + step, step))
         self.interned = {}      # coords -> the same: heads and steps
         # keyed by the slot (entry edge, vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
-        self.steps = {slot: _Steps(self, slot) for slot in self.transversals}
+        self.steps = {slot: _Steps(self, *slot) for slot in self.transversals}
+        # walk_from[top][b]: the identity syllables at each vertex after
+        # the top syllable's, or the base vertex when top is None, along
+        # the path up to b, each in the slot it is entered by
+        slot_at = {}
+        for eid in gog.graph.edges:
+            a, b = gog.graph.ends(eid)
+            slot_at[a, b] = self.steps[eid, b]
+            slot_at[b, a] = self.steps[eid, a]
+        by_vertex = {}
+        for i, a in enumerate(order):
+            by_vertex[a] = walks = {}
+            for j, b in enumerate(order):
+                step = 1 if j > i else -1
+                walks[b] = tuple(
+                    (slot_at[order[k - step], order[k]],
+                     self.models[order[k]].identity.coords)
+                    for k in range(i + step, j + step, step))
+        self.walk_from = {None: by_vertex[order[0]]}
+        self.walk_from.update((slot, by_vertex[slot.vertex])
+                              for slot in self.steps.values())
 
 
 _PATHS = weakref.WeakKeyDictionary()
@@ -204,13 +217,15 @@ def _paths(gog):
 class ReducedWord:
     """Canonical alternating form of a path fundamental-group element.
 
-    head lives in the leftmost vertex group; each syllable records the
-    vertex it sits in, its coset representative, and the edge it was
-    entered by, so the walk along the path is recoverable.  The form is
-    kept on coordinates: the constructor takes head as a coordinate
-    tuple and syllables as (vertex, representative coordinates, entry
-    edge), and head, syllables and letters() build group elements of the
-    vertex models each time they are read.
+    head lives in the leftmost vertex group; each syllable is a coset
+    representative in the slot that steps it, the (entry edge, vertex)
+    memo of the path's merge steps, so the walk along the path is
+    recoverable.  The form is kept on coordinates: the constructor takes
+    head as a coordinate tuple and syllables as (slot, representative
+    coordinates) pairs.  head, syllables, read as (vertex, representative,
+    entry edge), and letters() build group elements of the vertex models
+    each time they are read.  Forms over one graph are equal, and hash
+    alike, when their heads and syllables are.
     """
 
     def __init__(self, gog, base_vertex, head, syllables):
@@ -227,8 +242,10 @@ class ReducedWord:
     @property
     def syllables(self):
         vertices = self.gog.vertices
-        return tuple((v, models.GroupElement(vertices[v].model, rep), eid)
-                     for v, rep, eid in self._syllables)
+        return tuple((slot.vertex,
+                      models.GroupElement(vertices[slot.vertex].model, rep),
+                      slot.edge)
+                     for slot, rep in self._syllables)
 
     @property
     def is_trivial(self):
@@ -238,9 +255,9 @@ class ReducedWord:
         # (vertex, coords) of the non-identity head and representatives
         if any(self._head):
             yield self.base_vertex, self._head
-        for v, rep, _ in self._syllables:
+        for slot, rep in self._syllables:
             if any(rep):
-                yield v, rep
+                yield slot.vertex, rep
 
     def letters(self):
         """Vertex-tagged elements multiplying left-to-right to the element."""
@@ -253,39 +270,43 @@ class ReducedWord:
                 and self._head == other._head
                 and self._syllables == other._syllables)
 
+    def __hash__(self):
+        return hash((self._head, self._syllables))
+
     def __repr__(self):
         if self.is_trivial:
             return "<ReducedWord trivial>"
-        parts = [f"{v}:{rep}" for v, rep, _ in self._syllables]
-        return f"<ReducedWord head={self._head} " + " ".join(parts) + ">"
+        return " ".join([f"<ReducedWord head={self._head}",
+                         *(f"{slot.vertex}:{rep}"
+                           for slot, rep in self._syllables)]) + ">"
 
 
 def _reduce(tables, head, stack, letters):
     """Right-multiply (vertex, coords) letters into the reduced word with
-    head coordinates `head` and syllables `stack`, (vertex, representative
-    coordinates, entry edge) entries that are changed in place; returns
-    the new head.  A letter x first walks from the last syllable, or the
-    base vertex, to its vertex through identity syllables.  Then it
-    merges in place: each syllable, from the top down, takes the s of its
+    head coordinates `head` and syllables `stack`, (slot, representative
+    coordinates) pairs that are changed in place; returns the new head.
+    A letter x first walks from the last syllable's vertex, or the base
+    vertex, to its vertex through identity syllables.  Then it merges in
+    place: each syllable, from the top down, takes the s of its slot's
     step (rep, x) and carries c to the one before it, or to the head,
     until c is trivial; then trailing identity syllables are popped.  A
     turn of the walk never becomes trivial: its rep lies outside the edge
     image that c lies in, so rep c does too."""
-    walks, steps = tables.walks, tables.steps
-    base = tables.order[0]
+    walk_from = tables.walk_from
+    base_blocks = tables.blocks[tables.order[0]]
     for vertex, x in letters:
-        stack.extend(walks[(stack[-1][0] if stack else base, vertex)])
+        stack.extend(walk_from[stack[-1][0] if stack else None][vertex])
         if any(x):
             i = len(stack) - 1
             while i >= 0:
-                v, rep, entry = stack[i]
-                s, x = steps[(entry, v)][(rep, x)]
-                stack[i] = (v, s, entry)
+                slot, rep = stack[i]
+                s, x = slot[rep, x]
+                stack[i] = (slot, s)
                 if x is None:
                     break
                 i -= 1
             else:
-                head = kernel.mul(tables.blocks[base], head, x)
+                head = kernel.mul(base_blocks, head, x)
         while stack and not any(stack[-1][1]):
             stack.pop()
     return head
@@ -297,12 +318,13 @@ def _result(gog, tables, head, stack):
                        tables.interned.setdefault(head, head), stack)
 
 
-def _as_coords(gog, letters):
+def _as_coords(tables, letters):
     """(vertex, coords) of each letter, read as the reduction reaches it."""
+    vertex_models = tables.models
     for i, (vertex, item) in enumerate(letters):
-        if vertex not in gog.vertices:
+        model = vertex_models.get(vertex)
+        if model is None:
             raise ValueError(f"letter {i}: unknown vertex {vertex!r}")
-        model = gog.vertices[vertex].model
         if isinstance(item, Word):
             try:
                 x = model.word_coords(item)
@@ -328,7 +350,7 @@ def normal_form(gog, letters):
     tables = _paths(gog)
     stack = []
     head = _reduce(tables, tables.models[tables.order[0]].identity.coords,
-                   stack, _as_coords(gog, letters))
+                   stack, _as_coords(tables, letters))
     return _result(gog, tables, head, stack)
 
 
@@ -338,7 +360,7 @@ def nf_multiply(x, y):
         raise ValueError("nf_multiply needs two ReducedWords")
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
-    # x is already reduced, so the reduction starts from its coordinates
+    # x is already reduced, so the reduction starts from its syllables
     tables = _paths(x.gog)
     stack = list(x._syllables)
     head = _reduce(tables, x._head, stack, y._coord_letters())

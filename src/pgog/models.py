@@ -320,8 +320,9 @@ class FiniteGroupModel:
         """Coordinates of a Word, as evaluate gives them.
 
         Each syllable x^e is squared and multiplied into the product on
-        coordinate tuples, as power() does, without an element per step,
-        and the product starts from its first factor, not the identity.
+        coordinate tuples, as power() does, without an element per step;
+        x^1 and x^-1 are multiplied in without the loop.  The product
+        starts from its first factor, not the identity.
         Without an assignment, x is read from this model's own table of
         generator coordinates, and x^-1 from its table of inverses, which
         holds the names so far used with a negative exponent."""
@@ -345,6 +346,9 @@ class FiniteGroupModel:
                     x = y
                 else:
                     x = self._inverses[name] = kernel.inv(blocks, x)
+            if exp == 1:
+                acc = x if acc is None else mul(blocks, acc, x)
+                continue
             while exp:
                 if exp & 1:
                     acc = x if acc is None else mul(blocks, acc, x)

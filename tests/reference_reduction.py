@@ -20,7 +20,7 @@ class _Reference:
         self.base = self.tables.order[0]
         self.head = (self.tables.models[self.base].identity.coords
                      if head is None else head)
-        self.stack = list(stack)    # (vertex, representative, entry edge)
+        self.stack = list(stack)    # (slot, representative)
 
     def push(self, vertex, x):
         self._walk(vertex)
@@ -28,8 +28,8 @@ class _Reference:
 
     def _walk(self, vertex):
         stack = self.stack
-        stack.extend(self.tables.walks[
-            (stack[-1][0] if stack else self.base, vertex)])
+        stack.extend(self.tables.walk_from[
+            stack[-1][0] if stack else None][vertex])
 
     def _merge(self, x):
         tables, stack = self.tables, self.stack
@@ -41,18 +41,19 @@ class _Reference:
             if not stack:
                 self.head = kernel.mul(tables.blocks[self.base], self.head, x)
                 return
-            vertex, rep, entry = stack.pop()
+            slot, rep = stack.pop()
             if any(rep):
-                x = kernel.mul(tables.blocks[vertex], rep, x)
-            s, c = models.Pcgs.split(tables.transversals[(entry, vertex)], x)
+                x = kernel.mul(tables.blocks[slot.vertex], rep, x)
+            s, c = models.Pcgs.split(
+                tables.transversals[(slot.edge, slot.vertex)], x)
             if any(s):
                 break
             x = c
         if any(c):
             self._merge(c)
-            self._walk(vertex)
+            self._walk(slot.vertex)
             stack.pop()
-        stack.append((vertex, s, entry))
+        stack.append((slot, s))
 
     def result(self):
         # every coordinate checked against its vertex model's moduli
@@ -60,20 +61,23 @@ class _Reference:
         return amalgam.ReducedWord(
             self.gog, self.base,
             vertex_models[self.base].element(self.head).coords,
-            [(v, vertex_models[v].element(rep).coords, eid)
-             for v, rep, eid in self.stack])
+            [(slot, vertex_models[slot.vertex].element(rep).coords)
+             for slot, rep in self.stack])
 
 
 def normal_form(gog, letters):
     acc = _Reference(gog)
-    for vertex, x in amalgam._as_coords(gog, letters):
+    for vertex, x in amalgam._as_coords(acc.tables, letters):
         acc.push(vertex, x)
     return acc.result()
 
 
 def nf_multiply(x, y):
+    # from x's public readouts, each syllable put back in its slot
+    steps = amalgam._paths(x.gog).steps
     acc = _Reference(x.gog, x.head.coords,
-                     [(v, rep.coords, eid) for v, rep, eid in x.syllables])
+                     [(steps[(eid, v)], rep.coords)
+                      for v, rep, eid in x.syllables])
     for vertex, element in y.letters():
         acc.push(vertex, element.coords)
     return acc.result()

@@ -131,7 +131,7 @@ def _shortlex_normal_form(gog, tables, letters):
     stack = []
     head = amalgam._reduce(
         tables, tables.models[tables.order[0]].identity.coords, stack,
-        amalgam._as_coords(gog, letters))
+        amalgam._as_coords(tables, letters))
     return amalgam._result(gog, tables, head, stack)
 
 
@@ -235,16 +235,40 @@ def _stepwise_walk(gog, a, b):
     return tuple(walk)
 
 
+def _walks_by_vertex_names(tables):
+    # (from, to) -> the walk as (vertex, coords, entry edge) triples, from
+    # the base (None) or each slot's vertex; every syllable's slot is the
+    # path's memo of its entry edge and vertex
+    out = {}
+    for top, walks in tables.walk_from.items():
+        a = tables.order[0] if top is None else top.vertex
+        for b, walk in walks.items():
+            for slot, _ in walk:
+                assert slot is tables.steps[(slot.edge, slot.vertex)]
+            triples = tuple((slot.vertex, rep, slot.edge)
+                            for slot, rep in walk)
+            assert out.setdefault((a, b), triples) == triples
+    return out
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_precomputed_walks_equal_the_stepwise_walks(p):
     # the level-3 joined splittings: nf-products reduces over p = 2's
     gog, _ = joined_witness_specialisation(p, 3)
-    walks = amalgam._paths(gog).walks
+    tables = amalgam._paths(gog)
     vertices = list(gog.graph.vertices)
     assert len(vertices) == 4
+    assert set(tables.walk_from) == {None, *tables.steps.values()}
+    walks = _walks_by_vertex_names(tables)
     assert walks == {(a, b): _stepwise_walk(gog, a, b)
                      for a in vertices for b in vertices}
     assert walks[("G1", "W")] and not walks[("G2", "G2")]
+
+
+def test_a_one_vertex_path_walks_nowhere():
+    tables = amalgam._paths(_one_vertex_gog())
+    assert tables.order == ("L",) and tables.steps == {}
+    assert tables.walk_from == {None: {"L": ()}}
 
 
 # -- the step memo -----------------------------------------------------------
@@ -263,9 +287,9 @@ def checked_steps(monkeypatch):
     def step(self, key):
         got = remembered(self, key)
         rep, x = key
-        transversal = self.tables.transversals[self.slot]
+        transversal = self.tables.transversals[(self.edge, self.vertex)]
         s, c = models.Pcgs.split(transversal, kernel.mul(
-            self.tables.blocks[self.slot[1]], rep, x))
+            self.tables.blocks[self.vertex], rep, x))
         assert got == (s, c if any(c) else None), (transversal, key)
         counts["steps"] += 1
         return got
@@ -493,9 +517,13 @@ def test_in_place_reduction_equals_the_recursive_reference(p, level, counts):
         a, b = (_random_letters(rng, gog, rng.randrange(1, 9))
                 for _ in range(2))
         x, y = normal_form(gog, a), normal_form(gog, b)
-        assert x == reference_reduction.normal_form(gog, a), a
-        assert y == reference_reduction.normal_form(gog, b), b
-        assert nf_multiply(x, y) == reference_reduction.nf_multiply(x, y)
+        pairs = [(x, reference_reduction.normal_form(gog, a)),
+                 (y, reference_reduction.normal_form(gog, b)),
+                 (nf_multiply(x, y), reference_reduction.nf_multiply(x, y))]
+        for got, want in pairs:
+            # == reads the syllables' slots; the readouts name them
+            assert got == want, (a, b)
+            assert _readouts(got) == _readouts(want), (a, b)
         seen["products"] += 1
         for v, word in a + b:
             seen["letters"] += 1
@@ -510,6 +538,66 @@ def test_multiplying_by_the_empty_form_is_the_identity():
     x = normal_form(path, [("G1", gen("c")), ("G2", gen("k2") * gen("h3"))])
     assert nf_multiply(x, empty) == x
     assert nf_multiply(empty, x) == x
+
+
+def _readouts(w):
+    # a form's public readouts: base vertex, head coordinates and
+    # (vertex, representative coordinates, entry edge) syllables
+    return (w.base_vertex, w.head.coords,
+            tuple((v, rep.coords, eid) for v, rep, eid in w.syllables))
+
+
+def test_equal_products_give_equal_forms_and_hashes():
+    path = p2_path()
+    # k1 is one edge element, read at either end; h0 h0^-1 cancels
+    pairs = [
+        ([("G1", gen("k1"))], [("G2", gen("k1"))]),
+        ([("G1", gen("c")), ("G2", gen("k2"))],
+         [("G1", gen("c")), ("G2", gen("k2")), ("G2", gen("h0")),
+          ("G2", gen("h0", -1))]),
+        ([], [("G1", gen("c")), ("G1", gen("c", -1))]),
+    ]
+    for a, b in pairs:
+        x, y = normal_form(path, a), normal_form(path, b)
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert _readouts(x) == _readouts(y)
+    forms = {normal_form(path, a) for pair in pairs for a in pair}
+    assert len(forms) == 3
+    assert normal_form(path, []) in forms
+
+
+def test_reprs_of_a_trivial_a_head_only_and_a_syllabled_form():
+    path = p2_path()
+    assert repr(normal_form(path, [])) == "<ReducedWord trivial>"
+    assert repr(normal_form(path, [("G2", gen("k1"))])) == \
+        "<ReducedWord head=(1, 0, 0, 0)>"
+    assert repr(normal_form(
+        path, [("G2", gen("k2")), ("G1", gen("c")), ("G2", gen("h3"))])) == (
+        "<ReducedWord head=(0, 0, 0, 0) G2:(0, 1, 0, 0, 0, 0) "
+        "G1:(0, 0, 0, 1) G2:(0, 0, 0, 0, 0, 1)>")
+
+
+def _one_vertex_gog():
+    return GraphOfGroups(
+        Graph(["L"], {}),
+        {"L": VertexData(models.ElementaryAbelian(3, ["a", "b"]), None)},
+        {}, {})
+
+
+def test_a_one_vertex_path_reduces_into_its_head():
+    gog = _one_vertex_gog()
+    model = gog.vertices["L"].model
+    x = normal_form(gog, [("L", gen("a")), ("L", gen("b")),
+                          ("L", gen("a", 2))])
+    assert x.syllables == () and x.head == model.evaluate(gen("b"))
+    assert repr(x) == "<ReducedWord head=(0, 1)>"
+    assert normal_form(gog, [("L", gen("a", 3))]).is_trivial
+    y = normal_form(gog, [("L", gen("a")), ("L", model.generators["b"])])
+    product = nf_multiply(x, y)
+    assert product == normal_form(gog, [("L", gen("a") * gen("b", 2))])
+    assert product.letters() == [
+        ("L", model.evaluate(gen("a") * gen("b", 2)))]
+    assert nf_multiply(x, normal_form(gog, [("L", gen("b", -1))])).is_trivial
 
 
 def test_multiplying_words_over_different_graphs_is_rejected():
