@@ -138,23 +138,25 @@ class _Steps(dict):
     vertex width; a full slot still serves its hits but takes no new
     entry.  s, c and x are interned in the path's table, and a trivial c
     is None, which ends a merge.  A slot stands for its place in the
-    path: it equals, and hashes as, no other slot, whatever it holds."""
+    path: it equals, and hashes as, no other slot, whatever it holds.
+    It keeps what a split reads and not the path tables, so no cycle
+    keeps a dead graph's tables alive."""
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, tables, edge, vertex):
+    def __init__(self, transversal, blocks, interned):
         super().__init__()
-        self.tables = tables
-        self.edge = edge
-        self.vertex = vertex
+        self.edge = transversal.edge_id
+        self.vertex = transversal.vertex
+        self.transversal = transversal
+        self.blocks = blocks
+        self.interned = interned
 
     def __missing__(self, key):
         rep, x = key
-        tables = self.tables
-        s, c = tables.transversals[self.edge, self.vertex].split(
-            kernel.mul(tables.blocks[self.vertex], rep, x) if any(rep)
-            else x)
-        interned = tables.interned
+        s, c = self.transversal.split(
+            kernel.mul(self.blocks, rep, x) if any(rep) else x)
+        interned = self.interned
         step = (interned.setdefault(s, s),
                 interned.setdefault(c, c) if any(c) else None)
         if (len(self) + 1) * len(x) <= STEP_MEMO_COORDS:
@@ -178,7 +180,8 @@ class _PathTables:
         # keyed by the slot (entry edge, vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
-        self.steps = {slot: _Steps(self, *slot) for slot in self.transversals}
+        self.steps = {slot: _Steps(t, self.blocks[t.vertex], self.interned)
+                      for slot, t in self.transversals.items()}
         # walk_from[top][b]: the identity syllables at each vertex after
         # the top syllable's, or the base vertex when top is None, along
         # the path up to b, each in the slot it is entered by

@@ -12,8 +12,12 @@ Each vertex group G_i and edge group K_i has one cached constructor
 (vertex_data, _edge_data), so a level, the three splittings and the
 transition tails share one model per group, and each vertex presentation
 is certified once.  Every hom is checked by its graph, so no
-presentation is built to check one; build_level checks the level's
-inclusions, and each splitting certifies its own edge maps.
+presentation is built to check one, and each map is verified where it
+is used.  The inclusions K_i -> G_i, K_i -> G_{i+1}, H_n -> G_n and
+H_n -> W are edge maps, certified as injective homs by each splitting
+that contains them.  build_level verifies the level's two folds, the
+retraction square the two inclusions it composes with, and the
+transition maps take their images from the level's vertex fold.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -59,14 +63,6 @@ def _verified(hom):
     return hom
 
 
-def _injective(hom):
-    """Verify a hom and its injectivity."""
-    _verified(hom)
-    if not P.hom_injective_on(hom):
-        raise ValueError(f"{hom.name or 'hom'} is not injective")
-    return hom
-
-
 def _name_hom(source, target, name=""):
     mapping = {g: target.generators[g] for g in source.generators}
     return P.GroupHom(source, target, mapping, name=name)
@@ -78,17 +74,13 @@ class TowerLevel(namedtuple("TowerLevel", (
         "edge_group",           # <k_n> x lamps
         "vertex_group",         # bottom: edge_group x <c>; higher: twisted
         "lamplighter",          # lamps with the cyclic shift t
-        "lamp_incl",            # level n-1 lamps -> lamps (None at n=1)
         "lamp_fold",            # lamps -> level n-1 lamps (None at n=1)
-        "edge_incl_prev",       # level n-1 edge group -> vertex_group
-                                # (None at n=1)
-        "edge_incl",            # edge_group -> vertex_group
-        "lamp_to_vertex",       # lamps -> vertex_group
         "vertex_fold",          # vertex_group -> level n-1 edge group
                                 # (None at n=1)
-        "lamp_to_lamplighter",  # lamps -> lamplighter
         ))):
-    """All level-n models plus the homs tying them to level n-1."""
+    """The four level-n models and the two folds onto level n-1, both
+    verified by build_level.  No inclusion is kept: the splittings certify
+    them as edge maps, each generator to the one of the same name."""
 
     __slots__ = ()
 
@@ -156,32 +148,21 @@ def _edge_data(p, i):
 
 @lru_cache(maxsize=LEVEL_CACHE)
 def build_level(p, n):
-    """Build level n, verifying every hom and every inclusion's injectivity."""
+    """Build level n, verifying its two folds as homs; level 1 has none."""
     models.PrimeLevel(p, n)
     lamps = models.ElementaryAbelian(p, lamp_names(p, n))
     edge_group = _edge_data(p, n).model
     vertex_group = vertex_data(p, n).model
     lamplighter = models.LamplighterLevel(p, n)
 
-    edge_incl = _injective(
-        _name_hom(edge_group, vertex_group, f"K{n}->G{n}"))
-    lamp_to_vertex = _injective(
-        _name_hom(lamps, vertex_group, f"H{n}->G{n}"))
-    lamp_to_lamplighter = _injective(
-        _name_hom(lamps, lamplighter, f"H{n}->W{n}"))
-
-    lamp_incl = lamp_fold = edge_incl_prev = vertex_fold = None
+    lamp_fold = vertex_fold = None
     if n > 1:
         prev = build_level(p, n - 1)
-        lamp_incl = _injective(
-            _name_hom(prev.lamps, lamps, f"H{n - 1}->H{n}"))
         lamp_fold = _verified(
             P.GroupHom(lamps, prev.lamps,
                        {f"h{j}": prev.lamps.generators[f"h{mu(p, n - 1, j)}"]
                         for j in range(p ** n)},
                        name=f"H{n}->H{n - 1} fold"))
-        edge_incl_prev = _injective(
-            _name_hom(prev.edge_group, vertex_group, f"K{n - 1}->G{n}"))
         fold_map = {f"k{n}": prev.edge_group.identity,
                     f"k{n - 1}": prev.edge_group.generators[f"k{n - 1}"]}
         for j in range(p ** n):
@@ -190,10 +171,8 @@ def build_level(p, n):
             P.GroupHom(vertex_group, prev.edge_group, fold_map,
                        name=f"G{n}->K{n - 1} fold"))
 
-    return TowerLevel(
-        p, n, lamps, edge_group, vertex_group, lamplighter, lamp_incl,
-        lamp_fold, edge_incl_prev, edge_incl, lamp_to_vertex, vertex_fold,
-        lamp_to_lamplighter)
+    return TowerLevel(p, n, lamps, edge_group, vertex_group, lamplighter,
+                      lamp_fold, vertex_fold)
 
 
 def check_retraction_square(level):
@@ -201,27 +180,35 @@ def check_retraction_square(level):
     edge group must equal including into the vertex group then folding; and
     the level's vertex fold must fix the previous edge group pointwise.
 
-    To check another fold, pass a copy of the level that carries it:
+    The two inclusions the square composes with, H_n -> G_n and
+    K_{n-1} -> G_n, each generator to the one of the same name, are
+    verified as homs here; a failed one raises ValueError.  To check
+    another fold, pass a copy of the level that carries it:
     level._replace(vertex_fold=fold).
     """
-    if level.n < 2:
+    n = level.n
+    if n < 2:
         raise ValueError("the square needs a previous level")
-    prev = build_level(level.p, level.n - 1)
+    prev = build_level(level.p, n - 1)
     fold = level.vertex_fold
+    into_vertex = level.vertex_group.generators
+    _verified(_name_hom(level.lamps, level.vertex_group, f"H{n}->G{n}"))
+    _verified(_name_hom(prev.edge_group, level.vertex_group,
+                        f"K{n - 1}->G{n}"))
     lamp_to_edge = _name_hom(prev.lamps, prev.edge_group, "H->K")
     violations = []
     for name in level.lamps.generators:
         low_road = lamp_to_edge.apply_element(level.lamp_fold.image_of(name))
-        high_road = fold.apply_element(level.lamp_to_vertex.image_of(name))
+        high_road = fold.apply_element(into_vertex[name])
         if low_road != high_road:
             violations.append({"kind": "square", "generator": name,
                                "via_lamp_fold": list(low_road.coords),
                                "via_vertex_fold": list(high_road.coords)})
     for name in prev.edge_group.generators:
-        back = fold.apply_element(level.edge_incl_prev.image_of(name))
+        back = fold.apply_element(into_vertex[name])
         if back != prev.edge_group.generators[name]:
             violations.append({"kind": "retraction", "generator": name})
-    return {"check": "retraction-square", "p": level.p, "n": level.n,
+    return {"check": "retraction-square", "p": level.p, "n": n,
             "status": "pass" if not violations else "fail",
             "violations": violations}
 
@@ -356,23 +343,23 @@ def _tails(p, n, m, steps):
 
 
 def _transition_images(p, n, m, src, src_names, dst_names):
-    last = n + m + 1
+    """Identity below the last vertex G_{n+m+1}, whose images are its
+    level's vertex fold: each the empty word or the K-generator it equals
+    (K is elementary abelian on its generators)."""
+    last = f"G{n + m + 1}"
+    fold = build_level(p, n + m + 1).vertex_fold
+    dv = f"G{n + m}" if m else f"K{n}"
+    k_names = {element: g for g, element in fold.target.generators.items()}
     images = {}
     for v in src.graph.vertices:
-        i = int(v[1:])
         for g in src.vertices[v].model.generators:
-            if i < last:
+            if v != last:
                 images[src_names[v][g]] = gen(dst_names[v][g])
                 continue
-            dv = f"G{n + m}" if m else f"K{n}"
-            if g == f"k{last}":
-                images[src_names[v][g]] = IDENTITY
-            elif g == f"k{last - 1}":
-                images[src_names[v][g]] = gen(dst_names[dv][g])
-            else:
-                j = int(g[1:])
-                folded = f"h{mu(p, n + m, j)}"
-                images[src_names[v][g]] = gen(dst_names[dv][folded])
+            image = fold.image_of(g)
+            images[src_names[v][g]] = (
+                IDENTITY if image.is_identity
+                else gen(dst_names[dv][k_names[image]]))
     return images
 
 

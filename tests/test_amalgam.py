@@ -138,9 +138,10 @@ def _shortlex_normal_form(gog, tables, letters):
 def test_sifted_and_shortlex_representatives_give_the_same_forms():
     gog = p2_joined()
     tables = amalgam._PathTables(gog)
-    tables.transversals = {
-        (eid, gog.graph.ends(eid)[end]): _ShortlexTransversal(gog, eid, end)
-        for eid in gog.graph.edges for end in (0, 1)}
+    for eid in gog.graph.edges:
+        for end in (0, 1):
+            tables.steps[eid, gog.graph.ends(eid)[end]].transversal = \
+                _ShortlexTransversal(gog, eid, end)
     letters = [(v, gen(name, sign)) for v in gog.graph.vertices
                for name in gog.vertices[v].model.generators
                for sign in (1, -1)]
@@ -212,12 +213,17 @@ def test_non_path_graphs_are_rejected():
 
 
 def test_tables_die_with_their_graph():
+    # by reference counting alone: the tables and their step memos hold
+    # no cycle, so they go when the graph does, without the collector
     gog = free_product_line(2)
     normal_form(gog, [("L", gen("a")), ("R", gen("b"))])
-    ref = weakref.ref(gog)
-    del gog
-    gc.collect()
-    assert ref() is None
+    refs = [weakref.ref(gog), weakref.ref(amalgam._PATHS[gog])]
+    gc.disable()
+    try:
+        del gog
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _stepwise_walk(gog, a, b):
@@ -287,10 +293,9 @@ def checked_steps(monkeypatch):
     def step(self, key):
         got = remembered(self, key)
         rep, x = key
-        transversal = self.tables.transversals[(self.edge, self.vertex)]
-        s, c = models.Pcgs.split(transversal, kernel.mul(
-            self.tables.blocks[self.vertex], rep, x))
-        assert got == (s, c if any(c) else None), (transversal, key)
+        s, c = models.Pcgs.split(self.transversal, kernel.mul(
+            self.blocks, rep, x))
+        assert got == (s, c if any(c) else None), (self.transversal, key)
         counts["steps"] += 1
         return got
 

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import json
 import os
 import re
@@ -450,6 +451,32 @@ def test_cli_json_is_byte_stable(capsys):
     _, second, _ = run_cli(capsys, "collapse",
                            data_path("heisenberg_chain.gog"), "--json")
     assert first == second
+
+
+# sha256 of the --json stdout and the exit code of each command.  A change
+# that alters report bytes on purpose updates its digest and says so.
+PINNED_REPORTS = [
+    (("tower", "verify-all", "--p", "2", "--max-level", "3"),
+     "387eba3aa017e91729f93af41183d3b2154cd89253a4e9a1e5527c644f53a594", 0),
+    (("tower", "verify-all", "--p", "3", "--max-level", "2"),
+     "6636e25e4ae9b522d43e5d05112473900907c55b1d052231808c18fa918013ff", 0),
+    (("run-all",),
+     "9bf92f9ab66fc534a3a6ef7a64ecb966c0a2f60846fab3865153587ca048fce1", 0),
+    (("run-all", "--p", "3"),
+     "2db6dabfa1d3be13b323447f29867b45d53160e245643df7441481d75e6a437f", 0),
+    (("tower", "build", "--p", "2", "--n", "2", "--m", "1"),
+     "820a8d295786412ba50d89995e508381b6d710e9d7823593f603e2b610353cb2", 0),
+    (("separate", "--p", "2", "--word", "G1:k1 L1:t"),
+     "33b28362f675ff136232fa69ec7ece0292dac5d9970f0c36c632e0c9e78ec2b3", 0),
+]
+
+
+@pytest.mark.parametrize("argv,digest,exit_code", PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS])
+def test_pinned_report_bytes(capsys, argv, digest, exit_code):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_json_matches_shipped_schema(capsys):

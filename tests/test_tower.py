@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgog import models
+from pgog import models, tower
 from pgog import presentations as P
 from pgog.analysis import check_edge_bound
 from pgog.gog import (bracket_subgraph, check_reduced, fp_naming,
@@ -70,7 +70,7 @@ def test_fold_after_inclusion_fixes_the_smaller_lamp_space(p, n):
     level = build_level(p, n)
     prev = build_level(p, n - 1)
     for name, element in prev.lamps.generators.items():
-        included = level.lamp_incl.image_of(name)
+        included = level.lamps.generators[name]
         assert level.lamp_fold.apply_element(included) == element
 
 
@@ -152,8 +152,9 @@ def test_splittings_share_one_model_per_group():
     assert k1 is build_level(2, 1).edge_group
 
 
-def test_splittings_reuse_the_level_inclusions():
-    # each splitting certifies its own edge maps between the level's models
+def test_splitting_edge_maps_run_between_the_level_models():
+    # the inclusions K_i -> G_i, K_i -> G_{i+1}, H_3 -> G_3 and H_3 -> W
+    # are edge maps, each certified by the splitting that holds it
     graphs = build_graphs(2, 3, 0)
     levels = {i: build_level(2, i) for i in (1, 2, 3)}
     for gog in (graphs.path, graphs.joined):
@@ -165,6 +166,9 @@ def test_splittings_reuse_the_level_inclusions():
     lamp, lamplighter = graphs.joined.edge_homs["H3"]
     assert lamp.source is levels[3].lamps
     assert lamplighter.target is graphs.joined.vertices["W"].model
+    for gog in (graphs.path, graphs.joined):
+        assert all(P.hom_injective_on(hom)
+                   for homs in gog.edge_homs.values() for hom in homs)
 
 
 def test_verify_all_certifies_each_vertex_group_once(monkeypatch, capsys):
@@ -262,6 +266,44 @@ def test_transition_maps_certify(p, n, m):
     report = check_transition_maps(p, n, m)
     assert report["status"] == "pass"
     assert report["violations"] == []
+
+
+def _refold(monkeypatch, p, top, changes):
+    """Have build_level give level `top` a vertex fold whose images of the
+    generators in `changes` are the previous edge generators named there."""
+    real = tower.build_level
+    level, prev = real(p, top), real(p, top - 1)
+    mapping = {g: level.vertex_fold.image_of(g)
+               for g in level.vertex_group.generators}
+    mapping.update((g, prev.edge_group.generators[h])
+                   for g, h in changes.items())
+    fold = P.GroupHom(level.vertex_group, prev.edge_group, mapping)
+    monkeypatch.setattr(tower, "build_level", lambda q, i: (
+        level._replace(vertex_fold=fold) if (q, i) == (p, top)
+        else real(q, i)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+def test_a_fold_with_its_lamps_one_slot_off_is_no_retraction(monkeypatch,
+                                                             p, n):
+    # still a hom, but it moves every lamp of the smaller tail
+    _refold(monkeypatch, p, n + 1,
+            {f"h{j}": f"h{(j + 1) % p ** n}" for j in range(p ** (n + 1))})
+    report = check_transition_maps(p, n, 0)
+    assert report["status"] == "fail"
+    assert {v["kind"] for v in report["violations"]} == {"not-a-retraction"}
+    assert [v["generator"] for v in report["violations"]] == \
+        lamp_names(p, n)
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 1, 0), (2, 0, 1), (3, 1, 0)])
+def test_a_fold_sending_the_top_carrier_down_a_level_is_no_hom(monkeypatch,
+                                                               p, n, m):
+    top = n + m + 1
+    _refold(monkeypatch, p, top, {f"k{top}": f"k{top - 1}"})
+    report = check_transition_maps(p, n, m)
+    assert report["status"] == "fail"
+    assert {v["kind"] for v in report["violations"]} == {"relator-image"}
 
 
 def test_transition_below_the_tower_is_undefined():
