@@ -8,10 +8,18 @@ check failed, and 2 without a report for unusable input.
 
 Each command imports the layers it runs inside its handler, so a fresh
 process pays to load (and, without bytecode caches, to compile) only
-those: `tower verify-all` never loads the registry, the DSL or amalgams.
+those: `tower verify-all` never loads the registry, the DSL, amalgams,
+the coset enumerator or the collapse detector.
+
+main(argv) runs one command and returns its exit code; the tests call it
+in process.  run() is the process entry (`python -m pgog.cli` and the
+`pgog` script): after main() it freezes the garbage collector, so the
+interpreter's collections at exit skip the objects still alive instead
+of walking every one of them.
 """
 
 import argparse
+import gc
 import sys
 
 from . import reports
@@ -342,5 +350,13 @@ def main(argv=None):
     return report.exit_code
 
 
+def run():
+    """main(), then gc.freeze(): a process about to exit need not have
+    its collector walk every object still alive."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

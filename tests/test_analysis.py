@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from pgog import models
 from pgog import presentations as P
-from pgog.analysis import (BoundReport, check_edge_bound, detect_collapse,
-                           extract_bracket_rules)
-from pgog.gog import (Specialisation, fundamental_presentation,
-                      verify_properness_witness)
+from pgog.analysis import BoundReport, check_edge_bound, detect_collapse
+from pgog.collapse import extract_bracket_rules
+from pgog.gog import (Graph, GraphOfGroups, Specialisation, VertexData,
+                      fundamental_presentation, verify_properness_witness)
 from pgog.registry import (free_product_line, improper_heisenberg_chain,
                            improper_two_edge_line)
 from pgog.words import commutator, from_letters, gen
@@ -266,3 +266,21 @@ def test_edge_bound_refuses_foreign_witness():
     other = free_product_line(2)
     with pytest.raises(ValueError, match="different graph"):
         check_edge_bound(other, witness)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_edge_bound_refuses_a_trivial_fundamental_group(p):
+    # at rank 0 the edge bound's right side is negative (-1 at p = 2,
+    # -1/2 at p = 3), so the edgeless trivial group would read FAIL
+    trivial = models.ElementaryAbelian(p, [])
+    gog = GraphOfGroups(Graph(["A"], {}), {
+        "A": VertexData(trivial, P.FinitePresentation([], [], name="1"))},
+        {}, {})
+    target = models.ElementaryAbelian(p, ["x"])
+    witness = verify_properness_witness(
+        gog, Specialisation(gog, target, {"A": {}}))
+    assert witness.valid
+    with pytest.raises(ValueError, match="^fundamental group has mod-p rank "
+                       "0; the edge bound presumes a nontrivial fundamental "
+                       "group$"):
+        check_edge_bound(gog, witness)

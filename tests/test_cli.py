@@ -224,19 +224,23 @@ def modules_after(*argv):
     return done.returncode, set(json.loads(done.stderr))
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (("tower", "verify-all", "--p", "2", "--max-level", "3"),
-     {"pgog.registry", "pgog.dsl", "pgog.amalgam", "pgog._laws"}),
-    (("run-all",), {"pgog._laws"}),
-    (("parse", "src/pgog/data/heisenberg_chain.gog"),
-     {"pgog.registry", "pgog.amalgam"}),
+@pytest.mark.parametrize("argv, used, unused", [
+    (("tower", "verify-all", "--p", "2", "--max-level", "3"), set(),
+     {"pgog.registry", "pgog.dsl", "pgog.amalgam", "pgog._laws",
+      "pgog.cosets", "pgog.collapse"}),
+    (("run-all",), {"pgog.cosets", "pgog.collapse"}, {"pgog._laws"}),
+    (("parse", "src/pgog/data/heisenberg_chain.gog"), set(),
+     {"pgog.registry", "pgog.amalgam", "pgog.cosets"}),
 ], ids=["verify-all", "run-all", "parse"])
-def test_a_command_imports_only_what_it_runs(argv, unused):
+def test_a_command_imports_only_what_it_runs(argv, used, unused):
     # cli imports each layer inside the command that uses it, and no
     # record class pulls in dataclasses (inspect, ast, dis); no layout of
-    # these commands is called often enough to compile its law
+    # these commands is called often enough to compile its law.  The coset
+    # enumerator and the collapse detector load only when called, and
+    # run-all calls both through their entry points
     code, loaded = modules_after(*argv)
     assert code == 0
+    assert used <= loaded
     assert not loaded & (unused | {"dataclasses"})
 
 
@@ -477,6 +481,36 @@ def test_pinned_report_bytes(capsys, argv, digest, exit_code):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def run_entry(*argv):
+    """Exit code and stdout bytes of `python -m pgog.cli ARGV` in a fresh
+    process, through the process entry cli.run."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pgog.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT, capture_output=True, timeout=300)
+    return done.returncode, done.stdout
+
+
+def test_the_process_entry_keeps_bytes_and_exit_codes(tmp_path):
+    argv, digest, _ = PINNED_REPORTS[0]
+    code, out = run_entry(*argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
+    assert run_entry("separate", "--p", "2", "--word", "L0:t",
+                     "--json") == (2, b"")
+    doc = tmp_path / "w.gog"
+    doc.write_text("p 2\ngraph g\nvertex A : EA(a)\n"
+                   "witness W : EA(x, y, p=3) map A.a -> x\n")
+    code, _ = run_entry("parse", str(doc), "--json")
+    assert code == 1
+
+
+def test_the_pgog_script_is_the_process_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\npgog = "pgog\.cli:run"$',
+                     pyproject, re.M)
 
 
 def test_cli_json_matches_shipped_schema(capsys):
