@@ -15,9 +15,12 @@ pair (slot, representative), so the slot that steps it is at hand.  A
 letter merges in place, one loop down the syllable stack, each step
 replacing a representative and carrying an edge part into the syllable
 before.  The form is empty exactly for the trivial element, solving the
-word problem.  The reduction runs on coordinate tuples, interned per
-path, from the letters' words to the ReducedWord, which keeps them;
-group elements are made only when a caller reads the form's head,
+word problem.  The reduction runs on numbers: each coordinate tuple it
+meets is numbered once per path, 0 standing for the identity at every
+vertex, so a step is remembered under a pair of small ints.  Coordinates
+are read back only where the kernel needs them (a step not remembered, a
+product into the head) and when a ReducedWord is compared, hashed or
+read; group elements are made only when a caller reads the form's head,
 syllables or letters.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
@@ -45,11 +48,14 @@ from .words import Word, from_letters
 # nf-products pass of the benchmark (seed 7, 4,000 ops over the level-3
 # joined splitting at p = 2) makes 104,822 merge steps of only 3,822
 # distinct (representative, letter) pairs.  Its six slot memos then hold
-# 626 KB (tracemalloc: keys, values, interned tuples and dicts); entries x
-# width, bytes: K1@G1 30 x 4, 6 KB; K1@G2 337 x 6, 51 KB; K2@G2 89 x 6,
-# 18 KB; K2@G3 2,508 x 10, 375 KB; H3@G3 349 x 10, 67 KB; H3@W 509 x 9,
-# 87 KB.  So a slot of at most STEP_MEMO_COORDS coordinates of x, 6,553
-# entries at width 10, holds ~1 MB, ~2.6 times the largest seen.
+# 541 KB (sys.getsizeof of dicts, key and value tuples and ints); entries
+# x width, bytes: K1@G1 30 x 4, 4 KB; K1@G2 337 x 6, 46 KB; K2@G2 89 x 6,
+# 14 KB; K2@G3 2,508 x 10, 346 KB; H3@G3 349 x 10, 56 KB; H3@W 509 x 9,
+# 74 KB.  So a slot of at most STEP_MEMO_COORDS coordinates of x, 6,553
+# entries at width 10, holds ~0.9 MB, ~2.6 times the largest seen.  The
+# pass numbers 442 tuples, 3,955 coordinates, in 92 KB (its two dicts and
+# the tuples); the numbering, which stops at STEP_MEMO_COORDS
+# coordinates, then holds ~1.5 MB, 16 times what the pass meets.
 STEP_MEMO_COORDS = 2 ** 16
 
 
@@ -127,64 +133,94 @@ def build_transversals(gog):
             for eid in gog.graph.edges for end in (0, 1)}
 
 
+class _Numbering(dict):
+    """The coordinate tuples a path's reductions meet, each numbered once.
+
+    numbering[x] is x's number and coords[n] reads a number n > 0 back; 0
+    is the identity at every vertex, since a syllable's slot names its
+    vertex.  The table numbers tuples of at most STEP_MEMO_COORDS
+    coordinates in all, one slot memo's budget; past it a tuple stands
+    for itself.  It never forgets or renumbers, so each tuple has one
+    form, its number or itself, for the life of the table, and
+    coords.get(n, n) reads either back."""
+
+    def __init__(self, identities):
+        super().__init__(dict.fromkeys(identities, 0))
+        self.coords = {}
+        self.used = 0           # coordinates numbered
+
+    def __missing__(self, x):
+        if self.used + len(x) > STEP_MEMO_COORDS:
+            return x
+        self.used += len(x)
+        n = self[x] = len(self.coords) + 1
+        self.coords[n] = x
+        return n
+
+
 class _Steps(dict):
     """The merge steps at one (entry edge, vertex) slot of a path, named by
-    its edge and vertex attributes: (rep, x) -> (s, c) with rep x =
-    phi(kappa) s for an edge element kappa, s the canonical
-    representative and c = psi(kappa) (see Transversal).  A step depends
-    on the pair alone, so a remembered one is exactly what a fresh split
-    of rep x returns.  A missing step is split and kept while the slot
-    holds at most STEP_MEMO_COORDS coordinates of x, entries times the
-    vertex width; a full slot still serves its hits but takes no new
-    entry.  s, c and x are interned in the path's table, and a trivial c
-    is None, which ends a merge.  A slot stands for its place in the
-    path: it equals, and hashes as, no other slot, whatever it holds.
-    It keeps what a split reads and not the path tables, so no cycle
-    keeps a dead graph's tables alive."""
+    its edge and vertex attributes: (rep, x) -> (s, c), each numbered in
+    the path's _Numbering, with rep x = phi(kappa) s for an edge element
+    kappa, s the canonical representative and c = psi(kappa) (see
+    Transversal).  A step depends on the pair alone, so a remembered one
+    is exactly what a fresh split of rep x returns.  A missing step is
+    split and kept while the slot holds at most STEP_MEMO_COORDS
+    coordinates of x, entries times the vertex width; a full slot still
+    serves its hits but takes no new entry.  A trivial c is 0, which ends
+    a merge, and identity is the coordinates 0 stands for at the slot's
+    vertex.  A slot stands for its place in the path: it equals, and
+    hashes as, no other slot, whatever it holds.  It keeps what a step
+    reads and writes, the numbering among it, and not the path tables,
+    so no cycle keeps a dead graph's tables alive."""
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, transversal, blocks, interned):
+    def __init__(self, transversal, blocks, numbering):
         super().__init__()
         self.edge = transversal.edge_id
         self.vertex = transversal.vertex
+        self.identity = transversal.hom.target.identity.coords
         self.transversal = transversal
         self.blocks = blocks
-        self.interned = interned
+        self.numbering = numbering
 
     def __missing__(self, key):
         rep, x = key
+        numbering = self.numbering
+        coords = numbering.coords
+        x = coords.get(x, x)
         s, c = self.transversal.split(
-            kernel.mul(self.blocks, rep, x) if any(rep) else x)
-        interned = self.interned
-        step = (interned.setdefault(s, s),
-                interned.setdefault(c, c) if any(c) else None)
+            kernel.mul(self.blocks, coords.get(rep, rep), x) if rep else x)
+        step = numbering[s], numbering[c]
         if (len(self) + 1) * len(x) <= STEP_MEMO_COORDS:
-            self[rep, interned.setdefault(x, x)] = step
+            self[key] = step
         return step
 
 
 class _PathTables:
-    """Path layout, vertex models, transversals and merge steps, built
-    once per graph.
+    """Path layout, vertex models, transversals, the coordinate numbering
+    and merge steps, built once per graph.
 
-    Never holds the GraphOfGroups: _PATHS is keyed weakly by it, and a
-    value referring to its key would keep it alive.
+    Never holds the GraphOfGroups, which would keep it, and so its entry
+    in _PATHS, alive.
     """
 
     def __init__(self, gog):
         self.order = order = _path_order(gog)
         self.models = {v: gog.vertices[v].model for v in order}
         self.blocks = {v: model.blocks for v, model in self.models.items()}
-        self.interned = {}      # coords -> the same: heads and steps
         # keyed by the slot (entry edge, vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
-        self.steps = {slot: _Steps(t, self.blocks[t.vertex], self.interned)
+        self.numbering = _Numbering(
+            model.identity.coords for model in self.models.values())
+        self.steps = {slot: _Steps(t, self.blocks[t.vertex], self.numbering)
                       for slot, t in self.transversals.items()}
-        # walk_from[top][b]: the identity syllables at each vertex after
-        # the top syllable's, or the base vertex when top is None, along
-        # the path up to b, each in the slot it is entered by
+        # walk_from[top][b]: the identity syllables, (slot, 0), at each
+        # vertex after the top syllable's, or the base vertex when top is
+        # None, along the path up to b, each in the slot it is entered by;
+        # b is a vertex or a slot at it, so a form's syllables are letters
         slot_at = {}
         for eid in gog.graph.edges:
             a, b = gog.graph.ends(eid)
@@ -195,23 +231,26 @@ class _PathTables:
             by_vertex[a] = walks = {}
             for j, b in enumerate(order):
                 step = 1 if j > i else -1
-                walks[b] = tuple(
-                    (slot_at[order[k - step], order[k]],
-                     self.models[order[k]].identity.coords)
-                    for k in range(i + step, j + step, step))
+                walks[b] = tuple((slot_at[order[k - step], order[k]], 0)
+                                 for k in range(i + step, j + step, step))
+            walks.update((slot, walks[slot.vertex])
+                         for slot in self.steps.values())
         self.walk_from = {None: by_vertex[order[0]]}
         self.walk_from.update((slot, by_vertex[slot.vertex])
                               for slot in self.steps.values())
 
 
-_PATHS = weakref.WeakKeyDictionary()
+# id(gog) -> its _PathTables, each dropped as its graph dies, before the
+# id can name another object; a lookup hashes an int and makes no weakref
+_PATHS = {}
 
 
 def _paths(gog):
-    entry = _PATHS.get(gog)
-    if entry is None:
-        entry = _PATHS[gog] = _PathTables(gog)
-    return entry
+    tables = _PATHS.get(id(gog))
+    if tables is None:
+        tables = _PATHS[id(gog)] = _PathTables(gog)
+        weakref.finalize(gog, _PATHS.pop, id(gog))
+    return tables
 
 
 # -- reduced words -----------------------------------------------------------
@@ -223,19 +262,49 @@ class ReducedWord:
     head lives in the leftmost vertex group; each syllable is a coset
     representative in the slot that steps it, the (entry edge, vertex)
     memo of the path's merge steps, so the walk along the path is
-    recoverable.  The form is kept on coordinates: the constructor takes
-    head as a coordinate tuple and syllables as (slot, representative
-    coordinates) pairs.  head, syllables, read as (vertex, representative,
-    entry edge), and letters() build group elements of the vertex models
-    each time they are read.  Forms over one graph are equal, and hash
-    alike, when their heads and syllables are.
+    recoverable.  A form keeps its path tables, head as a coordinate
+    tuple and its syllables as (slot, representative) pairs numbered in
+    the tables, which nf_multiply starts from and nothing changes;
+    from_coords makes one from coordinate syllables.  The syllables'
+    coordinates are read back when the form is first compared, hashed or
+    read, and then kept.  head, syllables, read as (vertex,
+    representative, entry edge), and letters() build group elements of
+    the vertex models each time they are read.  Forms over one graph are
+    equal, and hash alike, when their heads and coordinate syllables are.
     """
 
-    def __init__(self, gog, base_vertex, head, syllables):
+    __slots__ = ("gog", "base_vertex", "_tables", "_head", "_stack",
+                 "_read")
+
+    def __init__(self, gog, tables, head, stack):
         self.gog = gog
-        self.base_vertex = base_vertex
+        self.base_vertex = tables.order[0]
+        self._tables = tables
         self._head = head
-        self._syllables = tuple(syllables)
+        self._stack = stack
+        self._read = None       # the coordinate syllables, once read
+
+    @classmethod
+    def from_coords(cls, gog, head, syllables):
+        """The form with head coordinates `head` and syllables given as
+        (slot, representative coordinates) pairs over the graph's path,
+        which it keeps as given."""
+        tables = _paths(gog)
+        numbering = tables.numbering
+        syllables = tuple(syllables)
+        word = cls(gog, tables, head,
+                   tuple((slot, numbering[rep]) for slot, rep in syllables))
+        word._read = syllables
+        return word
+
+    @property
+    def _syllables(self):
+        if self._read is None:
+            coords = self._tables.numbering.coords
+            self._read = tuple(
+                (slot, coords.get(rep, rep) if rep else slot.identity)
+                for slot, rep in self._stack)
+        return self._read
 
     @property
     def head(self):
@@ -252,7 +321,7 @@ class ReducedWord:
 
     @property
     def is_trivial(self):
-        return not self._syllables and not any(self._head)
+        return not self._stack and not any(self._head)
 
     def _coord_letters(self):
         # (vertex, coords) of the non-identity head and representatives
@@ -285,45 +354,54 @@ class ReducedWord:
 
 
 def _reduce(tables, head, stack, letters):
-    """Right-multiply (vertex, coords) letters into the reduced word with
-    head coordinates `head` and syllables `stack`, (slot, representative
-    coordinates) pairs that are changed in place; returns the new head.
-    A letter x first walks from the last syllable's vertex, or the base
-    vertex, to its vertex through identity syllables.  Then it merges in
-    place: each syllable, from the top down, takes the s of its slot's
+    """Right-multiply (vertex, number) letters into the reduced word with
+    head coordinates `head` and syllables `stack`, (slot, representative)
+    pairs numbered in the path's tables that are changed in place;
+    returns the new head.  A letter may name a slot at its vertex for the
+    vertex, so a form's syllables are letters too; an identity letter
+    changes nothing, as the top syllable is never the identity.  Any
+    other letter x first walks from the last syllable's vertex, or the
+    base vertex, to its vertex through identity syllables.  Then it merges
+    in place: each syllable, from the top down, takes the s of its slot's
     step (rep, x) and carries c to the one before it, or to the head,
     until c is trivial; then trailing identity syllables are popped.  A
     turn of the walk never becomes trivial: its rep lies outside the edge
     image that c lies in, so rep c does too."""
     walk_from = tables.walk_from
     base_blocks = tables.blocks[tables.order[0]]
+    coords = tables.numbering.coords
     for vertex, x in letters:
+        if not x:
+            continue
         stack.extend(walk_from[stack[-1][0] if stack else None][vertex])
-        if any(x):
-            i = len(stack) - 1
-            while i >= 0:
-                slot, rep = stack[i]
-                s, x = slot[rep, x]
-                stack[i] = (slot, s)
-                if x is None:
-                    break
-                i -= 1
-            else:
-                head = kernel.mul(base_blocks, head, x)
-        while stack and not any(stack[-1][1]):
+        i = len(stack) - 1
+        while i >= 0:
+            slot, rep = stack[i]
+            s, x = slot[rep, x]
+            stack[i] = (slot, s)
+            if not x:
+                break
+            i -= 1
+        else:
+            head = kernel.mul(base_blocks, head, coords.get(x, x))
+        while stack and not stack[-1][1]:
             stack.pop()
     return head
 
 
 def _result(gog, tables, head, stack):
-    """The ReducedWord of a reduction's head and stack, its head interned."""
-    return ReducedWord(gog, tables.order[0],
-                       tables.interned.setdefault(head, head), stack)
+    """The ReducedWord of a reduction's head and numbered stack, the head
+    read back from the path's table, so equal heads are one tuple."""
+    numbering = tables.numbering
+    h = numbering[head]
+    return ReducedWord(gog, tables, numbering.coords.get(h, h) if h else head,
+                       stack)
 
 
-def _as_coords(tables, letters):
-    """(vertex, coords) of each letter, read as the reduction reaches it."""
+def _numbered_letters(tables, letters):
+    """(vertex, number) of each letter, read as the reduction reaches it."""
     vertex_models = tables.models
+    numbering = tables.numbering
     for i, (vertex, item) in enumerate(letters):
         model = vertex_models.get(vertex)
         if model is None:
@@ -340,7 +418,7 @@ def _as_coords(tables, letters):
             x = item.coords
         else:
             raise ValueError(f"letter {i}: expected a Word or GroupElement")
-        yield vertex, x
+        yield vertex, numbering[x]
 
 
 def normal_form(gog, letters):
@@ -353,7 +431,7 @@ def normal_form(gog, letters):
     tables = _paths(gog)
     stack = []
     head = _reduce(tables, tables.models[tables.order[0]].identity.coords,
-                   stack, _as_coords(tables, letters))
+                   stack, _numbered_letters(tables, letters))
     return _result(gog, tables, head, stack)
 
 
@@ -364,9 +442,10 @@ def nf_multiply(x, y):
     if x.gog is not y.gog:
         raise ValueError("reduced words live over different graphs")
     # x is already reduced, so the reduction starts from its syllables
-    tables = _paths(x.gog)
-    stack = list(x._syllables)
-    head = _reduce(tables, x._head, stack, y._coord_letters())
+    tables = x._tables
+    stack = list(x._stack)
+    head = _reduce(tables, x._head, stack,
+                   [(y.base_vertex, tables.numbering[y._head]), *y._stack])
     return _result(x.gog, tables, head, stack)
 
 

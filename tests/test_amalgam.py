@@ -131,7 +131,7 @@ def _shortlex_normal_form(gog, tables, letters):
     stack = []
     head = amalgam._reduce(
         tables, tables.models[tables.order[0]].identity.coords, stack,
-        amalgam._as_coords(tables, letters))
+        amalgam._numbered_letters(tables, letters))
     return amalgam._result(gog, tables, head, stack)
 
 
@@ -217,7 +217,7 @@ def test_tables_die_with_their_graph():
     # no cycle, so they go when the graph does, without the collector
     gog = free_product_line(2)
     normal_form(gog, [("L", gen("a")), ("R", gen("b"))])
-    refs = [weakref.ref(gog), weakref.ref(amalgam._PATHS[gog])]
+    refs = [weakref.ref(gog), weakref.ref(amalgam._PATHS[id(gog)])]
     gc.disable()
     try:
         del gog
@@ -244,15 +244,22 @@ def _stepwise_walk(gog, a, b):
 def _walks_by_vertex_names(tables):
     # (from, to) -> the walk as (vertex, coords, entry edge) triples, from
     # the base (None) or each slot's vertex; every syllable's slot is the
-    # path's memo of its entry edge and vertex
+    # path's memo of its entry edge and vertex, and its representative
+    # is numbered 0, the identity; a walk to a slot is the walk to its
+    # vertex
     out = {}
     for top, walks in tables.walk_from.items():
         a = tables.order[0] if top is None else top.vertex
+        assert all(walks[slot] is walks[slot.vertex]
+                   for slot in tables.steps.values())
         for b, walk in walks.items():
-            for slot, _ in walk:
+            if b in tables.steps.values():
+                continue
+            for slot, rep in walk:
                 assert slot is tables.steps[(slot.edge, slot.vertex)]
-            triples = tuple((slot.vertex, rep, slot.edge)
-                            for slot, rep in walk)
+                assert rep == 0
+            triples = tuple((slot.vertex, slot.identity, slot.edge)
+                            for slot, _ in walk)
             assert out.setdefault((a, b), triples) == triples
     return out
 
@@ -280,22 +287,30 @@ def test_a_one_vertex_path_walks_nowhere():
 # -- the step memo -----------------------------------------------------------
 
 
+def _read(numbering, n, identity):
+    # the coordinates of n, numbered or standing for itself; 0 is identity
+    return numbering.coords.get(n, n) if n else identity
+
+
 @pytest.fixture
 def checked_steps(monkeypatch):
     """Checks every merge step the test makes, hit or miss, against the
     unmemoised sift models.Pcgs.split of rep x on that slot's
-    transversal; counts the steps under "steps" and the sifts the
-    reduction itself makes under "sifts".  Path tables, and so their
-    memos, are built afresh for the test."""
+    transversal, its numbers read back through the path's numbering;
+    counts the steps under "steps" and the sifts the reduction itself
+    makes under "sifts".  Path tables, and so their memos, are built
+    afresh for the test."""
     counts = collections.Counter()
     remembered = amalgam._Steps.__getitem__
 
     def step(self, key):
         got = remembered(self, key)
-        rep, x = key
+        rep, x = (_read(self.numbering, n, self.identity) for n in key)
         s, c = models.Pcgs.split(self.transversal, kernel.mul(
             self.blocks, rep, x))
-        assert got == (s, c if any(c) else None), (self.transversal, key)
+        assert (_read(self.numbering, got[0], self.identity),
+                _read(self.numbering, got[1], (0,) * len(c))) == (s, c), \
+            (self.transversal, key)
         counts["steps"] += 1
         return got
 
@@ -303,7 +318,7 @@ def checked_steps(monkeypatch):
         counts["sifts"] += 1
         return models.Pcgs.split(self, x)
 
-    monkeypatch.setattr(amalgam, "_PATHS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(amalgam, "_PATHS", {})
     monkeypatch.setattr(amalgam._Steps, "__getitem__", step)
     monkeypatch.setattr(amalgam.Transversal, "split", split)
     return counts
@@ -343,16 +358,81 @@ def test_a_full_memo_serves_hits_and_takes_no_entry(monkeypatch):
 
     reps = [model.identity.coords] + [table.split(random_coords())[0]
                                       for _ in range(3)]
-    keys = [(rng.choice(reps), random_coords()) for _ in range(40)]
+    pairs = [(rng.choice(reps), random_coords()) for _ in range(40)]
+    number = tables.numbering.__getitem__
+    keys = [(number(rep), number(x)) for rep, x in pairs]
     first = [steps[key] for key in keys]
     assert list(steps) == list(dict.fromkeys(keys))[:3]
-    for (rep, x), got in zip(keys, first):
+    for (rep, x), key, got in zip(pairs, keys, first):
         s, c = models.Pcgs.split(table, kernel.mul(model.blocks, rep, x))
-        assert got == (s, c if any(c) else None)
-        assert steps[rep, x] == got
+        assert got == (number(s), number(c))
+        assert (got[1] == 0) == (not any(c))
+        assert steps[key] == got
     for key in keys[:3]:
         assert steps[key] is steps.get(key)
     assert len(steps) == 3
+
+
+def test_a_tiny_budget_bounds_the_numbering_and_keeps_the_pass(
+        monkeypatch):
+    # a budget of 100 coordinates: within the first ops of the seed-7
+    # nf-products pass the six slot memos stop at 88 entries and the
+    # numbering at 11 tuples, 97 coordinates, and neither grows after;
+    # the tuples met later stand for themselves, and the pass gives the
+    # pinned pass's forms
+    monkeypatch.setattr(amalgam, "_PATHS", {})
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 100)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import nf
+    gog, _ = nf.setup()
+    tables = amalgam._paths(gog)
+    inputs = nf.Inputs(gog, 7)
+    digest, sizes = hashlib.sha256(), []
+    for i in range(len(inputs)):
+        digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
+        if i + 1 in (500, 1000, 2000, 4000):
+            sizes.append((len(tables.numbering.coords), tables.numbering.used,
+                          sum(map(len, tables.steps.values()))))
+    assert sizes == [(11, 97, 88)] * 4
+    assert digest.hexdigest() == (
+        "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
+
+
+def test_forms_made_before_and_after_the_numbering_fills_agree(monkeypatch):
+    # forms of the same letters from a table with room and from a full
+    # one are equal and hash alike, and products of forms holding
+    # numbers, tuples standing for themselves or coordinates as given
+    # all equal the recursive reference
+    monkeypatch.setattr(amalgam, "_PATHS", {})
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 1000)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import nf
+    gog, _ = nf.setup()
+    numbering = amalgam._paths(gog).numbering
+    inputs = nf.Inputs(gog, 7)
+
+    def forms(indices):
+        return [normal_form(gog, letters) for i in indices
+                for letters in inputs[i]]
+
+    before = forms(range(2))
+    assert numbering.used <= 500
+    for i in range(2, 100):
+        nf.op(gog, *inputs[i])
+    assert numbering.used > 1000 - 4       # no tuple of any vertex fits
+    after, late = forms(range(2)), forms(range(100, 104))
+    assert any(isinstance(rep, tuple)
+               for form in late for _, rep in form._stack)
+    given = [amalgam.ReducedWord.from_coords(gog, form._head,
+                                             form._syllables)
+             for form in late]
+    for x, y in zip(before + late, after + given):
+        assert x == y and hash(x) == hash(y) and _readouts(x) == _readouts(y)
+    for x in before + late:
+        for y in after + given:
+            want = reference_reduction.nf_multiply(x, y)
+            assert nf_multiply(x, y) == want
+            assert nf_multiply(y, x) == reference_reduction.nf_multiply(y, x)
 
 
 def test_separately_built_splittings_keep_separate_memos():
@@ -371,7 +451,7 @@ def test_separately_built_splittings_keep_separate_memos():
     at_g2 = [slot for slot in tables.steps if slot[1] == "G2"]
     assert len(at_g2) == 2
     x = tables.models["G2"].generators["k1"].coords
-    key = (tables.models["G2"].identity.coords, x)
+    key = (0, tables.numbering[x])
     assert tables.steps[at_g2[0]][key] != tables.steps[at_g2[1]][key]
 
 
