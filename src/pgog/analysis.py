@@ -19,8 +19,8 @@ Two independent certifying tools for a graph of finite p-groups:
 from collections import namedtuple
 from fractions import Fraction
 
-from .gog import PropernessWitness, fundamental_presentation
-from .presentations import mod_p_rank
+from .gog import PropernessWitness
+from .presentations import _gf_rank
 
 
 def detect_collapse(presentation, p):
@@ -33,6 +33,42 @@ def detect_collapse(presentation, p):
     """
     from .collapse import find_collapse
     return find_collapse(presentation, p)
+
+
+def fundamental_rank(gog, p):
+    """mod_p_rank(fundamental_presentation(gog), p), without building that
+    presentation: its abelianised relators are each vertex presentation's
+    on that vertex's columns and, per edge generator g, the row
+    iota_1(g) - iota_0(g), since a stable letter's exponents cancel; each
+    stable letter adds a column that no row touches (Chiswell, 1976)."""
+    columns = {}
+    for v in gog.graph.vertices:
+        pres = gog.vertices[v].presentation
+        if pres is None:
+            raise ValueError(f"vertex {v} lacks a certified presentation")
+        for g in pres.generators:
+            columns[v, g] = len(columns)
+    rows = []
+
+    def add_row(terms):
+        sums = {}
+        for c, e in terms:
+            sums[c] = (sums.get(c, 0) + e) % p
+        if any(sums.values()):
+            row = [0] * len(columns)
+            for c, e in sums.items():
+                row[c] = e
+            rows.append(row)
+
+    for v in gog.graph.vertices:
+        for r in gog.vertices[v].presentation.relators:
+            add_row((columns[v, g], e) for g, e in r.syllables)
+    for eid, ends in gog.graph.edges.items():
+        for g in gog.edges[eid].generators:
+            add_row((columns[ends[k], name], e if k else -e) for k in (0, 1)
+                    for name, e in gog.image_word(eid, k, g).syllables)
+    stable = len(gog.graph.edges) - len(gog.graph.tree.edge_ids)
+    return len(columns) + stable - _gf_rank(rows, p)
 
 
 class BoundReport(namedtuple(
@@ -58,7 +94,9 @@ def check_edge_bound(gog, witness):
     """Check the splitting against the universal edge-count bound.
 
     With K the largest edge-group order and rk the minimal generator count
-    of the fundamental group, a witnessed reduced splitting satisfies
+    of the fundamental group's pro-p completion, its mod-p rank (read by
+    fundamental_rank off the vertex presentations and the edge maps), a
+    witnessed reduced splitting satisfies
 
         edges <= pK/(p-1) * (rk - 1) + 1
         sum over edges of 1/|G_e| <= p/(p-1) * rk
@@ -79,7 +117,7 @@ def check_edge_bound(gog, witness):
     orders = [gog.edges[eid].order for eid in gog.graph.edges]
     edge_count = len(orders)
     max_order = max(orders, default=1)
-    rank = mod_p_rank(fundamental_presentation(gog), p)
+    rank = fundamental_rank(gog, p)
     if rank == 0:
         raise ValueError("fundamental group has mod-p rank 0; the edge bound "
                          "presumes a nontrivial fundamental group")

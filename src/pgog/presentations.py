@@ -8,8 +8,10 @@ does not make the map a homomorphism of the model.  One models.Pcgs of
 the graph, target depths first, gives the hom verdict, the image order
 and injectivity; the graph with the source depths first is built only to
 map elements, by its split, and to report a map that is no hom.
-Relators are evaluated only for a map out of a presentation,
-check_model_satisfies included.  coset_enumerate certifies presentation
+Relators are evaluated only for a map out of a presentation and by
+check_model_satisfies, which reads them on the model's own generator
+table and cached inverses (FiniteGroupModel.word_coords), with no hom and
+no element per relator.  coset_enumerate certifies presentation
 orders independently of the models' orders: it is a semi-decision
 procedure, so a non-completing run is reported as unknown, never as
 failure.  Its engine lives in cosets, imported when it is called, so a
@@ -274,8 +276,12 @@ def check_model_satisfies(presentation, model):
     if missing:
         raise ValueError(f"{presentation.name} names generators "
                          f"{sorted(missing)} that {model.name} lacks")
-    images = {g: model.generators[g] for g in presentation.generators}
-    violations = GroupHom(presentation, model, images).verify()["violations"]
+    violations = []
+    for r in presentation.relators:
+        coords = model.word_coords(r)
+        if any(coords):
+            violations.append({"kind": "relator", "relator": repr(r),
+                               "image": list(coords)})
     unnamed = [g for g in model.generators if g not in named]
     if unnamed:
         sub = model.subgroup(list(presentation.generators))

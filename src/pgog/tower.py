@@ -31,7 +31,7 @@ from . import presentations as P
 from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                   fp_naming, fundamental_presentation,
                   verify_properness_witness)
-from .words import IDENTITY, gen
+from .words import IDENTITY, Word, gen
 
 # Entries each level builder below, and amalgam._level_data, keeps.  One
 # command builds at one prime, and cache_info() after it reads at most
@@ -328,11 +328,13 @@ def build_witnesses(p, levels):
 
 
 def _substitute(word, images):
-    out = IDENTITY
-    for name, exp in word.letters():
-        image = images[name]
-        out = out * (image if exp > 0 else ~image)
-    return out
+    """The image of word: each syllable's image word, repeated, in one
+    Word that reduces it freely."""
+    syllables = []
+    for name, exp in word.syllables:
+        image = images[name] if exp > 0 else ~images[name]
+        syllables += image.syllables * abs(exp)
+    return Word(syllables)
 
 
 def _tails(p, n, m, steps):

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from pgog import models
 from pgog import presentations as P
-from pgog.analysis import BoundReport, check_edge_bound, detect_collapse
+from pgog.analysis import (BoundReport, check_edge_bound, detect_collapse,
+                           fundamental_rank)
 from pgog.collapse import extract_bracket_rules
 from pgog.gog import (Graph, GraphOfGroups, Specialisation, VertexData,
-                      fundamental_presentation, verify_properness_witness)
+                      bracket_subgraph, fundamental_presentation,
+                      verify_properness_witness)
 from pgog.registry import (free_product_line, improper_heisenberg_chain,
-                           improper_two_edge_line)
+                           improper_two_edge_line, shipped_document)
 from pgog.words import commutator, from_letters, gen
 
 
@@ -284,3 +286,70 @@ def test_edge_bound_refuses_a_trivial_fundamental_group(p):
                        "0; the edge bound presumes a nontrivial fundamental "
                        "group$"):
         check_edge_bound(gog, witness)
+
+
+def rank_cases():
+    """(label, graph of groups, p) for the rank cross-check: the tower's
+    splittings, the registry's lines, the shipped documents' graphs, a
+    bracketed graph with a presentation-only vertex and a one-vertex loop,
+    whose stable letter adds a column."""
+    from pgog.tower import build_graphs
+    for p, top in ((2, 4), (3, 2), (5, 2)):
+        for n in range(1, top + 1):
+            graphs = build_graphs(p, n, 0)
+            for label in ("path", "tail", "joined"):
+                yield f"{label}({p},{n})", getattr(graphs, label), p
+    for p in (2, 3):
+        yield f"free-line({p})", free_product_line(p), p
+        for levels in range(2, 6):
+            yield (f"heisenberg-chain({p},{levels})",
+                   improper_heisenberg_chain(p, levels), p)
+        yield f"two-edge-line({p})", improper_two_edge_line(p), p
+    for name in ("free_line.gog", "heisenberg_chain.gog"):
+        doc = shipped_document(name)
+        for label, gog in doc.graphs.items():
+            yield f"{name}:{label}", gog, doc.prime
+    yield ("bracketed(2,3)",
+           bracket_subgraph(build_graphs(2, 3, 0).path, ["G2", "G3"]), 2)
+    a = models.ElementaryAbelian(2, ["a"])
+    yield "loop", GraphOfGroups(
+        Graph(["V"], {"loop": ("V", "V")}),
+        {"V": VertexData(a, P.elementary_abelian_presentation(2, ["a"]))},
+        {"loop": models.ElementaryAbelian(2, ["u"])},
+        {"loop": ({"u": gen("a")}, {"u": gen("a")})}), 2
+
+
+def test_fundamental_rank_is_that_of_the_fundamental_presentation():
+    cases = list(rank_cases())
+    assert len(cases) == 40
+    for label, gog, p in cases:
+        want = P.mod_p_rank(fundamental_presentation(gog), p)
+        assert fundamental_rank(gog, p) == want, label
+    graphs = {label: gog for label, gog, _ in cases}
+    assert not all(vd.is_model
+                   for vd in graphs["bracketed(2,3)"].vertices.values())
+    assert fundamental_rank(graphs["loop"], 2) == 2     # a, stable letter
+
+
+def test_fundamental_rank_refuses_a_vertex_without_a_presentation():
+    gog = free_product_line(2)
+    gog.vertices["R"] = VertexData(gog.vertices["R"].model)
+    with pytest.raises(ValueError, match="vertex R lacks a certified "
+                       "presentation"):
+        fundamental_rank(gog, 2)
+
+
+def test_fundamental_rank_does_not_depend_on_generator_names():
+    # a vertex generator named like the loop's stable letter makes the
+    # fundamental presentation refuse to name it; the rank, a, t_loop
+    # and the stable letter, needs no names
+    names = ["a", "t_loop"]
+    a = models.ElementaryAbelian(2, names)
+    gog = GraphOfGroups(
+        Graph(["V"], {"loop": ("V", "V")}),
+        {"V": VertexData(a, P.elementary_abelian_presentation(2, names))},
+        {"loop": models.ElementaryAbelian(2, ["u"])},
+        {"loop": ({"u": gen("a")}, {"u": gen("a")})})
+    with pytest.raises(ValueError, match="stable letter names collide"):
+        fundamental_presentation(gog)
+    assert fundamental_rank(gog, 2) == 3

@@ -464,6 +464,11 @@ PINNED_REPORTS = [
      "387eba3aa017e91729f93af41183d3b2154cd89253a4e9a1e5527c644f53a594", 0),
     (("tower", "verify-all", "--p", "3", "--max-level", "2"),
      "6636e25e4ae9b522d43e5d05112473900907c55b1d052231808c18fa918013ff", 0),
+    # level 4 and p = 5: more rank rows, relators and MOD shifts
+    (("tower", "verify-all", "--p", "2", "--max-level", "4"),
+     "0ad6f7cbcff2b85323ce437327e124ebb843b1fcb8fca091aee81740d620eacb", 0),
+    (("tower", "verify-all", "--p", "5", "--max-level", "2"),
+     "a1ab6ec928780cd8d9ce537fccf3ab8d9288430d9bdfc05a573efc647b85356a", 0),
     (("run-all",),
      "9bf92f9ab66fc534a3a6ef7a64ecb966c0a2f60846fab3865153587ca048fce1", 0),
     (("run-all", "--p", "3"),

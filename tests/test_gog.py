@@ -254,6 +254,34 @@ def test_tree_edge_element_must_be_identity():
     assert any(v["kind"] == "tree-edge" for v in report["violations"])
 
 
+def test_non_tree_edge_element_conjugates():
+    # a loop gluing a to b is in no spanning tree; into Lamp(2,2), where
+    # t^-1 h0 t = h1, its element must conjugate nu(b) = h1 back to h0
+    ab = models.ElementaryAbelian(2, ["a", "b"])
+    gog = GraphOfGroups(
+        Graph(["V"], {"loop": ("V", "V")}),
+        {"V": VertexData(ab, P.elementary_abelian_presentation(2, ["a", "b"]))},
+        {"loop": ea_edge(2, ["u"])},
+        {"loop": ({"u": gen("a")}, {"u": gen("b")})})
+    assert "loop" not in spanning_tree(gog)
+    lamp = models.LamplighterLevel(2, 2)
+    images = {"V": {"a": lamp.generators["h0"], "b": lamp.generators["h1"]}}
+    t = lamp.generators["t"]
+
+    def violations(element):
+        spec = Specialisation(gog, lamp, images, edge_elements={"loop": element})
+        return verify_specialisation(gog, spec)["violations"]
+
+    assert violations(t) == []
+    for wrong in (~t, lamp.generators["h0"], lamp.identity):
+        bad = violations(wrong)
+        assert [(v["kind"], v["edge"], v["generator"]) for v in bad] == [
+            ("edge-compatibility", "loop", "u")]
+        assert bad[0]["d0_image"] == list(lamp.generators["h0"].coords)
+        assert bad[0]["d1_image_conjugated"] == list(
+            (wrong * lamp.generators["h1"] * ~wrong).coords)
+
+
 def test_witness_injectivity_violation_names_vertex():
     gog = small_path_gog()
     fn = models.FnModel(2, 2)

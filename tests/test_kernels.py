@@ -121,13 +121,17 @@ def test_group_laws_property(triple):
 
 
 def mod_mul_reference(blocks, a, b):
-    """kpy.mul with every MOD row worked out, zero or not: the multipliers
-    of a at orbit r act on b's row shifted by a's t, then a's row adds."""
+    """kpy.mul with every MOD coordinate worked out afresh, every module
+    row too, zero or not: the multipliers of a at orbit r act on b's row
+    shifted by a's t, then a's row adds; b's multiplier rows, shifted by
+    a's t, add to a's; and the two shifts add mod q."""
     out = list(kpy.mul(blocks, a, b))
     for kind, p, n, q, off, width in blocks:
         if kind != kpy.MOD:
             continue
-        dim, a0, t = 1 << n, off + q * (1 << n), a[off + width - 1]
+        out[off:off + width] = [None] * width
+        dim, a0, tc = 1 << n, off + q * (1 << n), off + width - 1
+        t = a[tc]
         for r in range(q):
             tmp = list(b[off + (r + t) % q * dim:][:dim])
             for v in range(n):
@@ -137,6 +141,12 @@ def mod_mul_reference(blocks, a, b):
                         tmp[s] = (tmp[s] + coef * tmp[s ^ 1 << v]) % p
             for s in range(dim):
                 out[off + r * dim + s] = (a[off + r * dim + s] + tmp[s]) % p
+        for v in range(n):
+            for r in range(q):
+                out[a0 + v * q + r] = (a[a0 + v * q + r]
+                                       + b[a0 + v * q + (r + t) % q]) % p
+        out[tc] = (t + b[tc]) % q
+    assert None not in out
     return tuple(out)
 
 
@@ -151,20 +161,29 @@ def sparse_coords(rng, mods, density):
                          ids=lambda m: m.name)
 def test_mod_mul_skips_zero_rows_exactly(m):
     mods = coordinate_moduli(m.blocks, m.width)
-    (kind, _, n, q, off, _), *_ = m.blocks
+    (kind, _, n, q, off, width), *_ = m.blocks
     assert kind == kpy.MOD
-    dim = 1 << n
+    dim, a0, tc = 1 << n, off + q * (1 << n), off + width - 1
     rng = random.Random(m.name)
-    zero_rows = 0
-    for trial in range(300):
+    zero_rows = zero_modules = shifted = 0
+    for trial in range(400):
         a, b = (sparse_coords(rng, mods, (0.05, 0.3, 1.0)[trial % 3])
                 for _ in range(2))
+        if trial % 4 == 3:
+            # b's whole module at zero, a's shift nonzero where q allows
+            b = b[:off] + (0,) * (a0 - off) + b[a0:]
+            a = a[:tc] + (rng.randrange(1, q) if q > 1 else 0,) + a[tc + 1:]
         zero_rows += sum(not any(b[off + r * dim:][:dim]) for r in range(q))
+        zero_modules += not any(b[off:a0])
+        shifted += a[tc] != 0 and any(b[a0:tc])
         ab = kpy.mul(m.blocks, a, b)
         assert ab == mod_mul_reference(m.blocks, a, b)
         assert kpy.inv(m.blocks, ab) == kpy.mul(
             m.blocks, kpy.inv(m.blocks, b), kpy.inv(m.blocks, a))
     assert zero_rows > 100      # the skip is taken, and often
+    assert zero_modules > 100   # so is the copy of a's whole module
+    if q > 1:                   # and the multiplier rows rotate by t
+        assert shifted > 100
 
 
 # -- polycyclic series ----------------------------------------------------------
