@@ -37,7 +37,9 @@ from functools import lru_cache
 
 from . import _kernels_py as kernel
 from . import models
-from .tower import LEVEL_CACHE, build_witnesses, check_budget, vertex_data
+from .gog import certified
+from .tower import (LEVEL_CACHE, check_budget, joined_witness_specialisation,
+                    vertex_data)
 from .words import Word, from_letters
 
 
@@ -507,9 +509,12 @@ def _fold_lamp_word(p, level, word):
 
 @lru_cache(maxsize=LEVEL_CACHE)
 def _level_data(p, level):
-    """The lamp-joined splitting and its certified properness witness map."""
-    spec = build_witnesses(p, level)[1].specialisation
-    return spec.gog, spec
+    """The level's lamp-joined witness map, certified proper: a
+    specialisation whose gog is the lamp-joined splitting.  The path
+    splitting's witness is not built: no search reads it."""
+    spec = joined_witness_specialisation(p, level)[1]
+    certified(spec)
+    return spec
 
 
 def _level_items(letters, p, level):
@@ -618,8 +623,8 @@ def separate(letters, p, start_level=1, max_level=4):
     natives = {letter.level for letter in letters
                if isinstance(letter, LampLetter)}
     for level in search_levels(letters, start_level, max_level):
-        gog, spec = _level_data(p, level)
-        nf = normal_form(gog, _level_items(letters, p, level))
+        spec = _level_data(p, level)
+        nf = normal_form(spec.gog, _level_items(letters, p, level))
         if nf.is_trivial:
             # folding at the letters' own level loses nothing, so an empty
             # form there settles triviality outright

@@ -10,10 +10,11 @@ Two independent certifying tools for a graph of finite p-groups:
   when it is called, so `tower verify-all`, which detects no collapse,
   does not load it.
 * ``check_edge_bound`` verifies the universal edge-count bound that every
-  properly witnessed reduced splitting must satisfy.  It refuses to run
-  without a certified witness, since the bound is only meaningful when
-  the vertex groups are known to inject, and on a fundamental group of
-  mod-p rank 0, which the bound does not cover.
+  properly witnessed reduced splitting must satisfy, on the splitting
+  its witness specialises.  It refuses to run without a certified
+  witness, since the bound is only meaningful when the vertex groups are
+  known to inject, and on a fundamental group of mod-p rank 0, which the
+  bound does not cover.
 """
 
 from collections import namedtuple
@@ -90,8 +91,9 @@ class BoundReport(namedtuple(
                 f"{self.edge_bound}, sum {self.edge_sum} <= {self.rank_side}>")
 
 
-def check_edge_bound(gog, witness):
-    """Check the splitting against the universal edge-count bound.
+def check_edge_bound(witness):
+    """Check the splitting the witness specialises against the universal
+    edge-count bound.
 
     With K the largest edge-group order and rk the minimal generator count
     of the fundamental group's pro-p completion, its mod-p rank (read by
@@ -111,8 +113,7 @@ def check_edge_bound(gog, witness):
         raise ValueError("edge bound requires a certified properness witness")
     if not witness.valid:
         raise ValueError("witness failed verification; edge bound not applicable")
-    if witness.specialisation.gog is not gog:
-        raise ValueError("witness certifies a different graph of groups")
+    gog = witness.specialisation.gog
     p = witness.specialisation.target.p
     orders = [gog.edges[eid].order for eid in gog.graph.edges]
     edge_count = len(orders)

@@ -55,7 +55,7 @@ def cmd_parse(args):
                    reduced=check_reduced(gog))
     for name, spec in doc.witnesses.items():
         report.checks.append(reports.from_check_dict(
-            verify_specialisation(spec.gog, spec), name=f"witness {name}"))
+            verify_specialisation(spec), name=f"witness {name}"))
     for name, letters in doc.words.items():
         report.add(f"word {name}", reports.PASS, letters=len(letters))
     return report
@@ -89,7 +89,6 @@ def cmd_collapse(args):
 
 
 def cmd_bound(args):
-    from .analysis import check_edge_bound
     from .dsl import parse_dsl
     from .gog import verify_properness_witness
     doc = parse_dsl(_read(args.file))
@@ -104,12 +103,8 @@ def cmd_bound(args):
         if spec is None:
             raise ValueError(f"no witness named {name!r}; document defines: "
                              f"{', '.join(sorted(doc.witnesses)) or 'none'}")
-        witness = verify_properness_witness(spec.gog, spec)
-        report.checks.append(
-            reports.from_check_dict(witness.report, name=f"witness {name}"))
-        if witness.valid:
-            report.checks.append(reports.bound_check(
-                f"edge-bound {name}", check_edge_bound(spec.gog, witness)))
+        report.extend(reports.witness_checks(
+            verify_properness_witness(spec), name))
     return report
 
 
@@ -148,25 +143,14 @@ def _tower_verify_checks(p, max_level):
                     reports.from_check_dict(check_transition_maps(p, n, m),
                                             name=f"transition-n{n}-m{m}")])
     for n in range(1, max_level + 1):
-        checks += reports.guarded(f"witnesses-n{n}", lambda n=n:
-                                  _witness_checks(p, n, build_witnesses))
+        checks += reports.guarded(f"witnesses-n{n}", lambda n=n: [
+            check for witness in build_witnesses(p, n)
+            for check in reports.witness_checks(
+                witness, witness.specialisation.name)])
         checks += reports.guarded(f"two-generation-n{n}", lambda n=n: [
             reports.from_check_dict(check_two_generation(p, n),
                                     name=f"two-generation-n{n}")])
     return checks
-
-
-def _witness_checks(p, n, build_witnesses):
-    from .analysis import check_edge_bound
-    out = []
-    for witness in build_witnesses(p, n):
-        gog = witness.specialisation.gog
-        label = witness.specialisation.name
-        out.append(reports.from_check_dict(witness.report,
-                                           name=f"witness {label}"))
-        out.append(reports.bound_check(f"edge-bound {label}",
-                                       check_edge_bound(gog, witness)))
-    return out
 
 
 def cmd_tower_verify_all(args):

@@ -6,21 +6,24 @@ presentations, and the fundamental-group presentation is produced with
 stable letters for non-tree edges.  A vertex presentation is certified
 once: its report is kept on its VertexData, however many graphs share
 it; each graph certifies its own edge maps, one GroupHom per model end.
-Specialisations (target model, vertex maps, edge elements) are verified
-against the two defining conditions, and a specialisation injective on
-every vertex group is packaged as a PropernessWitness; it keeps one
-GroupHom per vertex, so the hom check and the image order read one
-graph.  Every map out of a model, edge map or vertex map, is checked by
-its graph (GroupHom.verify).  Relators are evaluated only to certify a
-vertex presentation and for a map out of a vertex that has no model.
+A specialisation (target model, vertex maps, edge elements) names the
+graph it maps, and every check of it reads the graph from it:
+verify_specialisation checks the two defining conditions, and
+verify_properness_witness packages it, with the image order of every
+vertex group, as a PropernessWitness; certified(spec) is that witness
+or a ValueError if it failed.  A specialisation keeps one GroupHom per
+vertex, so the hom check and the image order read one graph.  Every
+map out of a model, edge map or vertex map, is checked by its graph
+(GroupHom.verify).  Relators are evaluated only to certify a vertex
+presentation.
 
 Vertex groups are usually concrete models with certified presentations;
 a vertex may instead carry a presentation alone (used by
 bracket_subgraph, where the bracketed group is an amalgam with no finite
-model).  Edge groups are models alone: their presentations are never
-needed.  Edge maps are words over the end vertex's generators, so the
-fundamental presentation reads them as given and nothing here
-enumerates a group.
+model); such a vertex cannot be specialised.  Edge groups are models
+alone: their presentations are never needed.  Edge maps are words over
+the end vertex's generators, so the fundamental presentation reads them
+as given and nothing here enumerates a group.
 """
 
 from functools import cached_property
@@ -275,7 +278,9 @@ def fundamental_presentation(gog, tree=None):
 
 
 class Specialisation:
-    """Target model, one GroupHom per vertex, and edge elements."""
+    """The graph it maps, a target model, one GroupHom per vertex, and
+    edge elements.  Every vertex needs a model: a presentation-only
+    vertex is refused."""
 
     def __init__(self, gog, target, vertex_maps, edge_elements=None, name=""):
         self.gog = gog
@@ -283,10 +288,11 @@ class Specialisation:
         self.name = name
         self.homs = {}
         for v in gog.graph.vertices:
-            vd = gog.vertices[v]
-            source = vd.model if vd.is_model else vd.presentation
+            model = gog.vertices[v].model
+            if model is None:
+                raise ValueError(f"vertex {v} has no model to specialise")
             try:
-                self.homs[v] = GroupHom(source, target, vertex_maps[v],
+                self.homs[v] = GroupHom(model, target, vertex_maps[v],
                                         name=f"nu({v})")
             except ValueError as exc:
                 raise ValueError(f"vertex {v}: {exc}") from None
@@ -312,10 +318,11 @@ class Specialisation:
         return self.homs[v].apply(self.gog.image_word(eid, k, gname))
 
 
-def verify_specialisation(gog, spec):
+def verify_specialisation(spec):
     """Check vertex maps are homs, tree edges carry the identity, and both
     edge images agree up to conjugation by the edge element, which is
     skipped where that element is the identity, as on every tree edge."""
+    gog = spec.gog
     violations = []
     for v in gog.graph.vertices:
         for item in spec.vertex_hom(v).verify()["violations"]:
@@ -359,28 +366,31 @@ class PropernessWitness:
         return f"<PropernessWitness into {self.specialisation.target.name}: {state}>"
 
 
-def verify_properness_witness(gog, spec):
+def verify_properness_witness(spec):
     """verify_specialisation plus per-vertex injectivity by image orders,
     read off the vertex homs' graph pcgs that verify_specialisation built."""
-    base = verify_specialisation(gog, spec)
-    violations = list(base["violations"])
+    violations = verify_specialisation(spec)["violations"]
     orders = {}
-    for v in gog.graph.vertices:
-        vd = gog.vertices[v]
-        if not vd.is_model:
+    for v in spec.gog.graph.vertices:
+        order = spec.gog.vertices[v].model.order
+        orders[v] = spec.vertex_hom(v).image_order
+        if orders[v] != order:
             violations.append({"kind": "injectivity", "vertex": v,
-                               "detail": "presentation-only vertex cannot be certified"})
-            continue
-        image_order = spec.vertex_hom(v).image_order
-        orders[v] = image_order
-        if image_order != vd.model.order:
-            violations.append({"kind": "injectivity", "vertex": v,
-                               "vertex_order": vd.model.order,
-                               "image_order": image_order})
+                               "vertex_order": order,
+                               "image_order": orders[v]})
     report = {"check": "properness-witness", "target": spec.target.name,
               "status": "pass" if not violations else "fail",
               "violations": violations}
     return PropernessWitness(spec, report, orders)
+
+
+def certified(spec):
+    """The properness witness of spec; ValueError if it failed."""
+    witness = verify_properness_witness(spec)
+    if not witness.valid:
+        raise ValueError(f"witness {spec.name} failed: "
+                         f"{witness.report['violations']}")
+    return witness
 
 
 def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):

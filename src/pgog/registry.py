@@ -18,9 +18,10 @@ from importlib import resources
 from . import models
 from . import presentations as P
 from . import reports
-from .analysis import check_edge_bound, detect_collapse
+from .analysis import detect_collapse, fundamental_rank
 from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
-                  fundamental_presentation, verify_properness_witness)
+                  certified, fundamental_presentation,
+                  verify_properness_witness)
 from .words import commutator, gen
 
 
@@ -101,16 +102,13 @@ def improper_two_edge_line(p):
 
 
 def free_product_witness(p):
-    """The free-product line with its certified direct-product witness."""
-    gog = free_product_line(p)
+    """The free-product line's direct-product witness, verified."""
     target = models.ElementaryAbelian(p, ["x", "y"])
-    spec = Specialisation(
-        gog, target,
+    return verify_properness_witness(Specialisation(
+        free_product_line(p), target,
         {"L": {"a": target.generators["x"]},
          "R": {"b": target.generators["y"]}},
-        name="free-line-witness")
-    witness = verify_properness_witness(gog, spec)
-    return gog, witness
+        name="free-line-witness"))
 
 
 def shipped_document(name="heisenberg_chain.gog"):
@@ -177,10 +175,7 @@ def _single_edge_skip(params):
 
 
 def _free_line_runner(params):
-    p = params.get("p", 2)
-    gog, witness = free_product_witness(p)
-    return [reports.from_check_dict(witness.report, name="witness"),
-            reports.bound_check("edge-bound", check_edge_bound(gog, witness))]
+    return reports.witness_checks(free_product_witness(params.get("p", 2)))
 
 
 def _tower_level(params, fallback=2):
@@ -189,30 +184,28 @@ def _tower_level(params, fallback=2):
 
 
 def _path_witness_runner(params):
-    from .tower import build_witnesses
-    p, n = _tower_level(params)
-    path_witness, _ = build_witnesses(p, n)
-    gog = path_witness.specialisation.gog
-    return [reports.from_check_dict(path_witness.report, name="witness"),
+    from .tower import path_witness_specialisation
+    witness = certified(path_witness_specialisation(*_tower_level(params))[1])
+    witness_check, bound = reports.witness_checks(witness)
+    return [witness_check,
             reports.make_check("vertex-orders", reports.PASS,
-                               image_orders=path_witness.vertex_image_orders),
-            reports.bound_check("edge-bound", check_edge_bound(gog, path_witness))]
+                               image_orders=witness.vertex_image_orders),
+            bound]
 
 
 def _joined_witness_runner(params):
-    from .tower import build_witnesses
-    p, n = _tower_level(params, fallback=1)
-    _, joined_witness = build_witnesses(p, n)
-    gog = joined_witness.specialisation.gog
-    return [reports.from_check_dict(joined_witness.report, name="witness"),
-            reports.make_check(
-                "lamplighter-injective",
-                _status(joined_witness.vertex_image_orders.get("W")
-                        == gog.vertices["W"].model.order),
-                image_order=joined_witness.vertex_image_orders.get("W"),
-                vertex_order=gog.vertices["W"].model.order),
-            reports.bound_check("edge-bound",
-                                check_edge_bound(gog, joined_witness))]
+    from .tower import joined_witness_specialisation
+    gog, spec = joined_witness_specialisation(
+        *_tower_level(params, fallback=1))
+    witness = certified(spec)
+    witness_check, bound = reports.witness_checks(witness)
+    image_order = witness.vertex_image_orders["W"]
+    order = gog.vertices["W"].model.order
+    return [witness_check,
+            reports.make_check("lamplighter-injective",
+                               _status(image_order == order),
+                               image_order=image_order, vertex_order=order),
+            bound]
 
 
 def _retraction_runner(params):
@@ -323,8 +316,8 @@ def _bracketing_runner(params):
     p = params.get("p", 2)
     path = build_graphs(p, 3, 0).path
     bracketed = bracket_subgraph(path, ["G2", "G3"])
-    full = P.mod_p_rank(fundamental_presentation(path), p)
-    folded = P.mod_p_rank(fundamental_presentation(bracketed), p)
+    full = fundamental_rank(path, p)
+    folded = fundamental_rank(bracketed, p)
     return [reports.make_check(
         "bracketed-rank", _status(full == folded),
         full_rank=full, bracketed_rank=folded,

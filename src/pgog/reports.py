@@ -58,17 +58,18 @@ def collapse_check(name, report):
         residual_rank=report.residual_rank)
 
 
-def bound_check(name, report):
-    return make_check(
-        name, PASS if report.passed else FAIL,
-        edge_count=report.edge_count,
-        max_edge_order=report.max_edge_order,
-        rank=report.rank,
-        edge_bound=report.edge_bound,
-        edge_sum=report.edge_sum,
-        rank_side=report.rank_side,
-        edge_count_ok=report.edge_count_ok,
-        edge_sum_ok=report.edge_sum_ok)
+def witness_checks(witness, label=""):
+    """Check `witness[ label]` from the witness's report and, only for a
+    valid witness, check `edge-bound[ label]` from its edge bound."""
+    from .analysis import check_edge_bound
+    label = f" {label}" if label else ""
+    checks = [from_check_dict(witness.report, f"witness{label}")]
+    if witness.valid:
+        bound = check_edge_bound(witness)
+        checks.append(make_check(f"edge-bound{label}",
+                                 PASS if bound.passed else FAIL,
+                                 **bound._asdict()))
+    return checks
 
 
 def _plain(value):

@@ -6,7 +6,11 @@ vertex group (two carrier layers, the upper defined by a commutator twist),
 and the lamplighter level (lamps with a cyclic shift).  Levels are glued by
 inclusions and by folding retractions that halve the lamp window; the path
 splittings and the lamp-joined splittings are assembled from these, and the
-explicit finite quotients witnessing their properness are built alongside.
+explicit finite quotients witnessing their properness are built alongside:
+path_witness_specialisation and joined_witness_specialisation each map one
+splitting, which the specialisation names, and gog.certified certifies
+it.  build_witnesses certifies both; a caller that reports one witness
+certifies only that one.
 
 Each vertex group G_i and edge group K_i has one cached constructor
 (vertex_data, _edge_data), so a level, the three splittings and the
@@ -29,8 +33,7 @@ from functools import lru_cache
 from . import models
 from . import presentations as P
 from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
-                  fp_naming, fundamental_presentation,
-                  verify_properness_witness)
+                  certified, fp_naming, fundamental_presentation)
 from .words import IDENTITY, Word, gen
 
 # Entries each level builder below, and amalgam._level_data, keeps.  One
@@ -312,16 +315,8 @@ def joined_witness_specialisation(p, levels):
 
 def build_witnesses(p, levels):
     """Certified properness witnesses for the path and joined splittings."""
-    path_gog, path_spec = path_witness_specialisation(p, levels)
-    path_witness = verify_properness_witness(path_gog, path_spec)
-    joined_gog, joined_spec = joined_witness_specialisation(p, levels)
-    joined_witness = verify_properness_witness(joined_gog, joined_spec)
-    for witness in (path_witness, joined_witness):
-        if not witness.valid:
-            raise ValueError(
-                f"witness {witness.specialisation.name} failed: "
-                f"{witness.report['violations']}")
-    return path_witness, joined_witness
+    return (certified(path_witness_specialisation(p, levels)[1]),
+            certified(joined_witness_specialisation(p, levels)[1]))
 
 
 # -- transition maps -------------------------------------------------------------

@@ -768,8 +768,8 @@ def _census(p, letters, max_level=3):
                 counts["empty range"] += 1
                 continue
             for level in levels:
-                gog, spec = amalgam._level_data(p, level)
-                nf = normal_form(gog, amalgam._level_items(word, p, level))
+                spec = amalgam._level_data(p, level)
+                nf = normal_form(spec.gog, amalgam._level_items(word, p, level))
                 image = spec.target.identity
                 for v, element in nf.letters():
                     image = image * spec.vertex_hom(v).apply_element(element)
@@ -835,9 +835,10 @@ def test_level_caches_stay_bounded_across_many_levels():
     pytest.param(3, 2, "En(3,2)", id="3-2")])
 def test_every_level_searches_a_fully_certified_witness(p, level, target):
     # past 2^16 lamplighter elements too, and enumerating nothing
-    gog, spec = amalgam._level_data.__wrapped__(p, level)
-    assert spec.target.name == target and spec.gog is gog
-    assert verify_properness_witness(gog, spec).valid
+    spec = amalgam._level_data.__wrapped__(p, level)
+    assert spec.target.name == target
+    assert spec.gog is build_graphs(p, level, 0).joined
+    assert verify_properness_witness(spec).valid
 
 
 def test_exhausted_search_reports_inconclusive():

@@ -129,6 +129,20 @@ def test_bound_command(capsys):
     assert "witness W" in out and "edge-bound W" in out
 
 
+def test_bound_reports_no_edge_bound_for_a_failed_witness(capsys, tmp_path):
+    # both generators of EA(a, b) go to x: a hom, but not injective
+    doc = tmp_path / "nw.gog"
+    doc.write_text("p 2\ngraph g\nvertex A : EA(a, b)\n"
+                   "witness W : EA(x) map A.a -> x, A.b -> x\n")
+    code, out, _ = run_cli(capsys, "bound", str(doc), "--json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "witness W", "status": "fail", "details": {
+            "target": "EA(2;x)",
+            "violations": [{"kind": "injectivity", "vertex": "A",
+                            "vertex_order": 4, "image_order": 2}]}}]
+
+
 def test_bound_requires_a_witness(capsys, tmp_path):
     doc = tmp_path / "nw.gog"
     doc.write_text("p 2\ngraph g\nvertex A : EA(a)\n")
@@ -361,7 +375,7 @@ def test_over_budget_separate_exits_2_before_any_witness_is_built(
     def refuse(*args):
         raise AssertionError("a witness was built")
 
-    monkeypatch.setattr("pgog.amalgam.build_witnesses", refuse)
+    monkeypatch.setattr("pgog.amalgam.certified", refuse)
     code, out, err = run_cli(capsys, "separate", "--p", "2", "--word", "G8:k8",
                              "--max-level", "8", "--json")
     assert (code, out) == (2, "") and err.startswith("error: SCW(2,8) needs")
@@ -411,10 +425,10 @@ def test_failed_witness_in_separate_reads_fail_not_a_usage_error(
         capsys, monkeypatch):
     from pgog import amalgam
 
-    def failing(p, levels):
-        raise ValueError(f"witness P{levels}->Fn(2,2) failed: []")
+    def failing(spec):
+        raise ValueError(f"witness {spec.name} failed: []")
 
-    monkeypatch.setattr(amalgam, "build_witnesses", failing)
+    monkeypatch.setattr(amalgam, "certified", failing)
     # a fresh level cache, so that levels certified earlier are rebuilt
     monkeypatch.setattr(amalgam, "_level_data", functools.lru_cache(None)(
         amalgam._level_data.__wrapped__))
@@ -423,13 +437,52 @@ def test_failed_witness_in_separate_reads_fail_not_a_usage_error(
     assert code == 1
     check = json.loads(out)["checks"][0]
     assert check["status"] == "fail"
-    assert check["details"]["reason"] == "witness P1->Fn(2,2) failed: []"
+    assert check["details"]["reason"] == "witness J1->En(2,1) failed: []"
     # input no search can use is still refused before it starts
     for argv in (["--word", "G1:zz"], ["--word", "G0:k1"],
                  ["--word", "L1:t", "--p", "4"],
                  ["--word", "L1:t", "--start-level", "0"]):
         code, out, _ = run_cli(capsys, "separate", *argv)
         assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, witnesses", [
+    (("run", "tower/path-witness"), 1),
+    (("run", "tower/joined-witness"), 1),
+    (("run", "separation/mixed-word"), 1),
+    (("run-all",), 4),
+    (("tower", "verify-all", "--p", "2", "--max-level", "2"), 4),
+], ids=["path-witness", "joined-witness", "mixed-word", "run-all",
+        "verify-all"])
+def test_a_command_certifies_only_the_witnesses_it_reports(
+        capsys, monkeypatch, argv, witnesses):
+    from pgog import amalgam, gog
+    made = []
+    init = gog.PropernessWitness.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(gog.PropernessWitness, "__init__", counting)
+    # a fresh level cache, so that separate certifies as a new process does
+    monkeypatch.setattr(amalgam, "_level_data", functools.lru_cache(None)(
+        amalgam._level_data.__wrapped__))
+    code, _, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and len(made) == witnesses
+
+
+def test_joined_witness_examples_build_no_path_witness_model(capsys):
+    # Fn(47,2) is over the budget; only the path witness needs it
+    for example in ("tower/joined-witness", "separation/mixed-word"):
+        code, out, err = run_cli(capsys, "run", example, "--p", "47",
+                                 "--json")
+        assert (code, err) == (0, "")
+        assert {c["status"] for c in json.loads(out)["checks"]} == {"pass"}
+    code, out, err = run_cli(capsys, "run", "tower/path-witness", "--p", "47")
+    assert (code, out) == (2, "")
+    assert err == ("error: Fn(47,2) needs 2211 generators of 2211 "
+                   "coordinates, over the 2^22 coordinate budget\n")
 
 
 def test_run_and_run_all_commands(capsys):
@@ -477,12 +530,22 @@ PINNED_REPORTS = [
      "820a8d295786412ba50d89995e508381b6d710e9d7823593f603e2b610353cb2", 0),
     (("separate", "--p", "2", "--word", "G1:k1 L1:t"),
      "33b28362f675ff136232fa69ec7ece0292dac5d9970f0c36c632e0c9e78ec2b3", 0),
+    # a document's report records its path as given, from the repo root
+    (("bound", "src/pgog/data/free_line.gog"),
+     "07113a49ae06ebcbc27748d197fdd23d70bdad703c9e4fdbea912710e2eab88b", 0),
+    (("parse", "src/pgog/data/free_line.gog"),
+     "55aeb358534a70e8026ddedc37251879f1c0372d210940bf004606d18bde60cc", 0),
+    (("run", "tower/path-witness"),
+     "4d21678bf1478bb44033a2240d1c20a495650d8e63cc15f5592eb3c9024c9090", 0),
+    (("run", "tower/joined-witness"),
+     "4cde5d4c24085e527c64d007556aad918338d317ba3d5465735334c2f90adbef", 0),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,exit_code", PINNED_REPORTS,
                          ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS])
-def test_pinned_report_bytes(capsys, argv, digest, exit_code):
+def test_pinned_report_bytes(capsys, monkeypatch, argv, digest, exit_code):
+    monkeypatch.chdir(ROOT)
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

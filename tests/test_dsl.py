@@ -51,7 +51,7 @@ def test_shipped_chain_matches_the_reference_builder():
 def test_shipped_free_line_witness_certifies():
     doc = shipped_document("free_line.gog")
     spec = doc.witnesses["W"]
-    witness = verify_properness_witness(doc.graphs["line"], spec)
+    witness = verify_properness_witness(spec)
     assert witness.valid
     assert witness.vertex_image_orders == {"L": 2, "R": 2}
 

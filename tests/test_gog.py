@@ -213,9 +213,9 @@ def test_specialisation_and_witness_pass():
     gog = small_path_gog()
     fn = models.FnModel(2, 2)
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]))
-    report = verify_specialisation(gog, spec)
+    report = verify_specialisation(spec)
     assert report["status"] == "pass", report["violations"]
-    witness = verify_properness_witness(gog, spec)
+    witness = verify_properness_witness(spec)
     assert witness.valid
     assert witness.vertex_image_orders == {"A1": 16, "A2": 64}
 
@@ -226,7 +226,7 @@ def test_specialisation_vertex_hom_violation():
     maps = witness_maps(gog, fn, fn.generators["k2"])
     maps["A2"] = dict(maps["A2"])
     maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
-    report = verify_specialisation(gog, Specialisation(gog, fn, maps))
+    report = verify_specialisation(Specialisation(gog, fn, maps))
     assert report["status"] == "fail"
     assert any(v["kind"] == "vertex-hom" and v["vertex"] == "A2"
                for v in report["violations"])
@@ -239,7 +239,7 @@ def test_specialisation_edge_compatibility_violation():
     maps["A1"] = dict(maps["A1"])
     maps["A1"]["h0"] = fn.generators["h1"]
     maps["A1"]["h1"] = fn.generators["h1"]   # still a hom, breaks the edge
-    report = verify_specialisation(gog, Specialisation(gog, fn, maps))
+    report = verify_specialisation(Specialisation(gog, fn, maps))
     assert report["status"] == "fail"
     kinds = {v["kind"] for v in report["violations"]}
     assert kinds == {"edge-compatibility"}
@@ -250,7 +250,7 @@ def test_tree_edge_element_must_be_identity():
     fn = models.FnModel(2, 2)
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]),
                           edge_elements={"e1": fn.generators["h3"]})
-    report = verify_specialisation(gog, spec)
+    report = verify_specialisation(spec)
     assert any(v["kind"] == "tree-edge" for v in report["violations"])
 
 
@@ -270,7 +270,7 @@ def test_non_tree_edge_element_conjugates():
 
     def violations(element):
         spec = Specialisation(gog, lamp, images, edge_elements={"loop": element})
-        return verify_specialisation(gog, spec)["violations"]
+        return verify_specialisation(spec)["violations"]
 
     assert violations(t) == []
     for wrong in (~t, lamp.generators["h0"], lamp.identity):
@@ -286,7 +286,7 @@ def test_witness_injectivity_violation_names_vertex():
     gog = small_path_gog()
     fn = models.FnModel(2, 2)
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
-    witness = verify_properness_witness(gog, spec)
+    witness = verify_properness_witness(spec)
     assert not witness.valid
     bad = [v for v in witness.report["violations"] if v["kind"] == "injectivity"]
     assert bad and bad[0]["vertex"] == "A1"
@@ -304,7 +304,7 @@ def test_a_map_satisfying_a_looser_presentation_fails():
         {}, {})
     target = models.CyclicModel(2, 2)
     spec = Specialisation(gog, target, {"V": {"a": target.generators["z"]}})
-    report = verify_specialisation(gog, spec)
+    report = verify_specialisation(spec)
     assert report["status"] == "fail"
     assert report["violations"] == [
         {"kind": "vertex-hom", "vertex": "V", "image": [2]}]
@@ -316,7 +316,7 @@ def _lone_vertex(model, target, images):
         {"V": VertexData(model, P.elementary_abelian_presentation(
             model.p, list(model.generators)))}, {}, {})
     spec = Specialisation(gog, target, {"V": images})
-    return verify_properness_witness(gog, spec)
+    return verify_properness_witness(spec)
 
 
 def test_failing_vertex_maps_keep_their_reports():
@@ -341,23 +341,35 @@ def test_failing_vertex_maps_keep_their_reports():
     maps = witness_maps(gog, fn, fn.generators["k2"])
     maps["A2"] = dict(maps["A2"])
     maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
-    witness = verify_properness_witness(gog, Specialisation(gog, fn, maps))
+    witness = verify_properness_witness(Specialisation(gog, fn, maps))
     assert witness.report["violations"] == [
         {"kind": "vertex-hom", "image": [0, 1, 0, 0, 0, 0], "vertex": "A2"}]
     # a hom that is not injective: the image order is the images' span
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
-    witness = verify_properness_witness(gog, spec)
+    witness = verify_properness_witness(spec)
     assert witness.report["violations"] == [
         {"kind": "injectivity", "vertex": "A1", "vertex_order": 16,
          "image_order": 8}]
     assert witness.vertex_image_orders == {"A1": 8, "A2": 64}
 
 
+def test_a_presentation_only_vertex_cannot_be_specialised():
+    # a bracketed vertex has no model to map out of, so no witness is
+    # built over it
+    gog = small_path_gog()
+    fn = models.FnModel(2, 2)
+    maps = witness_maps(gog, fn, fn.generators["k2"])
+    bracketed = bracket_subgraph(gog, ["A2"])
+    with pytest.raises(ValueError,
+                       match=r"^vertex \[A2\] has no model to specialise$"):
+        Specialisation(bracketed, fn, {"A1": maps["A1"], "[A2]": maps["A2"]})
+
+
 def test_a_passing_witness_builds_one_graph_per_vertex_map():
     gog = small_path_gog()
     fn = models.FnModel(2, 2)
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]))
-    assert verify_properness_witness(gog, spec).valid
+    assert verify_properness_witness(spec).valid
     for v in gog.graph.vertices:
         hom = spec.vertex_hom(v)
         assert hom is spec.vertex_hom(v)

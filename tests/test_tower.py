@@ -241,8 +241,10 @@ def test_witnesses_certify_with_full_size_vertex_images(p, levels):
 def test_witnessed_splittings_pass_the_edge_bound(levels):
     path_witness, joined_witness = build_witnesses(2, levels)
     graphs = build_graphs(2, levels, 0)
-    assert check_edge_bound(graphs.path, path_witness).passed
-    assert check_edge_bound(graphs.joined, joined_witness).passed
+    assert path_witness.specialisation.gog is graphs.path
+    assert joined_witness.specialisation.gog is graphs.joined
+    assert check_edge_bound(path_witness).passed
+    assert check_edge_bound(joined_witness).passed
 
 
 # -- transitions -------------------------------------------------------------
