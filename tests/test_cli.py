@@ -375,7 +375,9 @@ def test_over_budget_separate_exits_2_before_any_witness_is_built(
     def refuse(*args):
         raise AssertionError("a witness was built")
 
-    monkeypatch.setattr("pgog.amalgam.certified", refuse)
+    # the first witness-building call of the level cache: the budget
+    # pre-check must refuse the level before it is reached
+    monkeypatch.setattr("pgog.amalgam.joined_witness_specialisation", refuse)
     code, out, err = run_cli(capsys, "separate", "--p", "2", "--word", "G8:k8",
                              "--max-level", "8", "--json")
     assert (code, out) == (2, "") and err.startswith("error: SCW(2,8) needs")
