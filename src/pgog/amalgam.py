@@ -17,11 +17,15 @@ replacing a representative and carrying an edge part into the syllable
 before.  The form is empty exactly for the trivial element, solving the
 word problem.  The reduction runs on numbers: each coordinate tuple it
 meets is numbered once per path, 0 standing for the identity at every
-vertex, so a step is remembered under a pair of small ints.  Coordinates
-are read back only where the kernel needs them (a step not remembered, a
-product into the head) and when a ReducedWord is compared, hashed or
-read; group elements are made only when a caller reads the form's head,
-syllables or letters.
+vertex, so a step is remembered under a pair of small ints.  A Word
+enters one letter per syllable, which the canonical form cannot tell
+from the whole word: each vertex generator and its inverse is numbered
+once, when the path's tables are built, so a word is never evaluated
+whole, and a syllable of another exponent is evaluated alone.
+Coordinates are read back only where the kernel needs them (a step not
+remembered, a product into the head) and when a ReducedWord is compared,
+hashed or read; group elements are made only when a caller reads the
+form's head, syllables or letters.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -38,9 +42,9 @@ from functools import lru_cache
 from . import _kernels_py as kernel
 from . import models
 from .gog import certified
-from .tower import (LEVEL_CACHE, check_budget, joined_witness_specialisation,
-                    vertex_data)
-from .words import Word, from_letters
+from .tower import (LEVEL_CACHE, check_budget, joined_witness_shape,
+                    joined_witness_specialisation, vertex_data)
+from .words import Word, from_letters, gen
 
 
 # -- transversals ------------------------------------------------------------
@@ -48,16 +52,18 @@ from .words import Word, from_letters
 
 # Measured with Python 3.11 on a shared 2-core x86-64 host: one
 # nf-products pass of the benchmark (seed 7, 4,000 ops over the level-3
-# joined splitting at p = 2) makes 104,822 merge steps of only 3,822
-# distinct (representative, letter) pairs.  Its six slot memos then hold
-# 541 KB (sys.getsizeof of dicts, key and value tuples and ints); entries
-# x width, bytes: K1@G1 30 x 4, 4 KB; K1@G2 337 x 6, 46 KB; K2@G2 89 x 6,
-# 14 KB; K2@G3 2,508 x 10, 346 KB; H3@G3 349 x 10, 56 KB; H3@W 509 x 9,
-# 74 KB.  So a slot of at most STEP_MEMO_COORDS coordinates of x, 6,553
-# entries at width 10, holds ~0.9 MB, ~2.6 times the largest seen.  The
-# pass numbers 442 tuples, 3,955 coordinates, in 92 KB (its two dicts and
-# the tuples); the numbering, which stops at STEP_MEMO_COORDS
-# coordinates, then holds ~1.5 MB, 16 times what the pass meets.
+# joined splitting at p = 2), a word entering one syllable at a time,
+# makes 151,417 merge steps of only 1,293 distinct (representative,
+# letter) pairs.  Its six slot memos then hold 194 KB (sys.getsizeof of
+# dicts and key and value tuples); entries x width, bytes: K1@G1 30 x 4,
+# 4 KB; K1@G2 119 x 6, 18 KB; K2@G2 29 x 6, 4 KB; K2@G3 886 x 10,
+# 133 KB; H3@G3 121 x 10, 18 KB; H3@W 108 x 9, 16 KB.  So a slot of at
+# most STEP_MEMO_COORDS coordinates of x, 6,553 entries at width 10,
+# holds ~1 MB, ~7.5 times the largest seen.  The pass numbers 120
+# tuples, 1,016 coordinates, in 22 KB (its two dicts and the tuples), 30
+# of them the letter table's 58 generators and inverses, numbered when
+# the tables are built; the numbering, which stops at STEP_MEMO_COORDS
+# coordinates, then holds ~1.4 MB, 65 times what the pass meets.
 STEP_MEMO_COORDS = 2 ** 16
 
 
@@ -201,8 +207,8 @@ class _Steps(dict):
 
 
 class _PathTables:
-    """Path layout, vertex models, transversals, the coordinate numbering
-    and merge steps, built once per graph.
+    """Path layout, vertex models, transversals, the coordinate numbering,
+    the letter table and merge steps, built once per graph.
 
     Never holds the GraphOfGroups, which would keep it, and so its entry
     in _PATHS, alive.
@@ -215,8 +221,15 @@ class _PathTables:
         # keyed by the slot (entry edge, vertex): a path has no loops
         self.transversals = {(eid, t.vertex): t for (eid, _), t
                              in build_transversals(gog).items()}
-        self.numbering = _Numbering(
+        self.numbering = numbering = _Numbering(
             model.identity.coords for model in self.models.values())
+        # letters[v][name, e]: the number of v's generator name (e = 1) or
+        # of its inverse (e = -1), read from the model's generator table
+        # and cached inverses; two entries per generator, never added to
+        self.letters = {v: {(name, e): numbering[model.word_coords(
+                                gen(name, e))]
+                            for name in model.generators for e in (1, -1)}
+                        for v, model in self.models.items()}
         self.steps = {slot: _Steps(t, self.blocks[t.vertex], self.numbering)
                       for slot, t in self.transversals.items()}
         # walk_from[top][b]: the identity syllables, (slot, 0), at each
@@ -359,7 +372,9 @@ def _reduce(tables, head, stack, letters):
     """Right-multiply (vertex, number) letters into the reduced word with
     head coordinates `head` and syllables `stack`, (slot, representative)
     pairs numbered in the path's tables that are changed in place;
-    returns the new head.  A letter may name a slot at its vertex for the
+    returns the new head.  A Word comes as one letter per syllable (see
+    _numbered_letters), so a syllable already met at a slot is a
+    remembered step.  A letter may name a slot at its vertex for the
     vertex, so a form's syllables are letters too; an identity letter
     changes nothing, as the top syllable is never the identity.  Any
     other letter x first walks from the last syllable's vertex, or the
@@ -401,26 +416,39 @@ def _result(gog, tables, head, stack):
 
 
 def _numbered_letters(tables, letters):
-    """(vertex, number) of each letter, read as the reduction reaches it."""
+    """(vertex, number) letters of the input letters, read as the
+    reduction reaches them.  A GroupElement is one letter, its
+    coordinates numbered.  A Word is one letter per syllable, which the
+    canonical form cannot tell from the whole word: a generator or its
+    inverse is looked up in the path's letter table, and a syllable of
+    any other exponent is evaluated and numbered each time it is met, and
+    not kept.  A syllable that is the identity is 0, which the reduction
+    skips."""
     vertex_models = tables.models
+    letter_tables = tables.letters
     numbering = tables.numbering
     for i, (vertex, item) in enumerate(letters):
         model = vertex_models.get(vertex)
         if model is None:
             raise ValueError(f"letter {i}: unknown vertex {vertex!r}")
         if isinstance(item, Word):
-            try:
-                x = model.word_coords(item)
-            except KeyError as exc:
-                raise ValueError(f"letter {i} at {vertex}: {exc}") from None
+            table = letter_tables[vertex]
+            for syllable in item.syllables:
+                x = table.get(syllable)
+                if x is None:
+                    try:
+                        x = numbering[model.word_coords(Word((syllable,)))]
+                    except KeyError as exc:
+                        raise ValueError(
+                            f"letter {i} at {vertex}: {exc}") from None
+                yield vertex, x
         elif isinstance(item, models.GroupElement):
             if item.model != model:
                 raise ValueError(
                     f"letter {i}: element does not belong to vertex {vertex}")
-            x = item.coords
+            yield vertex, numbering[item.coords]
         else:
             raise ValueError(f"letter {i}: expected a Word or GroupElement")
-        yield vertex, numbering[x]
 
 
 def normal_form(gog, letters):
@@ -573,14 +601,17 @@ def search_levels(letters, start_level, max_level):
 def check_search(letters, p, start_level, max_level):
     """Raise ValueError for input no search can use (p not prime, a start
     level below 1, no level in range holding every letter, a first level
-    whose tower or witnesses exceed the coordinate budget, a path letter
+    whose tower or joined witness exceeds the coordinate budget, a path letter
     at G_i, i <= max_level, naming a generator G_i lacks, a lamp letter
     of native level l naming a lamp h_j, j >= p^l, that Lamp(p, l) lacks),
     so that a failure inside the search is a failed check.  Returns the
     levels the search will try."""
     models.PrimeLevel(p, start_level)
     levels = search_levels(letters, start_level, max_level)
-    check_budget(p, levels[0], witnesses=True)  # every search builds levels[0]
+    # every search builds levels[0] and its joined witness, and no path
+    # witness
+    check_budget(p, levels[0], witnesses=False)
+    models.budget(*joined_witness_shape(p, levels[0]))
     for i, letter in enumerate(letters):
         if isinstance(letter, PathLetter) and \
                 (level := _vertex_index(letter.vertex)) <= max_level:

@@ -106,6 +106,11 @@ def joined_witness_model(p, n):
     return models.ShiftedChainWitness(p, n)
 
 
+def joined_witness_shape(p, n):
+    """The shape of joined_witness_model(p, n), without building it."""
+    return models.en_shape(p, n) if n <= 2 else models.scw_shape(p, n)
+
+
 def check_budget(p, top, witnesses):
     """Refuse, before anything is built, levels 1..top whose models would
     exceed the coordinate budget: each level's lamps, edge group, vertex
@@ -121,8 +126,7 @@ def check_budget(p, top, witnesses):
         if witnesses:
             shapes.append(models.fn_shape(p, 2) if n <= 2
                           else models.cw_shape(p, n))
-            shapes.append(models.en_shape(p, n) if n <= 2
-                          else models.scw_shape(p, n))
+            shapes.append(joined_witness_shape(p, n))
         for shape in shapes:
             models.budget(*shape)
 

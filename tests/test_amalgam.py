@@ -326,8 +326,8 @@ def checked_steps(monkeypatch):
 
 def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
         checked_steps, monkeypatch):
-    # one whole nf-products pass at the benchmark's seed 7: 104,822 merge
-    # steps of only 3,822 distinct (representative, letter) pairs over
+    # one whole nf-products pass at the benchmark's seed 7: 151,417 merge
+    # steps of only 1,293 distinct (representative, letter) pairs over
     # six slots, two of them at G3 and of equal width; the digest of its
     # results was taken before the walks were precomputed and the merge
     # ran in place
@@ -338,7 +338,7 @@ def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
     digest = hashlib.sha256()
     for i in range(len(inputs)):
         digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
-    assert (checked_steps["steps"], checked_steps["sifts"]) == (104822, 3822)
+    assert (checked_steps["steps"], checked_steps["sifts"]) == (151417, 1293)
     assert digest.hexdigest() == (
         "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
@@ -377,7 +377,7 @@ def test_a_tiny_budget_bounds_the_numbering_and_keeps_the_pass(
         monkeypatch):
     # a budget of 100 coordinates: within the first ops of the seed-7
     # nf-products pass the six slot memos stop at 88 entries and the
-    # numbering at 11 tuples, 97 coordinates, and neither grows after;
+    # numbering at 15 tuples, 98 coordinates, and neither grows after;
     # the tuples met later stand for themselves, and the pass gives the
     # pinned pass's forms
     monkeypatch.setattr(amalgam, "_PATHS", {})
@@ -393,7 +393,7 @@ def test_a_tiny_budget_bounds_the_numbering_and_keeps_the_pass(
         if i + 1 in (500, 1000, 2000, 4000):
             sizes.append((len(tables.numbering.coords), tables.numbering.used,
                           sum(map(len, tables.steps.values()))))
-    assert sizes == [(11, 97, 88)] * 4
+    assert sizes == [(15, 98, 88)] * 4
     assert digest.hexdigest() == (
         "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
@@ -402,9 +402,11 @@ def test_forms_made_before_and_after_the_numbering_fills_agree(monkeypatch):
     # forms of the same letters from a table with room and from a full
     # one are equal and hash alike, and products of forms holding
     # numbers, tuples standing for themselves or coordinates as given
-    # all equal the recursive reference
+    # all equal the recursive reference; the budget is small enough that
+    # the seed-7 pass fills the numbering while its later letters still
+    # meet tuples it has not numbered
     monkeypatch.setattr(amalgam, "_PATHS", {})
-    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 1000)
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 500)
     monkeypatch.syspath_prepend(str(BENCH))
     import nf
     gog, _ = nf.setup()
@@ -416,11 +418,13 @@ def test_forms_made_before_and_after_the_numbering_fills_agree(monkeypatch):
                 for letters in inputs[i]]
 
     before = forms(range(2))
-    assert numbering.used <= 500
-    for i in range(2, 100):
+    assert numbering.used <= 500 - 10      # a tuple of any vertex fits
+    for i in range(2, len(inputs)):
         nf.op(gog, *inputs[i])
-    assert numbering.used > 1000 - 4       # no tuple of any vertex fits
-    after, late = forms(range(2)), forms(range(100, 104))
+        if numbering.used > 500 - 4:        # no tuple of any vertex fits
+            break
+    assert numbering.used > 500 - 4
+    after, late = forms(range(2)), forms(range(i + 1, i + 5))
     assert any(isinstance(rep, tuple)
                for form in late for _, rep in form._stack)
     given = [amalgam.ReducedWord.from_coords(gog, form._head,
@@ -510,6 +514,84 @@ def test_a_failed_last_letter_leaves_no_trace():
     assert any(amalgam._paths(path).steps.values())
     got, want = normal_form(path, prefix), normal_form(fresh, prefix)
     assert not got.is_trivial and repr(got) == repr(want)
+
+
+# -- word letters ------------------------------------------------------------
+
+
+def _syllable_letters(rng, gog, count):
+    # words of one to four syllables with exponents up to +-4, so that
+    # syllables past +-1 and, at p = 2, syllables that are the identity
+    # (a lamp squared) are met
+    vertices = list(gog.graph.vertices)
+    out = []
+    for _ in range(count):
+        v = rng.choice(vertices)
+        names = list(gog.vertices[v].model.generators)
+        out.append((v, Word(tuple(
+            (rng.choice(names), rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+            for _ in range(rng.randint(1, 4))))))
+    return out
+
+
+@pytest.mark.parametrize("p, named", [
+    (2, [("G2", gen("h1", 2)), ("G3", gen("k3", 3)), ("W", gen("t", -4)),
+         ("G1", gen("h0", 2)),
+         ("G3", gen("k3") * gen("h0", 2) * gen("k2", -1)),
+         ("W", gen("h2", -2) * gen("t", 3))]),
+    (3, [("G2", gen("h1", 2)), ("G3", gen("k3", 3)), ("W", gen("t", -4)),
+         ("G3", gen("h5", 3) * gen("k2", -1)), ("G1", gen("c", -1)),
+         ("W", gen("h0", -3) * gen("t"))])])
+def test_word_letters_reduce_as_their_elements_and_generators(p, named):
+    # a Word letter enters the reduction one syllable at a time; its form
+    # equals that of its evaluated element and that of the same word split
+    # one generator per letter
+    gog = build_graphs(p, 3, 0).joined
+    vertex_models = {v: gog.vertices[v].model for v in gog.graph.vertices}
+    rng = random.Random(3400 + p)
+    cases = [named] + [_syllable_letters(rng, gog, rng.randint(1, 6))
+                       for _ in range(150)]
+    for letters in cases:
+        nf = normal_form(gog, letters)
+        elements = normal_form(gog, [(v, vertex_models[v].evaluate(w))
+                                     for v, w in letters])
+        generators = normal_form(gog, [(v, gen(name, sign))
+                                       for v, w in letters
+                                       for name, sign in w.letters()])
+        assert nf == elements == generators
+        assert hash(nf) == hash(elements) == hash(generators)
+        assert repr(nf) == repr(elements) == repr(generators)
+    # the identity syllables at p = 2 reduce to nothing
+    if p == 2:
+        assert normal_form(gog, [("G1", gen("h0", 2)),
+                                 ("W", gen("h1", -2))]).is_trivial
+
+
+def test_the_letter_table_numbers_each_generator_and_inverse_once():
+    gog = build_graphs(2, 3, 0).joined
+    tables = amalgam._paths(gog)
+    numbering = tables.numbering
+    table = {v: dict(letters) for v, letters in tables.letters.items()}
+    for v, model in tables.models.items():
+        assert len(table[v]) == 2 * len(model.generators)
+        for name, element in model.generators.items():
+            for e, want in ((1, element), (-1, ~element)):
+                n = table[v][name, e]
+                assert _read(numbering, n, model.identity.coords) == \
+                    want.coords
+    letters = [(v, gen(name, e)) for v, model in tables.models.items()
+               for name in model.generators for e in range(-50, 51) if e]
+    normal_form(gog, letters)
+    normal_form(gog, [(v, w * w) for v, w in letters])
+    assert tables.letters == table
+
+
+def test_an_unknown_generator_past_a_words_first_syllable_is_named():
+    path = p2_path()
+    for bad in (gen("zz"), gen("zz", -3)):
+        with pytest.raises(ValueError, match=(
+                "^letter 1 at G2: 'no image for generator zz'$")):
+            normal_form(path, [("G1", gen("c")), ("G2", gen("k2") * bad)])
 
 
 def _random_word(rng, names, max_len=3):

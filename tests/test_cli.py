@@ -383,6 +383,18 @@ def test_over_budget_separate_exits_2_before_any_witness_is_built(
     assert (code, out) == (2, "") and err.startswith("error: SCW(2,8) needs")
 
 
+def test_separate_budgets_only_the_witness_it_builds(capsys):
+    # the path witness target Fn(47,2) is over the budget, but separate
+    # builds only the joined witness, En(47,1) at level 1
+    code, out, err = run_cli(capsys, "separate", "--p", "47", "--word",
+                             "G1:k1 L1:t", "--json")
+    assert (code, err) == (0, "")
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    assert (check["details"]["level"], check["details"]["target"]) == \
+        (1, "En(47,1)")
+
+
 def test_separate_command_paths(capsys):
     code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t", "--json")
     assert code == 0
