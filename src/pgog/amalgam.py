@@ -21,11 +21,12 @@ vertex, so a step is remembered under a pair of small ints.  A Word
 enters one letter per syllable, which the canonical form cannot tell
 from the whole word: each vertex generator and its inverse is numbered
 once, when the path's tables are built, so a word is never evaluated
-whole, and a syllable of another exponent is evaluated alone.
-Coordinates are read back only where the kernel needs them (a step not
-remembered, a product into the head) and when a ReducedWord is compared,
-hashed or read; group elements are made only when a caller reads the
-form's head, syllables or letters.
+whole, and a syllable of another exponent is evaluated alone.  The
+path also remembers its products into the head, up to the same bound,
+so the reduction calls the kernel only on a miss: coordinates are read
+back only for a step or a head product not yet remembered, and when a
+ReducedWord is compared, hashed or read; group elements are made only
+when a caller reads the form's head, syllables or letters.
 
 separate() hunts for the least level whose lamp-joined splitting both keeps
 a mixed word in nonempty reduced form and pushes it to a nontrivial image in
@@ -63,7 +64,12 @@ from .words import Word, from_letters, gen
 # tuples, 1,016 coordinates, in 22 KB (its two dicts and the tuples), 30
 # of them the letter table's 58 generators and inverses, numbered when
 # the tables are built; the numbering, which stops at STEP_MEMO_COORDS
-# coordinates, then holds ~1.4 MB, 65 times what the pass meets.
+# coordinates, then holds ~1.4 MB, 65 times what the pass meets.  The
+# pass carries 145 distinct (head, x) pairs into the head, 16 heads at
+# G1's width 4, and the head memo holds their products in 23 KB; it
+# stops at STEP_MEMO_COORDS coordinates of heads and products, 8,192
+# entries at width 4, ~1.8 MB if every head and product were a tuple of
+# its own.
 STEP_MEMO_COORDS = 2 ** 16
 
 
@@ -206,9 +212,33 @@ class _Steps(dict):
         return step
 
 
+class _HeadProducts(dict):
+    """The products into a path's head: (head, x) -> head x, the head a
+    coordinate tuple at the base vertex and x the carried element,
+    numbered in the path's _Numbering.  A missing product is one kernel
+    multiplication on the base vertex's layout, kept while the memo holds
+    at most STEP_MEMO_COORDS coordinates of heads and products, entries
+    times twice the base width; a full memo still serves its hits but
+    takes no new entry."""
+
+    def __init__(self, blocks, numbering):
+        super().__init__()
+        self.blocks = blocks
+        self.numbering = numbering
+
+    def __missing__(self, key):
+        head, x = key
+        product = kernel.mul(self.blocks, head,
+                             self.numbering.coords.get(x, x))
+        if (len(self) + 1) * 2 * len(head) <= STEP_MEMO_COORDS:
+            self[key] = product
+        return product
+
+
 class _PathTables:
     """Path layout, vertex models, transversals, the coordinate numbering,
-    the letter table and merge steps, built once per graph.
+    the letter table, merge steps and head products, built once per
+    graph.
 
     Never holds the GraphOfGroups, which would keep it, and so its entry
     in _PATHS, alive.
@@ -232,6 +262,10 @@ class _PathTables:
                         for v, model in self.models.items()}
         self.steps = {slot: _Steps(t, self.blocks[t.vertex], self.numbering)
                       for slot, t in self.transversals.items()}
+        # the base vertex's identity, which normal_form starts from, and
+        # the products carried into the head
+        self.identity = self.models[order[0]].identity.coords
+        self.head_products = _HeadProducts(self.blocks[order[0]], numbering)
         # walk_from[top][b]: the identity syllables, (slot, 0), at each
         # vertex after the top syllable's, or the base vertex when top is
         # None, along the path up to b, each in the slot it is entered by;
@@ -371,22 +405,22 @@ class ReducedWord:
 def _reduce(tables, head, stack, letters):
     """Right-multiply (vertex, number) letters into the reduced word with
     head coordinates `head` and syllables `stack`, (slot, representative)
-    pairs numbered in the path's tables that are changed in place;
-    returns the new head.  A Word comes as one letter per syllable (see
-    _numbered_letters), so a syllable already met at a slot is a
-    remembered step.  A letter may name a slot at its vertex for the
-    vertex, so a form's syllables are letters too; an identity letter
-    changes nothing, as the top syllable is never the identity.  Any
-    other letter x first walks from the last syllable's vertex, or the
-    base vertex, to its vertex through identity syllables.  Then it merges
-    in place: each syllable, from the top down, takes the s of its slot's
-    step (rep, x) and carries c to the one before it, or to the head,
-    until c is trivial; then trailing identity syllables are popped.  A
-    turn of the walk never becomes trivial: its rep lies outside the edge
-    image that c lies in, so rep c does too."""
+    pairs numbered in the path's tables that are changed in place; returns
+    the new head, read from the path's head products.  A Word comes as one
+    letter per syllable (see _numbered_letters), so a syllable already met
+    at a slot is a remembered step.  A letter may name a slot at its
+    vertex for the vertex, so a form's syllables are letters too; an
+    identity letter changes nothing, as the top syllable is never the
+    identity.  Any other letter x first walks from the last syllable's
+    vertex, or the base vertex, to its vertex through identity syllables.
+    Then it merges in place: each syllable, from the top down, takes the s
+    of its slot's step (rep, x) and carries c to the one before it, or to
+    the head, which the remembered product of (head, c) replaces, until c
+    is trivial; then trailing identity syllables are popped.  A turn of
+    the walk never becomes trivial: its rep lies outside the edge image
+    that c lies in, so rep c does too."""
     walk_from = tables.walk_from
-    base_blocks = tables.blocks[tables.order[0]]
-    coords = tables.numbering.coords
+    head_products = tables.head_products
     for vertex, x in letters:
         if not x:
             continue
@@ -400,7 +434,7 @@ def _reduce(tables, head, stack, letters):
                 break
             i -= 1
         else:
-            head = kernel.mul(base_blocks, head, coords.get(x, x))
+            head = head_products[head, x]
         while stack and not stack[-1][1]:
             stack.pop()
     return head
@@ -460,8 +494,8 @@ def normal_form(gog, letters):
     """
     tables = _paths(gog)
     stack = []
-    head = _reduce(tables, tables.models[tables.order[0]].identity.coords,
-                   stack, _numbered_letters(tables, letters))
+    head = _reduce(tables, tables.identity, stack,
+                   _numbered_letters(tables, letters))
     return _result(gog, tables, head, stack)
 
 

@@ -296,12 +296,14 @@ def _read(numbering, n, identity):
 def checked_steps(monkeypatch):
     """Checks every merge step the test makes, hit or miss, against the
     unmemoised sift models.Pcgs.split of rep x on that slot's
-    transversal, its numbers read back through the path's numbering;
-    counts the steps under "steps" and the sifts the reduction itself
-    makes under "sifts".  Path tables, and so their memos, are built
-    afresh for the test."""
+    transversal, its numbers read back through the path's numbering,
+    and every product into the head, hit or miss, against a fresh
+    kernel.mul; counts the steps under "steps", the head products under
+    "heads" and the sifts the reduction itself makes under "sifts".
+    Path tables, and so their memos, are built afresh for the test."""
     counts = collections.Counter()
     remembered = amalgam._Steps.__getitem__
+    remembered_product = amalgam._HeadProducts.__getitem__
 
     def step(self, key):
         got = remembered(self, key)
@@ -314,12 +316,21 @@ def checked_steps(monkeypatch):
         counts["steps"] += 1
         return got
 
+    def product(self, key):
+        got = remembered_product(self, key)
+        head, x = key
+        assert got == kernel.mul(self.blocks, head,
+                                 _read(self.numbering, x, None)), key
+        counts["heads"] += 1
+        return got
+
     def split(self, x):
         counts["sifts"] += 1
         return models.Pcgs.split(self, x)
 
     monkeypatch.setattr(amalgam, "_PATHS", {})
     monkeypatch.setattr(amalgam._Steps, "__getitem__", step)
+    monkeypatch.setattr(amalgam._HeadProducts, "__getitem__", product)
     monkeypatch.setattr(amalgam.Transversal, "split", split)
     return counts
 
@@ -328,9 +339,10 @@ def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
         checked_steps, monkeypatch):
     # one whole nf-products pass at the benchmark's seed 7: 151,417 merge
     # steps of only 1,293 distinct (representative, letter) pairs over
-    # six slots, two of them at G3 and of equal width; the digest of its
-    # results was taken before the walks were precomputed and the merge
-    # ran in place
+    # six slots, two of them at G3 and of equal width, and 25,160
+    # products into the head of only 145 distinct (head, x) pairs; the
+    # digest of its results was taken before the walks were precomputed
+    # and the merge ran in place
     monkeypatch.syspath_prepend(str(BENCH))
     import nf
     gog, _ = nf.setup()
@@ -339,6 +351,8 @@ def test_memoised_splits_of_a_benchmark_pass_equal_fresh_sifts(
     for i in range(len(inputs)):
         digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
     assert (checked_steps["steps"], checked_steps["sifts"]) == (151417, 1293)
+    assert checked_steps["heads"] == 25160
+    assert len(amalgam._paths(gog).head_products) == 145
     assert digest.hexdigest() == (
         "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
@@ -373,11 +387,71 @@ def test_a_full_memo_serves_hits_and_takes_no_entry(monkeypatch):
     assert len(steps) == 3
 
 
+def test_a_full_head_memo_serves_hits_and_takes_no_entry(monkeypatch):
+    tables = amalgam._PathTables(joined_witness_specialisation(2, 3)[0])
+    products = tables.head_products
+    model = tables.models[tables.order[0]]
+    assert model.width == 4
+    # room for two entries, each a head and a product of width 4, not
+    # three
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 23)
+    rng = random.Random(5)
+
+    def random_coords():
+        # a carried element is never the identity
+        x = model.identity.coords
+        while not any(x):
+            x = tuple(rng.randrange(m) for m in model.blocks.moduli)
+        return x
+
+    heads = [model.identity.coords] + [random_coords() for _ in range(3)]
+    pairs = [(rng.choice(heads), random_coords()) for _ in range(40)]
+    keys = [(head, tables.numbering[x]) for head, x in pairs]
+    first = [products[key] for key in keys]
+    assert list(products) == list(dict.fromkeys(keys))[:2]
+    for (head, x), key, got in zip(pairs, keys, first):
+        assert got == kernel.mul(model.blocks, head, x)
+        assert products[key] == got
+    for key in keys[:2]:
+        assert products[key] is products.get(key)
+    assert len(products) == 2
+
+
+def test_a_second_pass_misses_no_step_and_no_head_product(monkeypatch):
+    # the reduction calls the kernel only on a miss, and repeating the
+    # seed-7 nf-products pass misses nothing: the first pass misses each
+    # of its 1,293 distinct steps and 145 distinct head products once
+    monkeypatch.setattr(amalgam, "_PATHS", {})
+    monkeypatch.syspath_prepend(str(BENCH))
+    import nf
+    gog, _ = nf.setup()
+    inputs = nf.Inputs(gog, 7)
+    misses = collections.Counter()
+
+    def counted(name, missing):
+        def miss(self, key):
+            misses[name] += 1
+            return missing(self, key)
+        return miss
+
+    for memo in (amalgam._Steps, amalgam._HeadProducts):
+        monkeypatch.setattr(memo, "__missing__",
+                            counted(memo.__name__, memo.__missing__))
+    for i in range(len(inputs)):
+        nf.op(gog, *inputs[i])
+    assert misses == {"_Steps": 1293, "_HeadProducts": 145}
+    misses.clear()
+    for i in range(len(inputs)):
+        nf.op(gog, *inputs[i])
+    assert not misses
+
+
 def test_a_tiny_budget_bounds_the_numbering_and_keeps_the_pass(
         monkeypatch):
     # a budget of 100 coordinates: within the first ops of the seed-7
-    # nf-products pass the six slot memos stop at 88 entries and the
-    # numbering at 15 tuples, 98 coordinates, and neither grows after;
+    # nf-products pass the six slot memos stop at 88 entries, the head
+    # memo at 12 and the numbering at 15 tuples, 98 coordinates, and
+    # none grows after;
     # the tuples met later stand for themselves, and the pass gives the
     # pinned pass's forms
     monkeypatch.setattr(amalgam, "_PATHS", {})
@@ -392,8 +466,9 @@ def test_a_tiny_budget_bounds_the_numbering_and_keeps_the_pass(
         digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
         if i + 1 in (500, 1000, 2000, 4000):
             sizes.append((len(tables.numbering.coords), tables.numbering.used,
-                          sum(map(len, tables.steps.values()))))
-    assert sizes == [(15, 98, 88)] * 4
+                          sum(map(len, tables.steps.values())),
+                          len(tables.head_products)))
+    assert sizes == [(15, 98, 88, 12)] * 4
     assert digest.hexdigest() == (
         "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
@@ -449,6 +524,9 @@ def test_separately_built_splittings_keep_separate_memos():
     assert all(ones[slot] for slot in ones)
     assert all(ones[slot] is not twos[slot] and twos[slot] == {}
                for slot in ones)
+    # the first letter, at the base vertex, went into the first head
+    heads = [amalgam._paths(gog).head_products for gog in (first, second)]
+    assert heads[0] is not heads[1] and len(heads[0]) == 1 and heads[1] == {}
     # the same pair steps differently at a joined splitting's two slots
     # at G2, so one slot never answers for another
     tables = amalgam._paths(p2_joined())
