@@ -549,6 +549,12 @@ PINNED_REPORTS = [
      "07113a49ae06ebcbc27748d197fdd23d70bdad703c9e4fdbea912710e2eab88b", 0),
     (("parse", "src/pgog/data/free_line.gog"),
      "55aeb358534a70e8026ddedc37251879f1c0372d210940bf004606d18bde60cc", 0),
+    # failing witnesses: vertex-hom, edge-compatibility and injectivity
+    # violations in the details of failing checks
+    (("parse", "tests/data/failing_witnesses.gog"),
+     "ae87ca05b01895a21fe87e5030910578ceee1085bb1843ef3477a991d697fb7a", 1),
+    (("bound", "tests/data/failing_witnesses.gog"),
+     "2afd23f3cfdab21a83702e0ea3e4845c916e26226021e6a2f69386f0317046fb", 1),
     (("run", "tower/path-witness"),
      "4d21678bf1478bb44033a2240d1c20a495650d8e63cc15f5592eb3c9024c9090", 0),
     (("run", "tower/joined-witness"),
