@@ -54,8 +54,8 @@ def cmd_parse(args):
                    edges=dict(gog.graph.edges),
                    reduced=check_reduced(gog))
     for name, spec in doc.witnesses.items():
-        report.checks.append(reports.from_check_dict(
-            verify_specialisation(spec), name=f"witness {name}"))
+        report.checks.append(
+            {**verify_specialisation(spec), "name": f"witness {name}"})
     for name, letters in doc.words.items():
         report.add(f"word {name}", reports.PASS, letters=len(letters))
     return report
@@ -132,24 +132,21 @@ def _tower_verify_checks(p, max_level):
     checks = []
     for n in range(2, max_level + 1):
         checks += reports.guarded(f"retraction-square-n{n}", lambda n=n: [
-            reports.from_check_dict(check_retraction_square(build_level(p, n)),
-                                    name=f"retraction-square-n{n}")])
+            check_retraction_square(build_level(p, n))])
     for n in range(0, max_level):
         for m in range(0, max_level - n):
             if n == 0 and m == 0:
                 continue
             checks += reports.guarded(
-                f"transition-n{n}-m{m}", lambda n=n, m=m: [
-                    reports.from_check_dict(check_transition_maps(p, n, m),
-                                            name=f"transition-n{n}-m{m}")])
+                f"transition-n{n}-m{m}",
+                lambda n=n, m=m: [check_transition_maps(p, n, m)])
     for n in range(1, max_level + 1):
         checks += reports.guarded(f"witnesses-n{n}", lambda n=n: [
             check for witness in build_witnesses(p, n)
             for check in reports.witness_checks(
                 witness, witness.specialisation.name)])
         checks += reports.guarded(f"two-generation-n{n}", lambda n=n: [
-            reports.from_check_dict(check_two_generation(p, n),
-                                    name=f"two-generation-n{n}")])
+            check_two_generation(p, n)])
     return checks
 
 

@@ -28,6 +28,7 @@ as given and nothing here enumerates a group.
 
 from functools import cached_property
 
+from . import reports
 from .presentations import (FinitePresentation, GroupHom,
                             check_model_satisfies, hom_injective_on)
 from .words import Word, gen
@@ -178,9 +179,9 @@ class GraphOfGroups:
         for v, vd in self.vertices.items():
             if vd.is_model and vd.presentation is not None:
                 report = vd.certification
-                if report["status"] != "pass":
+                if report["status"] != reports.PASS:
                     raise ValueError(f"vertex {v}: presentation not satisfied: "
-                                     f"{report['violations'][:2]}")
+                                     f"{report['details']['violations'][:2]}")
         for eid in self.graph.edges:
             homs = []
             for k in (0, 1):
@@ -193,9 +194,10 @@ class GraphOfGroups:
                 hom = GroupHom(self.edges[eid], vd.model, mapping,
                                name=f"d{k}({eid})")
                 report = hom.verify()
-                if report["status"] != "pass":
-                    raise ValueError(f"edge {eid} end {k}: map is not a "
-                                     f"homomorphism: {report['violations'][:2]}")
+                if report["status"] != reports.PASS:
+                    raise ValueError(
+                        f"edge {eid} end {k}: map is not a homomorphism: "
+                        f"{report['details']['violations'][:2]}")
                 if not hom_injective_on(hom):
                     raise ValueError(f"edge {eid} end {k}: map is not injective")
                 homs.append(hom)
@@ -321,11 +323,12 @@ class Specialisation:
 def verify_specialisation(spec):
     """Check vertex maps are homs, tree edges carry the identity, and both
     edge images agree up to conjugation by the edge element, which is
-    skipped where that element is the identity, as on every tree edge."""
+    skipped where that element is the identity, as on every tree edge.
+    Returns the report check "specialisation" with the target's name."""
     gog = spec.gog
     violations = []
     for v in gog.graph.vertices:
-        for item in spec.vertex_hom(v).verify()["violations"]:
+        for item in spec.vertex_hom(v).verify()["details"]["violations"]:
             violations.append({**item, "kind": "vertex-hom", "vertex": v})
     tree = spanning_tree(gog)
     for eid in tree.edge_ids:
@@ -344,13 +347,13 @@ def verify_specialisation(spec):
                                    "generator": gname,
                                    "d0_image": list(lhs.coords),
                                    "d1_image_conjugated": list(rhs.coords)})
-    return {"check": "specialisation", "target": spec.target.name,
-            "status": "pass" if not violations else "fail",
-            "violations": violations}
+    return reports.check("specialisation", violations,
+                         target=spec.target.name)
 
 
 class PropernessWitness:
-    """A specialisation verified injective on every vertex group."""
+    """A specialisation and its report check "properness-witness", which
+    passes when the specialisation is injective on every vertex group."""
 
     def __init__(self, specialisation, report, vertex_image_orders):
         self.specialisation = specialisation
@@ -359,7 +362,7 @@ class PropernessWitness:
 
     @property
     def valid(self):
-        return self.report["status"] == "pass"
+        return self.report["status"] == reports.PASS
 
     def __repr__(self):
         state = "certified" if self.valid else "invalid"
@@ -369,7 +372,7 @@ class PropernessWitness:
 def verify_properness_witness(spec):
     """verify_specialisation plus per-vertex injectivity by image orders,
     read off the vertex homs' graph pcgs that verify_specialisation built."""
-    violations = verify_specialisation(spec)["violations"]
+    violations = verify_specialisation(spec)["details"]["violations"]
     orders = {}
     for v in spec.gog.graph.vertices:
         order = spec.gog.vertices[v].model.order
@@ -378,9 +381,8 @@ def verify_properness_witness(spec):
             violations.append({"kind": "injectivity", "vertex": v,
                                "vertex_order": order,
                                "image_order": orders[v]})
-    report = {"check": "properness-witness", "target": spec.target.name,
-              "status": "pass" if not violations else "fail",
-              "violations": violations}
+    report = reports.check("properness-witness", violations,
+                           target=spec.target.name)
     return PropernessWitness(spec, report, orders)
 
 
@@ -389,7 +391,7 @@ def certified(spec):
     witness = verify_properness_witness(spec)
     if not witness.valid:
         raise ValueError(f"witness {spec.name} failed: "
-                         f"{witness.report['violations']}")
+                         f"{witness.report['details']['violations']}")
     return witness
 
 

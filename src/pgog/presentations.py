@@ -22,6 +22,7 @@ of the pro-p completion.
 
 from functools import cached_property
 
+from . import reports
 from .models import FiniteGroupModel, GroupElement, Pcgs
 from .words import Word, commutator, gen
 
@@ -223,7 +224,7 @@ class GroupHom:
         return GroupElement(self.target, image)
 
     def verify(self):
-        """Check the hom property; returns a {check, status, violations} report.
+        """The report check "hom": the generator map extends to a hom.
 
         A model source is checked by its graph: the generator map extends
         to a hom exactly when the graph has the source's order (_census).
@@ -244,15 +245,16 @@ class GroupHom:
                 if not img.is_identity:
                     violations.append({"kind": "relator", "relator": repr(r),
                                        "image": list(img.coords)})
-            return _report("hom", violations)
+            return reports.check("hom", violations)
         if src.p != self.target.p:
-            return _report("hom", [
+            return reports.check("hom", [
                 {"kind": "prime", "generator": g,
                  "image": list(self.mapping[g].coords)}
                 for g in src.generators if not self.mapping[g].is_identity])
         if self._census[0]:
-            return _report("hom", [])
-        return _report("hom", [{"kind": "graph", "image": list(self._graph.first_b)}])
+            return reports.check("hom", [])
+        return reports.check(
+            "hom", [{"kind": "graph", "image": list(self._graph.first_b)}])
 
 
 def hom_injective_on(hom):
@@ -269,7 +271,7 @@ def check_model_satisfies(presentation, model):
 
     Every presentation generator must name a model generator.  The named
     ones generate the model exactly when every unnamed model generator
-    lies in the subgroup they generate.
+    lies in the subgroup they generate.  The check is "model-satisfies".
     """
     named = set(presentation.generators)
     missing = named - set(model.generators)
@@ -288,16 +290,8 @@ def check_model_satisfies(presentation, model):
         if any(model.generators[g] not in sub for g in unnamed):
             violations.append({"kind": "generation", "subgroup_order": sub.order,
                                "model_order": model.order})
-    return _report("model-satisfies", violations,
-                   presentation=presentation.name, model=model.name)
-
-
-def _report(check, violations, **extra):
-    report = {"check": check,
-              "status": "pass" if not violations else "fail",
-              "violations": violations}
-    report.update(extra)
-    return report
+    return reports.check("model-satisfies", violations,
+                         presentation=presentation.name, model=model.name)
 
 
 # -- mod-p rank -----------------------------------------------------------------

@@ -132,10 +132,6 @@ class ExampleEntry(namedtuple("ExampleEntry", "id claim expected run")):
         return f"<ExampleEntry {self.id}: expect {self.expected}>"
 
 
-def _status(ok):
-    return reports.PASS if ok else reports.FAIL
-
-
 def _chain_runner(n):
     def run(params):
         p = params.get("p", 2)
@@ -145,10 +141,11 @@ def _chain_runner(n):
         expected |= {f"b{i}" for i in range(1, n)}
         return [
             reports.make_check(
-                "diverging-set", _status(set(report.collapsed) == expected),
+                "diverging-set",
+                reports.status(set(report.collapsed) == expected),
                 collapsed=list(report.collapsed), expected=sorted(expected)),
             reports.make_check(
-                "residual-rank", _status(report.residual_rank == 2),
+                "residual-rank", reports.status(report.residual_rank == 2),
                 residual_rank=report.residual_rank,
                 residual_generators=list(report.residual.generators)),
         ]
@@ -161,7 +158,7 @@ def _two_edge_runner(params):
     report = detect_collapse(fundamental_presentation(gog), p)
     expected = {"x1", "x2", "x3", "x4"}
     return [reports.make_check(
-        "diverging-set", _status(set(report.collapsed) == expected),
+        "diverging-set", reports.status(set(report.collapsed) == expected),
         collapsed=list(report.collapsed), expected=sorted(expected))]
 
 
@@ -203,7 +200,7 @@ def _joined_witness_runner(params):
     order = gog.vertices["W"].model.order
     return [witness_check,
             reports.make_check("lamplighter-injective",
-                               _status(image_order == order),
+                               reports.status(image_order == order),
                                image_order=image_order, vertex_order=order),
             bound]
 
@@ -212,9 +209,7 @@ def _retraction_runner(params):
     from .tower import build_level, check_retraction_square
     p = params.get("p", 2)
     levels = (2, 3) if p == 2 else (2,)
-    return [reports.from_check_dict(check_retraction_square(build_level(p, n)),
-                                    name=f"retraction-square-n{n}")
-            for n in levels]
+    return [check_retraction_square(build_level(p, n)) for n in levels]
 
 
 def _transition_runner(params):
@@ -222,17 +217,15 @@ def _transition_runner(params):
                         double_fold_images)
     p = params.get("p", 2)
     pairs = [(0, 1), (1, 0), (1, 1), (2, 0)]
-    checks = [reports.from_check_dict(check_transition_maps(p, n, m),
-                                      name=f"transition-n{n}-m{m}")
-              for n, m in pairs]
+    checks = [check_transition_maps(p, n, m) for n, m in pairs]
     for n, m in ((0, 1), (1, 0)):
         composed = composed_transition_images(p, n, m)
         direct = double_fold_images(p, n, m)
         mismatches = [g for g in direct
                       if tuple(composed[g].letters()) != tuple(direct[g].letters())]
         checks.append(reports.make_check(
-            f"composed-fold-n{n}-m{m}", _status(not mismatches
-                                                and set(composed) == set(direct)),
+            f"composed-fold-n{n}-m{m}",
+            reports.status(not mismatches and set(composed) == set(direct)),
             generators=len(direct), mismatches=mismatches))
     return checks
 
@@ -240,8 +233,7 @@ def _transition_runner(params):
 def _two_generation_runner(params):
     from .tower import check_two_generation
     p, n = _tower_level(params)
-    return [reports.from_check_dict(check_two_generation(p, n),
-                                    name="two-generation")]
+    return [{**check_two_generation(p, n), "name": "two-generation"}]
 
 
 def _certification_runner(params):
@@ -254,16 +246,14 @@ def _certification_runner(params):
               P.heisenberg_presentation(p)),
              ("lamplighter", models.LamplighterLevel(p, n),
               P.lamplighter_presentation(p, n))]
-    checks = []
-    for label, model, pres in pairs:
-        checks.append(reports.from_check_dict(
-            P.check_model_satisfies(pres, model), name=f"satisfies {label}"))
+    checks = [{**P.check_model_satisfies(pres, model),
+               "name": f"satisfies {label}"} for label, model, pres in pairs]
     for label, model, pres in pairs[:1] + pairs[2:3]:
         # an enumeration that ran out of cosets has decided nothing
         table = P.coset_enumerate(pres)
         checks.append(reports.make_check(
             f"coset-count {label}",
-            _status(table.order == model.order) if table.complete
+            reports.status(table.order == model.order) if table.complete
             else reports.UNKNOWN,
             cosets=table.order, closure_order=model.order))
     return checks
@@ -302,10 +292,11 @@ def _normal_form_runner(params):
                      == nf_multiply(x, nf_multiply(y, z)))
     return [
         reports.make_check("transversal-counts", reports.PASS, **counts),
-        reports.make_check("inverses-cancel", _status(inv_ok == inverses),
+        reports.make_check("inverses-cancel",
+                           reports.status(inv_ok == inverses),
                            ok=inv_ok, trials=inverses),
         reports.make_check("products-associate",
-                           _status(assoc_ok == associative),
+                           reports.status(assoc_ok == associative),
                            ok=assoc_ok, trials=associative),
     ]
 
@@ -319,7 +310,7 @@ def _bracketing_runner(params):
     full = fundamental_rank(path, p)
     folded = fundamental_rank(bracketed, p)
     return [reports.make_check(
-        "bracketed-rank", _status(full == folded),
+        "bracketed-rank", reports.status(full == folded),
         full_rank=full, bracketed_rank=folded,
         bracketed_vertices=list(bracketed.graph.vertices))]
 
@@ -333,8 +324,8 @@ def _separation_runner(params):
         return [reports.make_check("certificate", reports.FAIL,
                                    verdict=verdict.name.lower())]
     return [reports.make_check(
-        "certificate", _status(not cert.image.is_identity
-                               and cert.reevaluate() == cert.image),
+        "certificate", reports.status(not cert.image.is_identity
+                                      and cert.reevaluate() == cert.image),
         level=cert.level, target=cert.specialisation.target.name,
         image=list(cert.image.coords))]
 
@@ -353,8 +344,9 @@ def _shipped_chain_runner(params):
                            edges=sorted(gog.graph.edges)),
         reports.make_check(
             "matches-reference",
-            _status(same_shape and parsed.collapsed == expected.collapsed
-                    and parsed.residual_rank == expected.residual_rank),
+            reports.status(same_shape
+                           and parsed.collapsed == expected.collapsed
+                           and parsed.residual_rank == expected.residual_rank),
             collapsed=list(parsed.collapsed),
             residual_rank=parsed.residual_rank),
     ]
@@ -448,7 +440,7 @@ def _entry_checks(entry, params):
     outcome = _aggregate(checks)
     # an undecided example neither meets nor misses its expected outcome
     status = (reports.UNKNOWN if outcome == reports.UNKNOWN
-              else _status(outcome == entry.expected))
+              else reports.status(outcome == entry.expected))
     checks.append(reports.make_check(
         "expected-outcome", status,
         expected=entry.expected, outcome=outcome, claim=entry.claim))

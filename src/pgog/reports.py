@@ -4,10 +4,13 @@ A report is a command name, its parameters, and an ordered list of checks,
 each `{name, status, details}` with status one of pass/fail/unknown/skip.
 unknown means undecided: a coset enumeration that did not complete, or a
 separation search that certified no level.  The exit code is 0 exactly
-when no check failed; unknown and skip do not fail.  Serialisation sorts
-keys and renders non-JSON values (infinite depths, fractions, words,
-group elements) through a fixed conversion, so identical inputs produce
-identical bytes.
+when no check failed; unknown and skip do not fail.  Every verification
+returns its check from check(), the one constructor: its status follows
+from its violations, pass exactly when there are none.  A caller renames
+a check with {**check, "name": ...}.  Only this module spells a status;
+status(ok) is a verdict's.  Serialisation sorts keys and renders non-JSON
+values (infinite depths, fractions, words, group elements) through a
+fixed conversion, so identical inputs produce identical bytes.
 """
 
 import json
@@ -29,6 +32,16 @@ def make_check(name, status, **details):
     return {"name": name, "status": status, "details": details}
 
 
+def status(ok):
+    return PASS if ok else FAIL
+
+
+def check(name, violations, **details):
+    """Check `name` that passes exactly when it found no violations."""
+    return make_check(name, status(not violations), violations=violations,
+                      **details)
+
+
 def guarded(name, thunk):
     """The checks thunk() returns; if it raises ValueError, one failing
     check `name` with the error as its reason.  Anything else propagates,
@@ -39,12 +52,6 @@ def guarded(name, thunk):
         raise
     except ValueError as exc:
         return [make_check(name, FAIL, reason=str(exc))]
-
-
-def from_check_dict(raw, name):
-    """Adapt a `{check, status, violations, ...}` dict to check `name`."""
-    details = {k: v for k, v in raw.items() if k not in ("check", "status")}
-    return make_check(name, raw["status"], **details)
 
 
 def collapse_check(name, report):
@@ -63,11 +70,10 @@ def witness_checks(witness, label=""):
     valid witness, check `edge-bound[ label]` from its edge bound."""
     from .analysis import check_edge_bound
     label = f" {label}" if label else ""
-    checks = [from_check_dict(witness.report, f"witness{label}")]
+    checks = [{**witness.report, "name": f"witness{label}"}]
     if witness.valid:
         bound = check_edge_bound(witness)
-        checks.append(make_check(f"edge-bound{label}",
-                                 PASS if bound.passed else FAIL,
+        checks.append(make_check(f"edge-bound{label}", status(bound.passed),
                                  **bound._asdict()))
     return checks
 

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 from . import models
 from . import presentations as P
+from . import reports
 from .gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                   certified, fp_naming, fundamental_presentation)
 from .words import IDENTITY, Word, gen
@@ -61,8 +62,9 @@ def lamp_names(p, n):
 
 def _verified(hom):
     report = hom.verify()
-    if report["status"] != "pass":
-        raise ValueError(f"{hom.name or 'hom'} failed: {report['violations']}")
+    if report["status"] != reports.PASS:
+        raise ValueError(f"{hom.name or 'hom'} failed: "
+                         f"{report['details']['violations']}")
     return hom
 
 
@@ -186,6 +188,7 @@ def check_retraction_square(level):
     """On every lamp of the level, folding then including into the previous
     edge group must equal including into the vertex group then folding; and
     the level's vertex fold must fix the previous edge group pointwise.
+    Returns the report check "retraction-square-n{n}".
 
     The two inclusions the square composes with, H_n -> G_n and
     K_{n-1} -> G_n, each generator to the one of the same name, are
@@ -215,9 +218,8 @@ def check_retraction_square(level):
         back = fold.apply_element(into_vertex[name])
         if back != prev.edge_group.generators[name]:
             violations.append({"kind": "retraction", "generator": name})
-    return {"check": "retraction-square", "p": level.p, "n": n,
-            "status": "pass" if not violations else "fail",
-            "violations": violations}
+    return reports.check(f"retraction-square-n{n}", violations,
+                         p=level.p, n=n)
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -408,7 +410,8 @@ def check_transition_maps(p, n, m):
 
     Image relators must vanish: literally (free reduction), or as elements
     of the single destination vertex group they land in.  The fold composed
-    with the inclusion must fix the smaller tail's generators.
+    with the inclusion must fix the smaller tail's generators.  Returns
+    the report check "transition-n{n}-m{m}".
     """
     src, dst, src_names, dst_names = _tails(p, n, m, 1)
     images = _transition_images(p, n, m, src, src_names, dst_names)
@@ -446,15 +449,14 @@ def check_transition_maps(p, n, m):
                 violations.append({"kind": "not-a-retraction",
                                    "vertex": v, "generator": g,
                                    "image": repr(back)})
-    return {"check": "transition-map", "p": p, "n": n, "m": m,
-            "status": "pass" if not violations else "fail",
-            "violations": violations}
+    return reports.check(f"transition-n{n}-m{m}", violations, p=p, n=n, m=m)
 
 
 def check_two_generation(p, n):
-    """The lamplighter level is generated by one lamp and the shift."""
+    """The lamplighter level is generated by one lamp and the shift: the
+    report check "two-generation-n{n}", which compares the orders."""
     lamp = build_level(p, n).lamplighter
     pair = lamp.subgroup(["h0", "t"])
-    return {"check": "two-generation", "p": p, "n": n,
-            "status": "pass" if pair.order == lamp.order else "fail",
-            "subgroup_order": pair.order, "model_order": lamp.order}
+    return reports.make_check(
+        f"two-generation-n{n}", reports.status(pair.order == lamp.order),
+        p=p, n=n, subgroup_order=pair.order, model_order=lamp.order)

@@ -750,6 +750,53 @@ def test_statuses_come_from_exception_types_not_messages():
                     f"{where} matches on an exception's message"
 
 
+def _repr_and_docstrings(tree):
+    """ids of the nodes of docstrings and of BoundReport.__repr__, whose
+    "pass" is text, not a status."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant):
+            exempt.add(id(node.body[0].value))
+        if isinstance(node, ast.ClassDef) and node.name == "BoundReport":
+            for method in node.body:
+                if getattr(method, "name", None) == "__repr__":
+                    exempt |= {id(n) for n in ast.walk(method)}
+    return exempt
+
+
+def test_only_reports_spells_a_status_and_no_record_has_a_check_key():
+    # a status is reports.PASS, FAIL, UNKNOWN or SKIP, or reports.status(ok);
+    # a verification returns the report check itself, {name, status,
+    # details}, never a {check, ...} record
+    statuses = {reports.PASS, reports.FAIL, reports.UNKNOWN, reports.SKIP}
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = _repr_and_docstrings(tree)
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and path.name != "reports.py":
+                assert node.value not in statuses or id(node) in exempt, \
+                    f"{where} spells the status {node.value!r}"
+            if isinstance(node, ast.Dict):
+                keys = [k.value for k in node.keys
+                        if isinstance(k, ast.Constant)]
+                assert "check" not in keys, f"{where} builds a check record"
+
+
+def test_tower_checks_are_reported_under_the_names_they_return():
+    from pgog import tower
+    reported = cli._tower_verify_checks(2, 2)
+    returned = [tower.check_retraction_square(tower.build_level(2, 2))]
+    returned += [tower.check_transition_maps(2, n, m)
+                 for n, m in ((0, 1), (1, 0))]
+    returned += [tower.check_two_generation(2, n) for n in (1, 2)]
+    for check in returned:
+        assert check in reported, check
+
+
 def _closure_references(node, where=None):
     """(enclosing function or class, node) for every name or attribute
     `closure`, the exhaustive breadth-first enumeration."""

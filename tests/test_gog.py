@@ -214,7 +214,7 @@ def test_specialisation_and_witness_pass():
     fn = models.FnModel(2, 2)
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]))
     report = verify_specialisation(spec)
-    assert report["status"] == "pass", report["violations"]
+    assert report["status"] == "pass", report["details"]["violations"]
     witness = verify_properness_witness(spec)
     assert witness.valid
     assert witness.vertex_image_orders == {"A1": 16, "A2": 64}
@@ -229,7 +229,7 @@ def test_specialisation_vertex_hom_violation():
     report = verify_specialisation(Specialisation(gog, fn, maps))
     assert report["status"] == "fail"
     assert any(v["kind"] == "vertex-hom" and v["vertex"] == "A2"
-               for v in report["violations"])
+               for v in report["details"]["violations"])
 
 
 def test_specialisation_edge_compatibility_violation():
@@ -241,7 +241,7 @@ def test_specialisation_edge_compatibility_violation():
     maps["A1"]["h1"] = fn.generators["h1"]   # still a hom, breaks the edge
     report = verify_specialisation(Specialisation(gog, fn, maps))
     assert report["status"] == "fail"
-    kinds = {v["kind"] for v in report["violations"]}
+    kinds = {v["kind"] for v in report["details"]["violations"]}
     assert kinds == {"edge-compatibility"}
 
 
@@ -251,7 +251,7 @@ def test_tree_edge_element_must_be_identity():
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.generators["k2"]),
                           edge_elements={"e1": fn.generators["h3"]})
     report = verify_specialisation(spec)
-    assert any(v["kind"] == "tree-edge" for v in report["violations"])
+    assert any(v["kind"] == "tree-edge" for v in report["details"]["violations"])
 
 
 def test_non_tree_edge_element_conjugates():
@@ -270,7 +270,7 @@ def test_non_tree_edge_element_conjugates():
 
     def violations(element):
         spec = Specialisation(gog, lamp, images, edge_elements={"loop": element})
-        return verify_specialisation(spec)["violations"]
+        return verify_specialisation(spec)["details"]["violations"]
 
     assert violations(t) == []
     for wrong in (~t, lamp.generators["h0"], lamp.identity):
@@ -288,7 +288,7 @@ def test_witness_injectivity_violation_names_vertex():
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
     witness = verify_properness_witness(spec)
     assert not witness.valid
-    bad = [v for v in witness.report["violations"] if v["kind"] == "injectivity"]
+    bad = [v for v in witness.report["details"]["violations"] if v["kind"] == "injectivity"]
     assert bad and bad[0]["vertex"] == "A1"
     assert bad[0]["image_order"] == 8 and bad[0]["vertex_order"] == 16
 
@@ -306,7 +306,7 @@ def test_a_map_satisfying_a_looser_presentation_fails():
     spec = Specialisation(gog, target, {"V": {"a": target.generators["z"]}})
     report = verify_specialisation(spec)
     assert report["status"] == "fail"
-    assert report["violations"] == [
+    assert report["details"]["violations"] == [
         {"kind": "vertex-hom", "vertex": "V", "image": [2]}]
 
 
@@ -325,13 +325,13 @@ def test_failing_vertex_maps_keep_their_reports():
     a = models.ElementaryAbelian(2, ["a"])
     z = models.CyclicModel(2, 2)
     witness = _lone_vertex(a, z, {"a": z.generators["z"]})
-    assert witness.report["violations"] == [
+    assert witness.report["details"]["violations"] == [
         {"kind": "vertex-hom", "image": [2], "vertex": "V"},
         {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
          "image_order": 4}]
     ea3 = models.ElementaryAbelian(3, ["x", "y"])
     witness = _lone_vertex(a, ea3, {"a": ea3.generators["x"]})
-    assert witness.report["violations"] == [
+    assert witness.report["details"]["violations"] == [
         {"kind": "vertex-hom", "generator": "a", "image": [1, 0],
          "vertex": "V"},
         {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
@@ -342,12 +342,12 @@ def test_failing_vertex_maps_keep_their_reports():
     maps["A2"] = dict(maps["A2"])
     maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
     witness = verify_properness_witness(Specialisation(gog, fn, maps))
-    assert witness.report["violations"] == [
+    assert witness.report["details"]["violations"] == [
         {"kind": "vertex-hom", "image": [0, 1, 0, 0, 0, 0], "vertex": "A2"}]
     # a hom that is not injective: the image order is the images' span
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
     witness = verify_properness_witness(spec)
-    assert witness.report["violations"] == [
+    assert witness.report["details"]["violations"] == [
         {"kind": "injectivity", "vertex": "A1", "vertex_order": 16,
          "image_order": 8}]
     assert witness.vertex_image_orders == {"A1": 8, "A2": 64}

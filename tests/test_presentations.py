@@ -25,21 +25,21 @@ MODEL_OF = {
 def test_twist_presentations_satisfied(family, p, n):
     build_pres, build_model = MODEL_OF[family]
     report = P.check_model_satisfies(build_pres(p, n), build_model(p, n))
-    assert report["status"] == "pass", report["violations"]
+    assert report["status"] == "pass", report["details"]["violations"]
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_heisenberg_presentation_satisfied(p):
     report = P.check_model_satisfies(
         P.heisenberg_presentation(p), models.HeisenbergModP(p))
-    assert report["status"] == "pass", report["violations"]
+    assert report["status"] == "pass", report["details"]["violations"]
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
 def test_lamplighter_presentation_satisfied(p, n):
     report = P.check_model_satisfies(
         P.lamplighter_presentation(p, n), models.LamplighterLevel(p, n))
-    assert report["status"] == "pass", report["violations"]
+    assert report["status"] == "pass", report["details"]["violations"]
 
 
 def test_twistless_mutant_fails_the_chain_relator():
@@ -48,9 +48,9 @@ def test_twistless_mutant_fails_the_chain_relator():
     flat = models.ElementaryAbelian(2, ["k1", "k2", "h0", "h1", "h2", "h3"])
     report = P.check_model_satisfies(P.gn_presentation(2, 2), flat)
     assert report["status"] == "fail"
-    kinds = {v["kind"] for v in report["violations"]}
+    kinds = {v["kind"] for v in report["details"]["violations"]}
     assert kinds == {"relator"}
-    assert any("k2" in v["relator"] for v in report["violations"])
+    assert any("k2" in v["relator"] for v in report["details"]["violations"])
 
 
 def test_all_trivial_images_fail_generation_only():
@@ -59,7 +59,7 @@ def test_all_trivial_images_fail_generation_only():
     pres = P.elementary_abelian_presentation(2, ["h0", "h1"])
     report = P.check_model_satisfies(pres, m)
     assert report["status"] == "fail"
-    assert [v["kind"] for v in report["violations"]] == ["generation"]
+    assert [v["kind"] for v in report["details"]["violations"]] == ["generation"]
 
 
 def generation_cases():
@@ -80,9 +80,9 @@ def test_generation_check_agrees_with_subgroup_order(m, subsets):
         report = P.check_model_satisfies(P.FinitePresentation(names, []), m)
         sub_order = len(m.closure(names))
         if sub_order == m.order:
-            assert report["violations"] == [], names
+            assert report["details"]["violations"] == [], names
         else:
-            assert report["violations"] == [
+            assert report["details"]["violations"] == [
                 {"kind": "generation", "subgroup_order": sub_order,
                  "model_order": m.order}], names
 
@@ -225,7 +225,7 @@ def test_hom_verify_with_presentation_source():
     bad = P.GroupHom(pres, m, twisted)
     report = bad.verify()
     assert report["status"] == "fail"
-    assert report["violations"]
+    assert report["details"]["violations"]
 
 
 def test_hom_verify_by_pair_enumeration():
@@ -241,7 +241,8 @@ def test_hom_verify_pair_guard():
     # order 2^14, past any pair enumeration: the graph check decides it
     big = models.EnWitnessModel(2, 2)
     hom = name_hom(big, models.EnWitnessModel(2, 2))
-    assert hom.verify() == {"check": "hom", "status": "pass", "violations": []}
+    assert hom.verify() == {"name": "hom", "status": "pass",
+                            "details": {"violations": []}}
 
 
 def test_a_map_into_another_prime_is_a_hom_only_when_trivial():
@@ -251,7 +252,7 @@ def test_a_map_into_another_prime_is_a_hom_only_when_trivial():
     trivial = P.GroupHom(ea, z, {"a": z.identity, "b": z.identity})
     assert trivial.verify()["status"] == "pass"
     report = P.GroupHom(ea, z, {"a": z.identity, "b": z.generators["z"]}).verify()
-    assert report["violations"] == [
+    assert report["details"]["violations"] == [
         {"kind": "prime", "generator": "b", "image": [1]}]
 
 
@@ -289,7 +290,7 @@ def test_graph_hom_check_agrees_with_pair_enumeration():
         assert report["status"] == status
         if status == "fail":
             # the graph holds some (1, t), t != 1: t is the violation
-            (violation,) = report["violations"]
+            (violation,) = report["details"]["violations"]
             assert violation["kind"] == "graph" and any(violation["image"])
             with pytest.raises(ValueError, match="not a homomorphism"):
                 hom.apply_element(hom.source.identity)

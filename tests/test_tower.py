@@ -88,7 +88,7 @@ def test_vertex_fold_kills_only_the_top_carrier():
 def test_retraction_square_passes(p, n):
     report = check_retraction_square(build_level(p, n))
     assert report["status"] == "pass"
-    assert report["violations"] == []
+    assert report["details"]["violations"] == []
 
 
 def test_retraction_square_needs_a_previous_level():
@@ -108,9 +108,9 @@ def test_retraction_square_rejects_a_shifted_fold():
     wrong = P.GroupHom(level.vertex_group, prev.edge_group, mapping)
     report = check_retraction_square(level._replace(vertex_fold=wrong))
     assert report["status"] == "fail"
-    kinds = {v["kind"] for v in report["violations"]}
+    kinds = {v["kind"] for v in report["details"]["violations"]}
     assert kinds == {"square", "retraction"}
-    assert {"kind": "retraction", "generator": "h0"} in report["violations"]
+    assert {"kind": "retraction", "generator": "h0"} in report["details"]["violations"]
 
 
 # -- splittings --------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_transition_images_fold_the_last_vertex():
 def test_transition_maps_certify(p, n, m):
     report = check_transition_maps(p, n, m)
     assert report["status"] == "pass"
-    assert report["violations"] == []
+    assert report["details"]["violations"] == []
 
 
 def _refold(monkeypatch, p, top, changes):
@@ -293,8 +293,8 @@ def test_a_fold_with_its_lamps_one_slot_off_is_no_retraction(monkeypatch,
             {f"h{j}": f"h{(j + 1) % p ** n}" for j in range(p ** (n + 1))})
     report = check_transition_maps(p, n, 0)
     assert report["status"] == "fail"
-    assert {v["kind"] for v in report["violations"]} == {"not-a-retraction"}
-    assert [v["generator"] for v in report["violations"]] == \
+    assert {v["kind"] for v in report["details"]["violations"]} == {"not-a-retraction"}
+    assert [v["generator"] for v in report["details"]["violations"]] == \
         lamp_names(p, n)
 
 
@@ -305,7 +305,7 @@ def test_a_fold_sending_the_top_carrier_down_a_level_is_no_hom(monkeypatch,
     _refold(monkeypatch, p, top, {f"k{top}": f"k{top - 1}"})
     report = check_transition_maps(p, n, m)
     assert report["status"] == "fail"
-    assert {v["kind"] for v in report["violations"]} == {"relator-image"}
+    assert {v["kind"] for v in report["details"]["violations"]} == {"relator-image"}
 
 
 def test_transition_below_the_tower_is_undefined():
@@ -354,8 +354,9 @@ def test_composed_transitions_match_the_direct_double_fold(p, n, m):
 def test_one_lamp_and_the_shift_generate_the_lamplighter(p, n):
     report = check_two_generation(p, n)
     assert report["status"] == "pass"
-    assert report["subgroup_order"] == p ** (p ** n + n)
-    assert report["model_order"] == report["subgroup_order"]
+    details = report["details"]
+    assert details["subgroup_order"] == p ** (p ** n + n)
+    assert details["model_order"] == details["subgroup_order"]
 
 
 def test_the_shift_alone_generates_only_its_cycle():
