@@ -7,16 +7,18 @@ shortcut) that must agree exactly with the structural classification.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgog import models
+from pgog import models, reports
 from pgog import presentations as P
 from pgog.analysis import (BoundReport, check_edge_bound, detect_collapse,
                            fundamental_rank)
 from pgog.collapse import extract_bracket_rules
+from pgog.dsl import parse_dsl
 from pgog.gog import (Graph, GraphOfGroups, Specialisation, VertexData,
                       bracket_subgraph, fundamental_presentation,
                       verify_properness_witness)
@@ -260,6 +262,22 @@ def test_edge_bound_refuses_invalid_witness():
     assert not witness.valid
     with pytest.raises(ValueError, match="failed verification"):
         check_edge_bound(witness)
+
+
+def test_edge_bound_fails_on_an_unreduced_splitting():
+    # three copies of Z/2 glued along isomorphisms: pi_1 is Z/2, of rank 1,
+    # so the bound allows 1 edge, and the splitting has 2
+    path = Path(__file__).parent / "data" / "unreduced_line.gog"
+    doc = parse_dsl(path.read_text())
+    witness = verify_properness_witness(doc.witnesses["W"])
+    assert witness.valid
+    _, bound = reports.witness_checks(witness, "W")
+    assert bound["name"] == "edge-bound W"
+    assert bound["status"] == reports.FAIL
+    details = bound["details"]
+    assert (details["edge_count"], details["edge_bound"], details["rank"]) \
+        == (2, 1, 1)
+    assert not details["edge_count_ok"] and details["edge_sum_ok"]
 
 
 @pytest.mark.parametrize("p", [2, 3])

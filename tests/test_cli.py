@@ -555,6 +555,12 @@ PINNED_REPORTS = [
      "ae87ca05b01895a21fe87e5030910578ceee1085bb1843ef3477a991d697fb7a", 1),
     (("bound", "tests/data/failing_witnesses.gog"),
      "2afd23f3cfdab21a83702e0ea3e4845c916e26226021e6a2f69386f0317046fb", 1),
+    # a witnessed splitting that is not reduced: the witness passes and
+    # the edge bound, which presumes a reduced splitting, fails
+    (("bound", "tests/data/unreduced_line.gog"),
+     "7be6f1e14d6106bc3db467c749bdb755a7fdfda0955bb3384f2181d7c369b174", 1),
+    (("parse", "tests/data/unreduced_line.gog"),
+     "338ebc00f620013e18ae427d8f7554ef3ee260909bf1e5c37d41999795dd8aeb", 0),
     (("run", "tower/path-witness"),
      "4d21678bf1478bb44033a2240d1c20a495650d8e63cc15f5592eb3c9024c9090", 0),
     (("run", "tower/joined-witness"),
