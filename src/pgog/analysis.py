@@ -11,17 +11,18 @@ Two independent certifying tools for a graph of finite p-groups:
   does not load it.
 * ``check_edge_bound`` verifies the universal edge-count bound that every
   properly witnessed reduced splitting must satisfy, on the splitting
-  its witness specialises.  It refuses to run without a certified
-  witness, since the bound is only meaningful when the vertex groups are
-  known to inject, and on a fundamental group of mod-p rank 0, which the
-  bound does not cover.
+  its witness specialises, and returns it as the report check
+  ``edge-bound``.  It refuses to run without a certified witness, since
+  the bound is only meaningful when the vertex groups are known to
+  inject, and on a fundamental group of mod-p rank 0, which the bound
+  does not cover.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 
+from . import reports
 from .gog import PropernessWitness
-from .presentations import _gf_rank
+from .presentations import abelian_rank
 
 
 def detect_collapse(presentation, p):
@@ -49,51 +50,20 @@ def fundamental_rank(gog, p):
             raise ValueError(f"vertex {v} lacks a certified presentation")
         for g in pres.generators:
             columns[v, g] = len(columns)
-    rows = []
-
-    def add_row(terms):
-        sums = {}
-        for c, e in terms:
-            sums[c] = (sums.get(c, 0) + e) % p
-        if any(sums.values()):
-            row = [0] * len(columns)
-            for c, e in sums.items():
-                row[c] = e
-            rows.append(row)
-
-    for v in gog.graph.vertices:
-        for r in gog.vertices[v].presentation.relators:
-            add_row((columns[v, g], e) for g, e in r.syllables)
-    for eid, ends in gog.graph.edges.items():
-        for g in gog.edges[eid].generators:
-            add_row((columns[ends[k], name], e if k else -e) for k in (0, 1)
-                    for name, e in gog.image_word(eid, k, g).syllables)
+    rows = [[(columns[v, g], e) for g, e in r.syllables]
+            for v in gog.graph.vertices
+            for r in gog.vertices[v].presentation.relators]
+    rows += [[(columns[ends[k], name], e if k else -e) for k in (0, 1)
+              for name, e in gog.image_word(eid, k, g).syllables]
+             for eid, ends in gog.graph.edges.items()
+             for g in gog.edges[eid].generators]
     stable = len(gog.graph.edges) - len(gog.graph.tree.edge_ids)
-    return len(columns) + stable - _gf_rank(rows, p)
-
-
-class BoundReport(namedtuple(
-        "BoundReport",
-        "edge_count max_edge_order rank edge_bound edge_sum rank_side "
-        "edge_count_ok edge_sum_ok")):
-    """Both edge-count inequalities for one witnessed splitting; the
-    bounds and sums are Fractions."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self):
-        return self.edge_count_ok and self.edge_sum_ok
-
-    def __repr__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"<BoundReport {verdict}: {self.edge_count} edges <= "
-                f"{self.edge_bound}, sum {self.edge_sum} <= {self.rank_side}>")
+    return abelian_rank(len(columns), rows, p) + stable
 
 
 def check_edge_bound(witness):
-    """Check the splitting the witness specialises against the universal
-    edge-count bound.
+    """The report check ``edge-bound``: the splitting the witness
+    specialises against the universal edge-count bound.
 
     With K the largest edge-group order and rk the minimal generator count
     of the fundamental group's pro-p completion, its mod-p rank (read by
@@ -103,11 +73,12 @@ def check_edge_bound(witness):
         edges <= pK/(p-1) * (rk - 1) + 1
         sum over edges of 1/|G_e| <= p/(p-1) * rk
 
-    Exact rational arithmetic throughout; a certified witness is required
-    because the bound presumes the vertex groups inject, and rk >= 1
-    because it presumes a nontrivial fundamental group: at rk = 0 the
-    first right side is negative, so even the edgeless trivial group
-    would fail it.
+    Its details hold both sides of each inequality, as Fractions, and
+    whether it holds.  Exact rational arithmetic throughout; a certified
+    witness is required because the bound presumes the vertex groups
+    inject, and rk >= 1 because it presumes a nontrivial fundamental
+    group: at rk = 0 the first right side is negative, so even the
+    edgeless trivial group would fail it.
     """
     if not isinstance(witness, PropernessWitness):
         raise ValueError("edge bound requires a certified properness witness")
@@ -125,6 +96,10 @@ def check_edge_bound(witness):
     edge_bound = Fraction(p * max_order, p - 1) * (rank - 1) + 1
     edge_sum = sum((Fraction(1, o) for o in orders), Fraction(0))
     rank_side = Fraction(p, p - 1) * rank
-    return BoundReport(edge_count, max_order, rank, edge_bound, edge_sum,
-                       rank_side, edge_count <= edge_bound,
-                       edge_sum <= rank_side)
+    edge_count_ok = edge_count <= edge_bound
+    edge_sum_ok = edge_sum <= rank_side
+    return reports.make_check(
+        "edge-bound", reports.status(edge_count_ok and edge_sum_ok),
+        edge_count=edge_count, max_edge_order=max_order, rank=rank,
+        edge_bound=edge_bound, edge_sum=edge_sum, rank_side=rank_side,
+        edge_count_ok=edge_count_ok, edge_sum_ok=edge_sum_ok)

@@ -17,7 +17,8 @@ procedure, so a non-completing run is reported as unknown, never as
 failure.  Its engine lives in cosets, imported when it is called, so a
 command that counts no cosets does not load it.  mod_p_rank is the
 dimension of the mod-p abelianization, i.e. the minimal generator number
-of the pro-p completion.
+of the pro-p completion; abelian_rank builds its exponent rows, and those
+of analysis.fundamental_rank.
 """
 
 from functools import cached_property
@@ -299,20 +300,31 @@ def check_model_satisfies(presentation, model):
 def mod_p_rank(presentation, p):
     """#generators - rank over F_p of the relator exponent matrix."""
     index = {g: i for i, g in enumerate(presentation.generators)}
-    rows = []
-    for r in presentation.relators:
-        row = [0] * len(index)
-        for name, exp in r.syllables:
-            row[index[name]] = (row[index[name]] + exp) % p
-        if any(row):
-            rows.append(row)
-    return len(index) - _gf_rank(rows, p)
+    return abelian_rank(len(index), [[(index[g], e) for g, e in r.syllables]
+                                     for r in presentation.relators], p)
+
+
+def abelian_rank(columns, rows, p):
+    """columns - the rank over F_p of the rows, each given as (column,
+    exponent) terms, which are summed mod p; a row whose terms cancel is
+    dropped before it is built."""
+    matrix = []
+    for terms in rows:
+        sums = {}
+        for c, e in terms:
+            sums[c] = (sums.get(c, 0) + e) % p
+        if any(sums.values()):
+            row = [0] * columns
+            for c, e in sums.items():
+                row[c] = e
+            matrix.append(row)
+    return columns - _gf_rank(matrix, p)
 
 
 def _gf_rank(rows, p):
+    """Rank over F_p of rows of equal length, which it reduces in place."""
     rank = 0
     cols = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows]
     for c in range(cols):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from pgog import models, reports
 from pgog import presentations as P
-from pgog.analysis import (BoundReport, check_edge_bound, detect_collapse,
-                           fundamental_rank)
+from pgog.analysis import check_edge_bound, detect_collapse, fundamental_rank
 from pgog.collapse import extract_bracket_rules
 from pgog.dsl import parse_dsl
 from pgog.gog import (Graph, GraphOfGroups, Specialisation, VertexData,
@@ -220,12 +219,14 @@ def test_edge_bound_on_free_product_line(p):
     witness = free_product_witness(gog, p)
     assert witness.valid
     report = check_edge_bound(witness)
-    assert report.edge_count == 1 and report.max_edge_order == 1
-    assert report.rank == 2
-    assert report.edge_bound == Fraction(p, p - 1) + 1
-    assert report.edge_sum == 1
-    assert report.rank_side == Fraction(2 * p, p - 1)
-    assert report.passed
+    assert report["name"] == "edge-bound"
+    details = report["details"]
+    assert details["edge_count"] == 1 and details["max_edge_order"] == 1
+    assert details["rank"] == 2
+    assert details["edge_bound"] == Fraction(p, p - 1) + 1
+    assert details["edge_sum"] == 1
+    assert details["rank_side"] == Fraction(2 * p, p - 1)
+    assert report["status"] == reports.PASS
 
 
 def small_path_with_witness():
@@ -239,13 +240,13 @@ def small_path_with_witness():
 def test_edge_bound_exact_values_on_amalgam():
     gog, witness = small_path_with_witness()
     report = check_edge_bound(witness)
-    assert report.edge_count == 1
-    assert report.max_edge_order == 8
-    assert report.rank == 6
-    assert report.edge_bound == Fraction(81)
-    assert report.edge_sum == Fraction(1, 8)
-    assert report.rank_side == Fraction(12)
-    assert report.passed
+    assert report["details"]["edge_count"] == 1
+    assert report["details"]["max_edge_order"] == 8
+    assert report["details"]["rank"] == 6
+    assert report["details"]["edge_bound"] == Fraction(81)
+    assert report["details"]["edge_sum"] == Fraction(1, 8)
+    assert report["details"]["rank_side"] == Fraction(12)
+    assert report["status"] == reports.PASS
 
 
 def test_edge_bound_refuses_without_witness():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgog import models, tower
+from pgog import models, reports, tower
 from pgog import presentations as P
 from pgog.analysis import check_edge_bound
 from pgog.gog import (bracket_subgraph, check_reduced, fp_naming,
@@ -243,8 +243,8 @@ def test_witnessed_splittings_pass_the_edge_bound(levels):
     graphs = build_graphs(2, levels, 0)
     assert path_witness.specialisation.gog is graphs.path
     assert joined_witness.specialisation.gog is graphs.joined
-    assert check_edge_bound(path_witness).passed
-    assert check_edge_bound(joined_witness).passed
+    assert check_edge_bound(path_witness)["status"] == reports.PASS
+    assert check_edge_bound(joined_witness)["status"] == reports.PASS
 
 
 # -- transitions -------------------------------------------------------------
