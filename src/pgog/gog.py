@@ -329,7 +329,7 @@ def verify_specialisation(spec):
     violations = []
     for v in gog.graph.vertices:
         for item in spec.vertex_hom(v).verify()["details"]["violations"]:
-            violations.append({**item, "kind": "vertex-hom", "vertex": v})
+            violations.append({**item, "vertex": v})
     tree = spanning_tree(gog)
     for eid in tree.edge_ids:
         if not spec.edge_elements[eid].is_identity:

@@ -95,7 +95,7 @@ def test_parse_fails_a_witness_that_is_not_a_homomorphism(capsys, tmp_path):
     check = json.loads(out)["checks"][-1]
     assert check == {"name": "witness W", "status": "fail", "details": {
         "target": "EA(3;x,y)",
-        "violations": [{"kind": "vertex-hom", "generator": "a",
+        "violations": [{"kind": "prime", "generator": "a",
                         "image": [1, 0], "vertex": "A"}]}}
     code, out, _ = run_cli(capsys, "parse", data_path("free_line.gog"),
                            "--json")
@@ -549,12 +549,12 @@ PINNED_REPORTS = [
      "07113a49ae06ebcbc27748d197fdd23d70bdad703c9e4fdbea912710e2eab88b", 0),
     (("parse", "src/pgog/data/free_line.gog"),
      "55aeb358534a70e8026ddedc37251879f1c0372d210940bf004606d18bde60cc", 0),
-    # failing witnesses: vertex-hom, edge-compatibility and injectivity
+    # failing witnesses: prime, edge-compatibility and injectivity
     # violations in the details of failing checks
     (("parse", "tests/data/failing_witnesses.gog"),
-     "ae87ca05b01895a21fe87e5030910578ceee1085bb1843ef3477a991d697fb7a", 1),
+     "7f68ead3d496b98424cc192211bd2a2c35af9d42235186aaedc4f4361e89ea2c", 1),
     (("bound", "tests/data/failing_witnesses.gog"),
-     "2afd23f3cfdab21a83702e0ea3e4845c916e26226021e6a2f69386f0317046fb", 1),
+     "722667cbb0dd413ee5b54dc710cce78109b3950c717a8c01262352ba23cdb839", 1),
     # a witnessed splitting that is not reduced: the witness passes and
     # the edge bound, which presumes a reduced splitting, fails
     (("bound", "tests/data/unreduced_line.gog"),

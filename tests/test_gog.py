@@ -228,7 +228,7 @@ def test_specialisation_vertex_hom_violation():
     maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
     report = verify_specialisation(Specialisation(gog, fn, maps))
     assert report["status"] == "fail"
-    assert any(v["kind"] == "vertex-hom" and v["vertex"] == "A2"
+    assert any(v["kind"] == "graph" and v["vertex"] == "A2"
                for v in report["details"]["violations"])
 
 
@@ -307,7 +307,7 @@ def test_a_map_satisfying_a_looser_presentation_fails():
     report = verify_specialisation(spec)
     assert report["status"] == "fail"
     assert report["details"]["violations"] == [
-        {"kind": "vertex-hom", "vertex": "V", "image": [2]}]
+        {"kind": "graph", "vertex": "V", "image": [2]}]
 
 
 def _lone_vertex(model, target, images):
@@ -326,13 +326,13 @@ def test_failing_vertex_maps_keep_their_reports():
     z = models.CyclicModel(2, 2)
     witness = _lone_vertex(a, z, {"a": z.generators["z"]})
     assert witness.report["details"]["violations"] == [
-        {"kind": "vertex-hom", "image": [2], "vertex": "V"},
+        {"kind": "graph", "image": [2], "vertex": "V"},
         {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
          "image_order": 4}]
     ea3 = models.ElementaryAbelian(3, ["x", "y"])
     witness = _lone_vertex(a, ea3, {"a": ea3.generators["x"]})
     assert witness.report["details"]["violations"] == [
-        {"kind": "vertex-hom", "generator": "a", "image": [1, 0],
+        {"kind": "prime", "generator": "a", "image": [1, 0],
          "vertex": "V"},
         {"kind": "injectivity", "vertex": "V", "vertex_order": 2,
          "image_order": 3}]
@@ -343,7 +343,7 @@ def test_failing_vertex_maps_keep_their_reports():
     maps["A2"]["h2"], maps["A2"]["h3"] = maps["A2"]["h3"], maps["A2"]["h2"]
     witness = verify_properness_witness(Specialisation(gog, fn, maps))
     assert witness.report["details"]["violations"] == [
-        {"kind": "vertex-hom", "image": [0, 1, 0, 0, 0, 0], "vertex": "A2"}]
+        {"kind": "graph", "image": [0, 1, 0, 0, 0, 0], "vertex": "A2"}]
     # a hom that is not injective: the image order is the images' span
     spec = Specialisation(gog, fn, witness_maps(gog, fn, fn.identity))
     witness = verify_properness_witness(spec)
