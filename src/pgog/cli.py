@@ -185,13 +185,14 @@ def _separation_check(letters, args, levels):
             "separate", reports.UNKNOWN,
             verdict=f"inconclusive: no level in [{levels[0]}, "
                     f"{levels[-1]}] certifies the word")
+    reverified = cert.reevaluate() == cert.image
     return reports.make_check(
-        "separate", reports.PASS,
+        "separate", reports.status(reverified),
         level=cert.level,
         target=cert.specialisation.target.name,
         image=list(cert.image.coords),
         reduced_letters=len(cert.reduced.letters()),
-        reverified=cert.reevaluate() == cert.image)
+        reverified=reverified)
 
 
 def _params(args):

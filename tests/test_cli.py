@@ -435,6 +435,20 @@ def test_separate_command_paths(capsys):
     assert code == 2 and out == "" and "coordinate budget" in err
 
 
+def test_a_certificate_that_does_not_reevaluate_reads_fail(
+        capsys, monkeypatch):
+    from pgog import amalgam
+
+    monkeypatch.setattr(amalgam.SeparationCertificate, "reevaluate",
+                        lambda cert: cert.specialisation.target.identity)
+    code, out, _ = run_cli(capsys, "separate", "--word", "G1:k1 L1:t",
+                           "--json")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "fail"
+    assert check["details"]["reverified"] is False
+
+
 def test_failed_witness_in_separate_reads_fail_not_a_usage_error(
         capsys, monkeypatch):
     from pgog import amalgam
