@@ -6,8 +6,9 @@ vertex group followed by coset-representative syllables walking the path.
 A syllable's representative is what the split of a Transversal, the
 models.Pcgs of the graph of an edge's two maps, leaves of it (Holt, Eick
 and O'Brien, Handbook of Computational Group Theory, 2005, §8.3), and the
-same split carries the edge-group part across the edge; nothing is
-enumerated, and normal forms are reproducible across runs.  Each (entry
+same split carries the edge-group part across the edge, by the maps the
+graph certified when it was built; nothing is enumerated, and normal
+forms are reproducible across runs.  Each (entry
 edge, vertex) slot of a path remembers the steps it has made, up to a
 bound: a step is a pure function of its representative and letter, so a
 remembered one is exactly what a fresh split returns.  A syllable is the
@@ -134,14 +135,15 @@ def build_transversals(gog):
     """Coset representatives for both ends of every edge of a path.
 
     They use the edge maps the graph certified as injective model
-    homomorphisms; a graph built with check=False is rejected.
+    homomorphisms; a presentation-only end, as in a bracketed graph,
+    has none and is refused.
     """
     _path_order(gog)
+    homs = gog.edge_homs
     for eid in gog.graph.edges:
-        if None in gog.edge_homs.get(eid, (None,)):
+        if None in homs[eid]:
             raise ValueError(f"edge {eid} has no certified model maps; "
                              "normal forms need injective edge maps")
-    homs = gog.edge_homs
     return {(eid, end): Transversal(eid, end, gog.graph.ends(eid)[end],
                                     homs[eid][end], homs[eid][1 - end])
             for eid in gog.graph.edges for end in (0, 1)}

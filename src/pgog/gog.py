@@ -1,11 +1,11 @@
 """Finite graphs of finite p-group models.
 
-Assembly and certification: every edge map is verified as an injective
-homomorphism at construction, vertex models are certified against their
-presentations, and the fundamental-group presentation is produced with
-stable letters for non-tree edges.  A vertex presentation is certified
-once: its report is kept on its VertexData, however many graphs share
-it; each graph certifies its own edge maps, one GroupHom per model end.
+Assembly and certification: a graph is certified when it is built, each
+edge map as an injective homomorphism and each vertex model against its
+presentation, and the fundamental-group presentation is produced with
+stable letters for non-tree edges.  A VertexData keeps its presentation's
+report and one GroupHom per edge map into it, so however many graphs
+share a vertex, the presentation and each map are certified once.
 A specialisation (target model, vertex maps, edge elements) names the
 graph it maps, and every check of it reads the graph from it:
 verify_specialisation checks the two defining conditions, and
@@ -99,8 +99,8 @@ def spanning_tree(graph_or_gog):
 class VertexData:
     """A vertex group: a model with a certified presentation, or a
     presentation alone (no finite model, e.g. a bracketed subgraph).
-
-    A presentation's generator names are its model's generator names.
+    A presentation's generator names are its model's generator names; a
+    model vertex keeps one GroupHom per edge map into it (edge_hom).
     """
 
     def __init__(self, model=None, presentation=None):
@@ -108,6 +108,7 @@ class VertexData:
             raise ValueError("vertex needs a model or a presentation")
         self.model = model
         self.presentation = presentation
+        self._edge_homs = {}
 
     @property
     def is_model(self):
@@ -118,6 +119,18 @@ class VertexData:
         """The model-satisfies report, computed once however many graphs
         share this vertex."""
         return check_model_satisfies(self.presentation, self.model)
+
+    def edge_hom(self, source, words):
+        """The GroupHom sending each generator of the edge model source to
+        its image word, built once per (source, words) and kept, so every
+        graph holding the map reads one graph pcgs.  The key holds the
+        source's identity, which the hom keeps alive, so an equal but
+        distinct edge model gets a hom of its own."""
+        key = (id(source), tuple(words[g] for g in source.generators))
+        if key not in self._edge_homs:
+            self._edge_homs[key] = GroupHom(source, self.model, {
+                g: self.model.evaluate(w) for g, w in words.items()})
+        return self._edge_homs[key]
 
 
 def _rename_word(word, mapping):
@@ -131,12 +144,12 @@ class GraphOfGroups:
     each map sends every edge-model generator name to a Word over the end
     vertex's generator names.  An image given as an element is refused:
     the fundamental presentation needs words, and reading a word off an
-    element would enumerate the vertex group.  Certification evaluates
-    the words and leaves every edge's two maps as GroupHoms in edge_homs
-    (None at a presentation-only end).
+    element would enumerate the vertex group.  Construction certifies
+    the graph; edge_homs[eid] holds its ends' VertexData.edge_hom, None
+    at a presentation-only end.
     """
 
-    def __init__(self, graph, vertex_data, edge_models, edge_maps, check=True):
+    def __init__(self, graph, vertex_data, edge_models, edge_maps):
         self.graph = graph
         self.vertices = dict(vertex_data)
         self.edges = dict(edge_models)
@@ -146,13 +159,10 @@ class GraphOfGroups:
         for eid in graph.edges:
             if eid not in self.edges or eid not in edge_maps:
                 raise ValueError(f"edge {eid} has no group or maps")
-        self.edge_maps = {}
-        for eid in graph.edges:
-            self.edge_maps[eid] = tuple(
-                self._check_words(eid, k, edge_maps[eid][k]) for k in (0, 1))
+        self.edge_maps = {eid: tuple(self._check_words(eid, k, edge_maps[eid][k])
+                                     for k in (0, 1)) for eid in graph.edges}
         self.edge_homs = {}
-        if check:
-            self._certify()
+        self._certify()
 
     def _check_words(self, eid, k, raw):
         """The image word of every edge generator, over the end vertex's
@@ -189,10 +199,7 @@ class GraphOfGroups:
                 if not vd.is_model:
                     homs.append(None)
                     continue
-                mapping = {g: vd.model.evaluate(w)
-                           for g, w in self.edge_maps[eid][k].items()}
-                hom = GroupHom(self.edges[eid], vd.model, mapping,
-                               name=f"d{k}({eid})")
+                hom = vd.edge_hom(self.edges[eid], self.edge_maps[eid][k])
                 report = hom.verify()
                 if report["status"] != reports.PASS:
                     raise ValueError(
@@ -210,18 +217,16 @@ class GraphOfGroups:
 
 
 def check_reduced(gog):
-    """No edge map onto a full endpoint group, except at loops."""
+    """No edge map onto a full endpoint group, except at loops: a
+    certified edge map is injective, so the edge and vertex orders tell."""
     for eid in gog.graph.edges:
         if gog.graph.is_loop(eid):
             continue
-        for k in (0, 1):
-            v = gog.graph.ends(eid)[k]
+        for v in gog.graph.ends(eid):
             vd = gog.vertices[v]
             if not vd.is_model:
                 raise ValueError(f"vertex {v} has no model; cannot compare orders")
-            images = [vd.model.evaluate(w)
-                      for w in gog.edge_maps[eid][k].values()]
-            if vd.model.subgroup(images).order >= vd.model.order:
+            if gog.edges[eid].order >= vd.model.order:
                 return False
     return True
 
@@ -397,7 +402,8 @@ def certified(spec):
 
 def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
     """Collapse a connected subgraph to one vertex carrying its fundamental
-    presentation; crossing edge maps are re-targeted through it."""
+    presentation; crossing edge maps are re-targeted through it.  Both
+    graphs it builds are certified, each with gog's own edge homs."""
     inside = [v for v in gog.graph.vertices if v in set(subgraph_vertices)]
     if set(subgraph_vertices) - set(inside):
         raise ValueError("subgraph vertices not in the graph")
@@ -413,8 +419,7 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
                             {eid: tuple({g: gog.image_word(eid, k, g)
                                          for g in gog.edges[eid].generators}
                                         for k in (0, 1))
-                             for eid in inner_edges},
-                            check=False)
+                             for eid in inner_edges})
     sub_fp = fundamental_presentation(sub_gog)
     qual = fp_naming(sub_gog)
 
@@ -439,4 +444,4 @@ def bracket_subgraph(gog, subgraph_vertices, bracket_id=None):
         new_maps[eid] = tuple(maps)
     edge_models = {eid: gog.edges[eid] for eid in new_edges}
     return GraphOfGroups(Graph(new_vertices, new_edges), new_data,
-                         edge_models, new_maps, check=False)
+                         edge_models, new_maps)

@@ -13,15 +13,12 @@ it.  build_witnesses certifies both; a caller that reports one witness
 certifies only that one.
 
 Each vertex group G_i and edge group K_i has one cached constructor
-(vertex_data, _edge_data), so a level, the three splittings and the
-transition tails share one model per group, and each vertex presentation
-is certified once.  Every hom is checked by its graph, so no
-presentation is built to check one, and each map is verified where it
-is used.  The inclusions K_i -> G_i, K_i -> G_{i+1}, H_n -> G_n and
-H_n -> W are edge maps, certified as injective homs by each splitting
-that contains them.  build_level verifies the level's two folds, the
-retraction square the two inclusions it composes with, and the
-transition maps take their images from the level's vertex fold.
+(vertex_data, _edge_data), so a level, the splittings and the transition
+tails share one model, and each inclusion K_i -> G_i, K_i -> G_{i+1},
+H_n -> G_n and H_n -> W one GroupHom (gog.VertexData.edge_hom), however
+many graphs certify it as an edge map.  build_level verifies the level's
+two folds, the retraction square the two inclusions it composes with,
+and the transition maps take their images from the level's vertex fold.
 
 Infinite limit objects never appear: everything is a finite level plus
 verified transition maps between consecutive levels.
@@ -63,14 +60,15 @@ def lamp_names(p, n):
 def _verified(hom):
     report = hom.verify()
     if report["status"] != reports.PASS:
-        raise ValueError(f"{hom.name or 'hom'} failed: "
+        raise ValueError(f"{hom!r} failed: "
                          f"{report['details']['violations']}")
     return hom
 
 
-def _name_hom(source, target, name=""):
-    mapping = {g: target.generators[g] for g in source.generators}
-    return P.GroupHom(source, target, mapping, name=name)
+def _inclusion(vertex, source):
+    """The edge map of source into vertex, each generator to the one of
+    the same name, as a splitting certifies it (VertexData.edge_hom)."""
+    return vertex.edge_hom(source, {g: gen(g) for g in source.generators})
 
 
 class TowerLevel(namedtuple("TowerLevel", (
@@ -84,8 +82,8 @@ class TowerLevel(namedtuple("TowerLevel", (
                                 # (None at n=1)
         ))):
     """The four level-n models and the two folds onto level n-1, both
-    verified by build_level.  No inclusion is kept: the splittings certify
-    them as edge maps, each generator to the one of the same name."""
+    verified by build_level.  No inclusion is kept: each is its target
+    vertex's edge map, each generator to the one of the same name."""
 
     __slots__ = ()
 
@@ -192,9 +190,9 @@ def check_retraction_square(level):
 
     The two inclusions the square composes with, H_n -> G_n and
     K_{n-1} -> G_n, each generator to the one of the same name, are
-    verified as homs here; a failed one raises ValueError.  To check
-    another fold, pass a copy of the level that carries it:
-    level._replace(vertex_fold=fold).
+    verified as homs here, the splittings' edge maps; a failed one
+    raises ValueError.  To check another fold, pass a copy of the level
+    that carries it: level._replace(vertex_fold=fold).
     """
     n = level.n
     if n < 2:
@@ -202,10 +200,9 @@ def check_retraction_square(level):
     prev = build_level(level.p, n - 1)
     fold = level.vertex_fold
     into_vertex = level.vertex_group.generators
-    _verified(_name_hom(level.lamps, level.vertex_group, f"H{n}->G{n}"))
-    _verified(_name_hom(prev.edge_group, level.vertex_group,
-                        f"K{n - 1}->G{n}"))
-    lamp_to_edge = _name_hom(prev.lamps, prev.edge_group, "H->K")
+    for source in (level.lamps, prev.edge_group):
+        _verified(_inclusion(vertex_data(level.p, n), source))
+    lamp_to_edge = _inclusion(_edge_data(level.p, n - 1), prev.lamps)
     violations = []
     for name in level.lamps.generators:
         low_road = lamp_to_edge.apply_element(level.lamp_fold.image_of(name))
@@ -225,13 +222,13 @@ def check_retraction_square(level):
 # -- graphs ---------------------------------------------------------------------
 
 
-def _gog(vertices, edges, edge_models, check=True):
+def _gog(vertices, edges, edge_models):
     """Graph of groups on vertices (id -> VertexData) whose every edge
     group includes into both ends under its own generator names."""
     edge_maps = {eid: ({g: gen(g) for g in model.generators},) * 2
                  for eid, model in edge_models.items()}
     return GraphOfGroups(Graph(vertices, edges), vertices, edge_models,
-                         edge_maps, check=check)
+                         edge_maps)
 
 
 def _path_parts(p, first, last):
@@ -241,18 +238,14 @@ def _path_parts(p, first, last):
     return vertices, edges, edge_models
 
 
-def _path_gog(p, first, last, check=True):
-    """Path of vertex groups G_first .. G_last glued over the edge groups."""
-    return _gog(*_path_parts(p, first, last), check=check)
-
-
-def _tail_gog(p, n, m, check=True):
-    """The (n, m) tail: G_{n+1} .. G_{n+m}, or the lone edge group if m = 0."""
+def _tail_gog(p, n, m):
+    """The (n, m) tail: G_{n+1} .. G_{n+m} glued over the edge groups, or
+    the lone edge group if m = 0.  The (0, n) tail is the path G_1 .. G_n."""
     if n == 0 and m == 0:
         raise ValueError("the (0, 0) tail has no level-0 edge group")
     if m == 0:
-        return _gog({f"K{n}": _edge_data(p, n)}, {}, {}, check=check)
-    return _path_gog(p, n + 1, n + m, check=check)
+        return _gog({f"K{n}": _edge_data(p, n)}, {}, {})
+    return _gog(*_path_parts(p, n + 1, n + m))
 
 
 class TowerGraphs(namedtuple("TowerGraphs", (
@@ -273,7 +266,7 @@ def build_graphs(p, n, m=0):
         raise ValueError("need n >= 1 and m >= 0")
     ell = n + m
     top = build_level(p, ell)
-    path = _path_gog(p, 1, n)
+    path = _tail_gog(p, 0, n)
     tail = _tail_gog(p, n, m)
     vertices, edges, edge_models = _path_parts(p, 1, ell)
     vertices["W"] = VertexData(top.lamplighter,
@@ -339,9 +332,9 @@ def _substitute(word, images):
 
 
 def _tails(p, n, m, steps):
-    """The unchecked (n, m + steps) and (n, m) tails with their fp namings."""
-    src = _tail_gog(p, n, m + steps, check=False)
-    dst = _tail_gog(p, n, m, check=False)
+    """The (n, m + steps) and (n, m) tails with their fp namings."""
+    src = _tail_gog(p, n, m + steps)
+    dst = _tail_gog(p, n, m)
     return src, dst, fp_naming(src), fp_naming(dst)
 
 

@@ -15,11 +15,11 @@ from pgog import amalgam, models
 from pgog.amalgam import (Verdict, build_transversals, check_search,
                           lamp_letter, nf_multiply, normal_form, path_letter,
                           search_levels, separate)
-from pgog.gog import (Graph, GraphOfGroups, VertexData,
+from pgog.gog import (Graph, GraphOfGroups, VertexData, bracket_subgraph,
                       verify_properness_witness)
 from pgog.registry import free_product_line
 from pgog import tower
-from pgog.tower import (LEVEL_CACHE, _path_gog, build_graphs,
+from pgog.tower import (LEVEL_CACHE, _tail_gog, build_graphs,
                         build_witnesses, joined_witness_specialisation,
                         path_witness_specialisation)
 from pgog.words import Word, from_letters, gen
@@ -186,8 +186,12 @@ def test_transversals_use_the_certified_edge_maps():
     gog = p2_path()
     for (eid, end), table in build_transversals(gog).items():
         assert table.hom is gog.edge_homs[eid][end]
+    # a bracketed vertex carries a presentation alone, so the edge into
+    # it has no certified model map at that end
+    bracketed = bracket_subgraph(build_graphs(2, 3, 0).path, ["G2", "G3"])
+    assert bracketed.edge_homs["K1"][1] is None
     with pytest.raises(ValueError, match="certified"):
-        build_transversals(_path_gog(2, 1, 2, check=False))
+        build_transversals(bracketed)
 
 
 def _trivial_edge(p):
@@ -586,7 +590,7 @@ def test_a_failed_last_letter_leaves_no_trace():
     # before the bad one has been reduced, its steps remembered
     prefix = [("G1", gen("c")), ("G2", gen("k2") * gen("h3", -1)),
               ("G1", gen("k1", -1)), ("G2", gen("h0"))]
-    path, fresh = _path_gog(2, 1, 2), _path_gog(2, 1, 2)
+    path, fresh = _tail_gog(2, 0, 2), _tail_gog(2, 0, 2)
     with pytest.raises(ValueError, match="no image for generator zz"):
         normal_form(path, prefix + [("G1", gen("zz"))])
     assert any(amalgam._paths(path).steps.values())

@@ -579,6 +579,14 @@ PINNED_REPORTS = [
      "4d21678bf1478bb44033a2240d1c20a495650d8e63cc15f5592eb3c9024c9090", 0),
     (("run", "tower/joined-witness"),
      "4cde5d4c24085e527c64d007556aad918338d317ba3d5465735334c2f90adbef", 0),
+    # inclusions, transition tails and a bracketed graph, each certified
+    # as it is built
+    (("run", "tower/retraction-squares"),
+     "7c1e0ac1d28aeab13c12218974c80b7819e2a6a5bffdc020ded6b3135d9cac24", 0),
+    (("run", "tower/transition-maps"),
+     "eec7fbfa05318befafd0f48ec2547028d50b8e7d345c1186f64e4a4d75084ad6", 0),
+    (("run", "tower/bracketing"),
+     "2ebe98d464d22cda643c2988ab50e0c24a20ba58e24181a4ed25fcf2701519a7", 0),
 ]
 
 

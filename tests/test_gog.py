@@ -153,19 +153,47 @@ def test_vertex_presentation_must_certify():
             {}, {})
 
 
-def test_check_reduced():
-    assert check_reduced(small_path_gog())
-    assert check_reduced(improper_heisenberg_chain(2, 3))
-    # an edge carrying the whole endpoint group is not reduced
-    p = 2
+def whole_edge_gog(p=2):
+    """An edge carrying the whole of its left endpoint group."""
     a = models.ElementaryAbelian(p, ["a"])
-    gog = GraphOfGroups(
+    return GraphOfGroups(
         Graph(["L", "R"], {"e": ("L", "R")}),
         {"L": VertexData(a, P.elementary_abelian_presentation(p, ["a"])),
          "R": ea_vertex(p, ["b", "c"])},
         {"e": ea_edge(p, ["u"])},
         {"e": ({"u": gen("a")}, {"u": gen("b")})})
-    assert not check_reduced(gog)
+
+
+def test_check_reduced():
+    assert check_reduced(small_path_gog())
+    assert check_reduced(improper_heisenberg_chain(2, 3))
+    # an edge carrying the whole endpoint group is not reduced
+    assert not check_reduced(whole_edge_gog())
+
+
+def test_equal_but_distinct_edge_models_get_their_own_homs():
+    # the vertex keeps one hom per edge model object: two equal models
+    # into one vertex under the same words share none
+    p = 2
+    hub = ea_vertex(p, ["a", "b"])
+    first, second = ea_edge(p, ["u"]), ea_edge(p, ["u"])
+    assert first == second and first is not second
+    graph = Graph(["A", "B", "C"], {"e1": ("A", "B"), "e2": ("A", "C")})
+    gog = GraphOfGroups(
+        graph, {"A": hub, "B": ea_vertex(p, ["b"]), "C": ea_vertex(p, ["c"])},
+        {"e1": first, "e2": second},
+        {"e1": ({"u": gen("a")}, {"u": gen("b")}),
+         "e2": ({"u": gen("a")}, {"u": gen("c")})})
+    one, two = gog.edge_homs["e1"][0], gog.edge_homs["e2"][0]
+    assert one is not two
+    assert one.source is first and two.source is second
+    assert one.target is two.target is hub.model
+    # another graph holding the first map reads the same hom
+    again = GraphOfGroups(Graph(["A", "B"], {"e1": ("A", "B")}),
+                          {"A": hub, "B": gog.vertices["B"]},
+                          {"e1": first}, {"e1": gog.edge_maps["e1"]})
+    assert again.edge_homs["e1"][0] is one
+    assert again.edge_homs["e1"][1] is gog.edge_homs["e1"][1]
 
 
 def test_loop_brings_a_stable_letter():

@@ -1,10 +1,14 @@
 """Tower levels: folds, retraction squares, splittings, witnesses, transitions."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from pgog import models, reports, tower
 from pgog import presentations as P
 from pgog.analysis import check_edge_bound
+from pgog.dsl import parse_dsl
 from pgog.gog import (bracket_subgraph, check_reduced, fp_naming,
                       fundamental_presentation)
 from pgog.tower import (_tail_gog, build_graphs, build_level, build_witnesses,
@@ -14,6 +18,10 @@ from pgog.tower import (_tail_gog, build_graphs, build_level, build_witnesses,
                         lamp_names, mu, path_witness_model,
                         transition_images)
 from pgog.words import IDENTITY, gen
+from test_gog import whole_edge_gog
+
+DATA = Path(__file__).parent.parent / "src" / "pgog" / "data"
+TEST_DATA = Path(__file__).parent / "data"
 
 
 # -- index folding -----------------------------------------------------------
@@ -193,13 +201,144 @@ def test_verify_all_certifies_each_vertex_group_once(monkeypatch, capsys):
          "Lamp(2,1)", "Lamp(2,2)", "Lamp(2,3)"])
 
 
-@pytest.mark.parametrize("p, n, m", [(2, 1, 2), (3, 1, 2)])
-def test_reducedness_reads_the_words_with_or_without_certification(p, n, m):
-    # check_reduced evaluates the edge words itself, so an unchecked tail,
-    # which keeps no edge homs, gets the checked tail's verdict
-    checked, unchecked = _tail_gog(p, n, m), _tail_gog(p, n, m, check=False)
-    assert unchecked.edge_homs == {} and checked.edge_homs
-    assert check_reduced(unchecked) == check_reduced(checked) is True
+def _reduced_by_image_orders(gog):
+    """check_reduced computed from the words: no edge map's images, off
+    loops, generate the whole endpoint group."""
+    for eid, (v0, v1) in gog.graph.edges.items():
+        if v0 == v1:
+            continue
+        for k, v in enumerate((v0, v1)):
+            model = gog.vertices[v].model
+            images = [model.evaluate(w) for w in gog.edge_maps[eid][k].values()]
+            if model.subgroup(images).order >= model.order:
+                return False
+    return True
+
+
+def _document_graphs(path):
+    return list(parse_dsl(path.read_text()).graphs.values())
+
+
+_REDUCEDNESS_CASES = {
+    "tail-2-1-2": (lambda: [_tail_gog(2, 1, 2)], True),
+    "tail-3-1-2": (lambda: [_tail_gog(3, 1, 2)], True),
+    "path-2-3": (lambda: [build_graphs(2, 3, 0).path], True),
+    "joined-2-3": (lambda: [build_graphs(2, 3, 0).joined], True),
+    "free_line": (lambda: _document_graphs(DATA / "free_line.gog"), True),
+    "heisenberg_chain": (
+        lambda: _document_graphs(DATA / "heisenberg_chain.gog"), True),
+    "unreduced_line": (
+        lambda: _document_graphs(TEST_DATA / "unreduced_line.gog"), False),
+    "whole-edge": (lambda: [whole_edge_gog()], False),
+}
+
+
+@pytest.mark.parametrize("case", list(_REDUCEDNESS_CASES))
+def test_reducedness_agrees_with_the_image_orders(case):
+    # a certified edge map is injective, so comparing the edge and vertex
+    # orders gives the verdict the images' subgroup order gives
+    build, reduced = _REDUCEDNESS_CASES[case]
+    graphs = build()
+    assert graphs
+    for gog in graphs:
+        assert check_reduced(gog) == _reduced_by_image_orders(gog) == reduced
+
+
+def _same_homs(gog, other, eid):
+    return all(a is b for a, b in zip(gog.edge_homs[eid],
+                                      other.edge_homs[eid], strict=True))
+
+
+@pytest.mark.parametrize("n, m, steps", [(0, 1, 2), (1, 0, 2), (1, 1, 1)])
+def test_tails_certify_the_path_splittings_edge_homs(n, m, steps):
+    path = build_graphs(2, 3, 0).path
+    src, dst, _, _ = tower._tails(2, n, m, steps)
+    assert src.graph.edges
+    for tail in (src, dst):
+        assert set(tail.edge_homs) == set(tail.graph.edges)
+        for eid in tail.graph.edges:
+            assert all(P.hom_injective_on(hom) for hom in tail.edge_homs[eid])
+            assert _same_homs(tail, path, eid)
+
+
+def test_a_bracketed_path_certifies_both_its_graphs(monkeypatch):
+    from pgog import gog as gog_module
+    path = build_graphs(2, 3, 0).path
+    built = []
+
+    class Recording(gog_module.GraphOfGroups):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(gog_module, "GraphOfGroups", Recording)
+    bracketed = bracket_subgraph(path, ["G2", "G3"])
+    inner, outer = built
+    assert outer is bracketed
+    assert set(inner.edge_homs) == {"K2"} and _same_homs(inner, path, "K2")
+    first, last = outer.edge_homs["K1"]
+    assert first is path.edge_homs["K1"][0] and last is None
+
+
+def test_the_retraction_square_reads_the_splittings_inclusions(monkeypatch):
+    # H_3 -> G_3 and K_2 -> G_3 are edge maps of the joined splitting:
+    # the square verifies the very homs it certified
+    joined = build_graphs(2, 3, 0).joined
+    verified = []
+    verify = P.GroupHom.verify
+
+    def recording(hom):
+        verified.append(hom)
+        return verify(hom)
+
+    monkeypatch.setattr(P.GroupHom, "verify", recording)
+    assert check_retraction_square(build_level(2, 3))["status"] == "pass"
+    assert any(hom is joined.edge_homs["H3"][0] for hom in verified)
+    assert any(hom is joined.edge_homs["K2"][1] for hom in verified)
+
+
+def _pcgs_built(monkeypatch, argv):
+    """The (layout, generators) pair of every induced pcgs one command
+    builds with the tower caches cleared, and whether _certify or
+    check_retraction_square built it."""
+    from pgog import _kernels_py, amalgam, cli
+    for cached in (tower.vertex_data, tower._edge_data, tower.build_level,
+                   tower.build_graphs, amalgam._level_data):
+        cached.cache_clear()    # so that every map is built here
+    built = []
+    eliminate = _kernels_py.induced_pcgs
+
+    def recording(layout, gens):
+        callers, frame = set(), sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        built.append(((layout, tuple(map(tuple, gens))), bool(
+            callers & {"_certify", "check_retraction_square"})))
+        return eliminate(layout, gens)
+
+    monkeypatch.setattr(_kernels_py, "induced_pcgs", recording)
+    assert cli.main([*argv, "--json"]) == 0
+    monkeypatch.undo()
+    return built
+
+
+def test_each_edge_map_builds_its_graph_pcgs_once(monkeypatch, capsys):
+    # 59 induced pcgs before edge maps were kept by their vertices, 14 of
+    # them repeating an earlier pair; the two left repeat a census
+    built = _pcgs_built(
+        monkeypatch, ["tower", "verify-all", "--p", "2", "--max-level", "3"])
+    capsys.readouterr()
+    assert len(built) <= 47
+    certifying = [key for key, certify in built if certify]
+    assert certifying and len(set(certifying)) == len(certifying)
+
+
+def test_the_examples_build_fewer_pcgs(monkeypatch, capsys):
+    # 110 before; every example builds its own models, so equal maps out
+    # of distinct models are certified again, by design
+    assert len(_pcgs_built(monkeypatch, ["run-all"])) <= 98
+    capsys.readouterr()
 
 
 def test_zero_tail_shares_the_level_edge_group():
@@ -315,8 +454,8 @@ def test_transition_below_the_tower_is_undefined():
 
 def _double_fold_oracle(p, n, m):
     # direct images of the two-step fold, written against the namings only
-    src = _tail_gog(p, n, m + 2, check=False)
-    dst = _tail_gog(p, n, m, check=False)
+    src = _tail_gog(p, n, m + 2)
+    dst = _tail_gog(p, n, m)
     src_names = fp_naming(src)
     dst_names = fp_naming(dst)
     dv = f"G{n + m}" if m else f"K{n}"
