@@ -14,12 +14,9 @@ and width the number of coordinates.  Twisted EA blocks carry the
 Heisenberg group on (a, [a,b], b), the tower's G_n and the witness target
 Fn(p,2).
 
-`mul` and `inv` are the only entry points for products and inverses, and
-they interpret the blocks one by one until a layout object has made
-HOT_CALLS calls.  That call compiles the layout's straight-line law (see
-_laws) and keeps it on the layout, where it serves every later call;
-layouts with a MOD block stay interpreted.  Both give equal results on
-coordinates in range (`Layout.moduli`).
+`mul` and `inv` are the only entry points for products and inverses:
+pure functions that interpret the blocks one by one on every call, so a
+wrapper around the two sees every product.
 """
 
 from functools import cached_property
@@ -38,31 +35,13 @@ MOD = 2     # square-zero monomial module acted on by commuting unipotent
             # the multiplier rows by slices, so it needs t in [0, q)
 
 
-# Measured with Python 3.11 on a shared 2-core x86-64 host: importing
-# _laws takes ~3 ms in a fresh process without bytecode caches, compiling
-# one law pair 0.2-0.6 ms for layouts of 4-19 coordinates, and a compiled
-# law saves ~1.4 us per call (one nf-products pass of the benchmark,
-# 101,886 calls, replayed three times: 0.22-0.29 s interpreted,
-# 0.09-0.13 s compiled).  So the first layout to compile repays its
-# ~3.5 ms after ~2,500 calls, and HOT_CALLS is the power of two below:
-# the one-off layouts of a short command (at most 363 calls each in
-# `run-all`) never pay for the generator.  MOD layouts never compile:
-# their interpreted loop skips zero module rows, which straight-line code
-# would lose, and they run to thousands of coordinates.
-HOT_CALLS = 2048
-
-
 class Layout(tuple):
     """A block layout: the tuple of its block descriptors, which iterates,
-    compares and hashes as that tuple, plus the layout's own arithmetic
-    state.  mul_law and inv_law are None until the layout's HOT_CALLS-th
-    call to mul or inv compiles both; calls counts the interpreted calls.
-    The state belongs to this object: an equal layout built separately
-    counts and compiles on its own, and the law goes when the layout does.
+    compares and hashes as that tuple, plus what it derives from them:
+    its polycyclic series, acting spans and coordinate moduli, each
+    computed once per object, and its width.  It keeps no arithmetic
+    state: mul and inv read only its blocks.
     """
-
-    mul_law = inv_law = None
-    calls = 0
 
     @cached_property
     def series(self):
@@ -135,19 +114,7 @@ class Layout(tuple):
         return mods
 
 
-def _compile(layout):
-    if all(block[0] != MOD for block in layout):
-        from ._laws import compile_laws
-        layout.mul_law, layout.inv_law = compile_laws(layout)
-
-
 def mul(layout, a, b):
-    law = layout.mul_law
-    if law:
-        return law(a, b)
-    calls = layout.calls = layout.calls + 1
-    if calls == HOT_CALLS:
-        _compile(layout)
     out = [0] * len(a)
     for kind, p, n, q, off, width in layout:
         if kind == EA:
@@ -158,11 +125,14 @@ def mul(layout, a, b):
         elif kind == LAMP:
             # row i < n is layer u_{i+1} and row n the lamps, w
             # coordinates each, read from b shifted by t; a twisted row i
-            # (0 < i < n) adds a's row i-1 times b's lamp p^i + r
+            # (0 < i < n) adds a's row i-1 times b's lamp p^i + r.  An
+            # untwisted row reads b's row from k = t mod w on, then its
+            # first k, in two runs without a modulus per coordinate
             w = (width - 1) // (n + 1)
             tc = off + width - 1
             x0 = tc - w
             t = a[tc]
+            k = t % w if w else 0
             ppow = 1
             for i in range(n + 1):
                 row = off + i * w
@@ -172,8 +142,11 @@ def mul(layout, a, b):
                         out[row + r] = (a[row + r] + b[row + s]
                                         + a[row - w + r] * b[x0 + (ppow + s) % w]) % p
                 else:
-                    for r in range(w):
-                        out[row + r] = (a[row + r] + b[row + (r + t) % w]) % p
+                    mid = row + w - k
+                    for r in range(row, mid):
+                        out[r] = (a[r] + b[r + k]) % p
+                    for r in range(mid, row + w):
+                        out[r] = (a[r] + b[r + k - w]) % p
                 ppow *= p
             out[tc] = (t + b[tc]) % q
         elif kind == MOD:
@@ -216,12 +189,6 @@ def mul(layout, a, b):
 
 
 def inv(layout, a):
-    law = layout.inv_law
-    if law:
-        return law(a)
-    calls = layout.calls = layout.calls + 1
-    if calls == HOT_CALLS:
-        _compile(layout)
     out = [0] * len(a)
     for kind, p, n, q, off, width in layout:
         if kind == EA:
@@ -230,11 +197,13 @@ def inv(layout, a):
             if n:
                 out[off + 1] = (out[off + 1] + a[off] * a[off + n]) % p
         elif kind == LAMP:
-            # the base group's inverse, read shifted back by t
+            # the base group's inverse, read shifted back by t: an
+            # untwisted row from k = -t mod w on, then its first k
             w = (width - 1) // (n + 1)
             tc = off + width - 1
             x0 = tc - w
             t = a[tc]
+            k = -t % w if w else 0
             ppow = 1
             for i in range(n + 1):
                 row = off + i * w
@@ -244,8 +213,11 @@ def inv(layout, a):
                         out[row + r] = (-a[row + s]
                                         + a[row - w + s] * a[x0 + (ppow + s) % w]) % p
                 else:
-                    for r in range(w):
-                        out[row + r] = -a[row + (r - t) % w] % p
+                    mid = row + w - k
+                    for r in range(row, mid):
+                        out[r] = -a[r + k] % p
+                    for r in range(mid, row + w):
+                        out[r] = -a[r + k - w] % p
                 ppow *= p
             out[tc] = -t % q
         elif kind == MOD:

@@ -66,11 +66,15 @@ from .words import Word, from_letters, gen
 # of them the letter table's 58 generators and inverses, numbered when
 # the tables are built; the numbering, which stops at STEP_MEMO_COORDS
 # coordinates, then holds ~1.4 MB, 65 times what the pass meets.  The
-# pass carries 145 distinct (head, x) pairs into the head, 16 heads at
-# G1's width 4, and the head memo holds their products in 23 KB; it
-# stops at STEP_MEMO_COORDS coordinates of heads and products, 8,192
-# entries at width 4, ~1.8 MB if every head and product were a tuple of
-# its own.
+# letter tables end the pass with 147 syllables, the 58 and 89 squares
+# and cubes of generators or inverses, in 15 KB, at most 44 at a vertex;
+# one vertex's table stops at STEP_MEMO_COORDS coordinates of its
+# syllables' values, 6,553 entries at width 10, ~0.7 MB.  The pass
+# carries 145 distinct (head, x) pairs into the head, 16 heads at G1's
+# width 4, and the head memo holds their products in 23 KB; it stops at
+# STEP_MEMO_COORDS coordinates of heads and products, 8,192 entries at
+# width 4, ~1.8 MB if every head and product were a tuple of its own.
+# A second pass misses none of these tables, so it makes no kernel call.
 STEP_MEMO_COORDS = 2 ** 16
 
 
@@ -240,7 +244,8 @@ class _HeadProducts(dict):
 class _PathTables:
     """Path layout, vertex models, transversals, the coordinate numbering,
     the letter table, merge steps and head products, built once per
-    graph.
+    graph; the last three grow as reductions meet new syllables, steps
+    and products, each up to its STEP_MEMO_COORDS budget.
 
     Never holds the GraphOfGroups, which would keep it, and so its entry
     in _PATHS, alive.
@@ -255,9 +260,10 @@ class _PathTables:
                              in build_transversals(gog).items()}
         self.numbering = numbering = _Numbering(
             model.identity.coords for model in self.models.values())
-        # letters[v][name, e]: the number of v's generator name (e = 1) or
-        # of its inverse (e = -1), read from the model's generator table
-        # and cached inverses; two entries per generator, never added to
+        # letters[v][name, e]: the number of v's syllable name^e.  The
+        # generators and their inverses (e = +-1) are read from the
+        # model's generator table and cached inverses when the tables are
+        # built; other exponents are added as met (see _numbered_letters)
         self.letters = {v: {(name, e): numbering[model.word_coords(
                                 gen(name, e))]
                             for name in model.generators for e in (1, -1)}
@@ -455,11 +461,12 @@ def _numbered_letters(tables, letters):
     """(vertex, number) letters of the input letters, read as the
     reduction reaches them.  A GroupElement is one letter, its
     coordinates numbered.  A Word is one letter per syllable, which the
-    canonical form cannot tell from the whole word: a generator or its
-    inverse is looked up in the path's letter table, and a syllable of
-    any other exponent is evaluated and numbered each time it is met, and
-    not kept.  A syllable that is the identity is 0, which the reduction
-    skips."""
+    canonical form cannot tell from the whole word: each is looked up in
+    the path's letter table.  A syllable of exponent other than +-1 is
+    evaluated and numbered the first time it is met, and kept while the
+    vertex's table holds at most STEP_MEMO_COORDS coordinates, entries
+    times the vertex width; past that it is evaluated each time.  A
+    syllable that is the identity is 0, which the reduction skips."""
     vertex_models = tables.models
     letter_tables = tables.letters
     numbering = tables.numbering
@@ -477,6 +484,8 @@ def _numbered_letters(tables, letters):
                     except KeyError as exc:
                         raise ValueError(
                             f"letter {i} at {vertex}: {exc}") from None
+                    if (len(table) + 1) * model.width <= STEP_MEMO_COORDS:
+                        table[syllable] = x
                 yield vertex, x
         elif isinstance(item, models.GroupElement):
             if item.model != model:

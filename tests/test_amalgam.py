@@ -424,7 +424,9 @@ def test_a_full_head_memo_serves_hits_and_takes_no_entry(monkeypatch):
 def test_a_second_pass_misses_no_step_and_no_head_product(monkeypatch):
     # the reduction calls the kernel only on a miss, and repeating the
     # seed-7 nf-products pass misses nothing: the first pass misses each
-    # of its 1,293 distinct steps and 145 distinct head products once
+    # of its 1,293 distinct steps and 145 distinct head products once,
+    # and numbers each syllable it meets once, so the second pass makes
+    # no product and no inverse at all
     monkeypatch.setattr(amalgam, "_PATHS", {})
     monkeypatch.syspath_prepend(str(BENCH))
     import nf
@@ -445,6 +447,11 @@ def test_a_second_pass_misses_no_step_and_no_head_product(monkeypatch):
         nf.op(gog, *inputs[i])
     assert misses == {"_Steps": 1293, "_HeadProducts": 145}
     misses.clear()
+    for name in ("mul", "inv"):
+        def call(*args, name=name, law=getattr(kernel, name)):
+            misses[name] += 1
+            return law(*args)
+        monkeypatch.setattr(kernel, name, call)
     for i in range(len(inputs)):
         nf.op(gog, *inputs[i])
     assert not misses
@@ -649,23 +656,69 @@ def test_word_letters_reduce_as_their_elements_and_generators(p, named):
                                  ("W", gen("h1", -2))]).is_trivial
 
 
-def test_the_letter_table_numbers_each_generator_and_inverse_once():
+def test_the_letter_table_numbers_each_generator_and_inverse_once(
+        monkeypatch):
+    # the generators and inverses are numbered when the tables are built
+    # and never renumbered; a syllable of any other exponent is numbered
+    # the first time it is met and kept, and each kept entry reads back
+    # the coordinates that evaluating the syllable afresh gives
+    monkeypatch.setattr(amalgam, "_PATHS", {})
     gog = build_graphs(2, 3, 0).joined
     tables = amalgam._paths(gog)
     numbering = tables.numbering
-    table = {v: dict(letters) for v, letters in tables.letters.items()}
+    built = {v: dict(letters) for v, letters in tables.letters.items()}
     for v, model in tables.models.items():
-        assert len(table[v]) == 2 * len(model.generators)
+        assert len(built[v]) == 2 * len(model.generators)
         for name, element in model.generators.items():
             for e, want in ((1, element), (-1, ~element)):
-                n = table[v][name, e]
+                n = built[v][name, e]
                 assert _read(numbering, n, model.identity.coords) == \
                     want.coords
     letters = [(v, gen(name, e)) for v, model in tables.models.items()
                for name in model.generators for e in range(-50, 51) if e]
     normal_form(gog, letters)
     normal_form(gog, [(v, w * w) for v, w in letters])
-    assert tables.letters == table
+    for v, model in tables.models.items():
+        table = tables.letters[v]
+        assert {key: table[key] for key in built[v]} == built[v]
+        assert set(table) == {(name, k * e) for name in model.generators
+                              for e in range(-50, 51) if e for k in (1, 2)}
+        for (name, e), n in table.items():
+            assert _read(numbering, n, model.identity.coords) == \
+                model.word_coords(gen(name, e))
+
+
+def test_a_full_letter_table_takes_no_syllable_and_keeps_the_pass(
+        monkeypatch):
+    # a budget of 200 coordinates: by its 2,000th op the seed-7
+    # nf-products pass has filled the letter tables at G2 (33 entries of
+    # width 6) and W (22 of width 9), where an unbounded pass keeps 36 and
+    # 43; G3's 20 generators and inverses of width 10 fill its table when
+    # it is built, and G1 keeps all 24 syllables it meets.  No table grows
+    # after, every kept syllable reads back its fresh coordinates, and the
+    # pass gives the pinned pass's forms
+    monkeypatch.setattr(amalgam, "_PATHS", {})
+    monkeypatch.setattr(amalgam, "STEP_MEMO_COORDS", 200)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import nf
+    gog, _ = nf.setup()
+    tables = amalgam._paths(gog)
+    inputs = nf.Inputs(gog, 7)
+    digest, sizes = hashlib.sha256(), []
+    for i in range(len(inputs)):
+        digest.update(repr(nf.compact(nf.op(gog, *inputs[i]))).encode())
+        if i + 1 in (2000, 4000):
+            sizes.append({v: len(table)
+                          for v, table in tables.letters.items()})
+    assert sizes == [{"G1": 24, "G2": 33, "G3": 20, "W": 22}] * 2
+    for v, table in tables.letters.items():
+        model = tables.models[v]
+        assert len(table) * model.width <= 200
+        for (name, e), n in table.items():
+            assert _read(tables.numbering, n, model.identity.coords) == \
+                model.word_coords(gen(name, e))
+    assert digest.hexdigest() == (
+        "411b4bdd582a49773ad322ad24a00417f0e2c2149a106db5025104b6d9615118")
 
 
 def test_an_unknown_generator_past_a_words_first_syllable_is_named():

@@ -240,30 +240,21 @@ def modules_after(*argv):
 
 @pytest.mark.parametrize("argv, used, unused", [
     (("tower", "verify-all", "--p", "2", "--max-level", "3"), set(),
-     {"pgog.registry", "pgog.dsl", "pgog.amalgam", "pgog._laws",
-      "pgog.cosets", "pgog.collapse"}),
-    (("run-all",), {"pgog.cosets", "pgog.collapse"}, {"pgog._laws"}),
+     {"pgog.registry", "pgog.dsl", "pgog.amalgam", "pgog.cosets",
+      "pgog.collapse"}),
+    (("run-all",), {"pgog.cosets", "pgog.collapse"}, set()),
     (("parse", "src/pgog/data/heisenberg_chain.gog"), set(),
      {"pgog.registry", "pgog.amalgam", "pgog.cosets"}),
 ], ids=["verify-all", "run-all", "parse"])
 def test_a_command_imports_only_what_it_runs(argv, used, unused):
     # cli imports each layer inside the command that uses it, and no
-    # record class pulls in dataclasses (inspect, ast, dis); no layout of
-    # these commands is called often enough to compile its law.  The coset
+    # record class pulls in dataclasses (inspect, ast, dis).  The coset
     # enumerator and the collapse detector load only when called, and
     # run-all calls both through their entry points
     code, loaded = modules_after(*argv)
     assert code == 0
     assert used <= loaded
     assert not loaded & (unused | {"dataclasses"})
-
-
-def test_a_long_command_compiles_its_hot_layouts():
-    # the level-5 search calls its transversal layouts past the kernel's
-    # HOT_CALLS, so its normal forms run on compiled laws
-    code, loaded = modules_after("separate", "--p", "2", "--word",
-                                 "G5:k5 L5:t", "--max-level", "5")
-    assert code == 0 and "pgog._laws" in loaded
 
 
 def test_verify_all_rejects_a_composite_prime(capsys):

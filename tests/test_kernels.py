@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgog import _kernels_py as kpy
-from pgog import _laws
 from pgog import models
 
 import reference_elimination
@@ -148,6 +147,57 @@ def mod_mul_reference(blocks, a, b):
         out[tc] = (t + b[tc]) % q
     assert None not in out
     return tuple(out)
+
+
+def lamp_reference(blocks, a, b=None):
+    """kpy.mul(blocks, a, b), or kpy.inv(blocks, a) without b, with every
+    LAMP coordinate worked out afresh, one modulus per coordinate: row
+    i < n is layer u_{i+1} and row n the lamps, w coordinates each; a
+    product adds b's row read at (r + t) mod w, t a's shift, to a's row,
+    and a twisted row i (0 < i < n) also a's row i-1 times b's lamp
+    (p^i + r + t) mod w; an inverse reads a's rows at (r - t) mod w."""
+    out = list(kpy.inv(blocks, a) if b is None else kpy.mul(blocks, a, b))
+    for kind, p, n, q, off, width in blocks:
+        if kind != kpy.LAMP:
+            continue
+        out[off:off + width] = [None] * width
+        w, tc = (width - 1) // (n + 1), off + width - 1
+        x0, t = tc - w, a[tc]
+        for i in range(n + 1):
+            row = off + i * w
+            for r in range(w):
+                if b is None:
+                    s = (r - t) % w
+                    x = -a[row + s]
+                    if 0 < i < n:
+                        x += a[row - w + s] * a[x0 + (p ** i + s) % w]
+                else:
+                    s = (r + t) % w
+                    x = a[row + r] + b[row + s]
+                    if 0 < i < n:
+                        x += a[row - w + r] * b[x0 + (p ** i + s) % w]
+                out[row + r] = x % p
+        out[tc] = -t % q if b is None else (t + b[tc]) % q
+    assert None not in out
+    return tuple(out)
+
+
+@pytest.mark.parametrize("blocks,width", [
+    case for case in law_cases()
+    if any(b[0] == kpy.LAMP for b in case.values[0])])
+def test_lamp_rows_equal_the_reference(blocks, width):
+    # the kernel reads an untwisted row in two runs, split where the
+    # rotation by t wraps; the reference takes a modulus per coordinate
+    mods = coordinate_moduli(blocks, width)
+    rng = random.Random(f"lamp/{tuple(blocks)}")
+    shifts = set()
+    for _ in range(300):
+        a, b = random_coords(rng, mods), random_coords(rng, mods)
+        assert kpy.mul(blocks, a, b) == lamp_reference(blocks, a, b)
+        assert kpy.inv(blocks, a) == lamp_reference(blocks, a)
+        shifts.update(a[off + w - 1] for kind, *_, off, w in blocks
+                      if kind == kpy.LAMP)
+    assert len(shifts) > 1      # rows are read rotated, not only in place
 
 
 def sparse_coords(rng, mods, density):
@@ -316,7 +366,7 @@ def test_shifted_stacked_twist_depth3_is_not_a_group():
     assert lhs[:16] == rhs[:16] and lhs[17:] == rhs[17:]
 
 
-def test_unknown_block_kind_rejected(monkeypatch):
+def test_unknown_block_kind_rejected():
     bad = kpy.Layout(((99, 2, 0, 0, 0, 1),))
     with pytest.raises(ValueError, match="unknown block kind"):
         kpy.mul(bad, (0,), (0,))
@@ -326,123 +376,6 @@ def test_unknown_block_kind_rejected(monkeypatch):
         bad.series
     with pytest.raises(ValueError, match="unknown block kind"):
         bad.acting
-    with pytest.raises(ValueError, match="unknown block kind 99"):
-        _laws.compile_laws(bad)
-    # a layout's hot call hands it to the generator, which refuses it too
-    monkeypatch.setattr(kpy, "HOT_CALLS", bad.calls + 1)
-    with pytest.raises(ValueError, match="unknown block kind 99"):
-        kpy.mul(bad, (0,), (0,))
-    assert bad.mul_law is None and bad.inv_law is None
-
-
-# -- compiled laws --------------------------------------------------------------
-
-
-def interpreted(blocks, mp):
-    """A fresh copy of the layout, with no law yet, and a kernel that never
-    compiles one: mul and inv on the copy run the interpreted loop, even
-    when an earlier test has compiled the original."""
-    mp.setattr(kpy, "HOT_CALLS", -1)
-    return kpy.Layout(blocks)
-
-
-def assert_still_interpreted(cold):
-    assert cold.mul_law is None and cold.inv_law is None
-
-
-def compiled_cases():
-    return [case for case in law_cases()
-            if all(b[0] != kpy.MOD for b in case.values[0])]
-
-
-@pytest.mark.parametrize("blocks,width", compiled_cases())
-def test_compiled_law_equals_the_interpreted_one(blocks, width, monkeypatch):
-    cold = interpreted(blocks, monkeypatch)
-    mul, inv = _laws.compile_laws(blocks)
-    mods = coordinate_moduli(blocks, width)
-    rng = random.Random(f"laws/{tuple(blocks)}")
-    for _ in range(300):
-        a, b = random_coords(rng, mods), random_coords(rng, mods)
-        assert mul(a, b) == kpy.mul(cold, a, b)
-        assert inv(a) == kpy.inv(cold, a)
-    assert_still_interpreted(cold)
-    e = (0,) * width
-    assert mul(e, e) == inv(e) == e
-    assert all(type(c) is int for c in mul(a, b) + inv(a))
-
-
-@st.composite
-def compiled_pairs(draw):
-    case = draw(st.sampled_from(compiled_cases()))
-    blocks, width = case.values
-    coords = st.tuples(*[st.integers(0, m - 1)
-                         for m in coordinate_moduli(blocks, width)])
-    return blocks, draw(coords), draw(coords)
-
-
-@settings(max_examples=150, deadline=None)
-@given(compiled_pairs())
-def test_compiled_law_property(pair):
-    blocks, a, b = pair
-    mul, inv = _laws.compile_laws(blocks)
-    with pytest.MonkeyPatch.context() as mp:
-        cold = interpreted(blocks, mp)
-        assert mul(a, b) == kpy.mul(cold, a, b)
-        assert inv(a) == kpy.inv(cold, a)
-        assert_still_interpreted(cold)
-
-
-def test_a_layout_compiles_at_its_hot_call():
-    m = models.EnWitnessModel(2, 2)
-    layout = m.blocks
-    mods = coordinate_moduli(layout, m.width)
-    rng = random.Random(2048)
-    inputs = [(random_coords(rng, mods), random_coords(rng, mods))
-              for _ in range(kpy.HOT_CALLS // 2)]
-    before = []
-    for i, (a, b) in enumerate(inputs):
-        assert layout.mul_law is None
-        before.append(kpy.mul(layout, a, b))
-        assert layout.calls == 2 * i + 1
-        before.append(kpy.inv(layout, a))
-    assert layout.calls == kpy.HOT_CALLS        # the last call compiled
-    assert layout.mul_law is not None and layout.inv_law is not None
-    after = []
-    for a, b in inputs:
-        after += [kpy.mul(layout, a, b), kpy.inv(layout, a)]
-    assert after == before
-    assert layout.calls == kpy.HOT_CALLS        # compiled calls go uncounted
-
-
-def test_a_module_layout_never_compiles():
-    m = models.ShiftedChainWitness(2, 1)
-    a, b = m.generators["h1"].coords, m.generators["t"].coords
-    for _ in range(kpy.HOT_CALLS + 10):
-        assert kpy.inv(m.blocks, kpy.mul(m.blocks, a, b)) == kpy.mul(
-            m.blocks, kpy.inv(m.blocks, b), kpy.inv(m.blocks, a))
-    assert m.blocks.mul_law is None and m.blocks.inv_law is None
-    assert m.blocks.calls > kpy.HOT_CALLS
-
-
-def test_a_layout_object_keeps_its_own_law(monkeypatch):
-    monkeypatch.setattr(kpy, "HOT_CALLS", 3)
-    blocks = ((kpy.EA, 3, 0, 0, 0, 2),)
-    layout, twin = kpy.Layout(blocks), kpy.Layout(blocks)
-    assert layout == twin == blocks and hash(layout) == hash(blocks)
-    a = (1, 2)
-    for call in range(1, 4):                    # the third call compiles
-        assert layout.mul_law is None
-        assert kpy.mul(layout, a, a) == (2, 1)
-        assert layout.calls == call
-    assert layout.mul_law is not None and layout.inv_law is not None
-    assert kpy.inv(layout, a) == (2, 1) and layout.calls == 3
-    # a value-equal layout made separately counts on its own, still cold
-    assert twin.calls == 0 and twin.mul_law is None
-    assert kpy.inv(twin, a) == (2, 1) and twin.calls == 1
-    # and the kernel keeps no law table of its own
-    assert not [name for name, value in vars(kpy).items()
-                if not name.startswith("__")
-                and isinstance(value, (dict, list, set))]
 
 
 def closure_cases():

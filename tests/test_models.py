@@ -482,7 +482,8 @@ def test_element_validation():
 
 
 # such an element would read as not the identity, yet e * 1 == 1; and a
-# compiled shift by an out-of-range t reads other lamps than the kernel
+# MOD block rotates its multiplier rows by slices, which an out-of-range
+# t would cut elsewhere
 @pytest.mark.parametrize("m,coords", [
     (models.GnModel(2, 2), (2, 0, 0, 0, 0, 0)),
     (models.GnModel(2, 2), (0, 0, 0, 0, 0, -1)),
