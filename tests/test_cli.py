@@ -590,6 +590,81 @@ def test_pinned_report_bytes(capsys, monkeypatch, argv, digest, exit_code):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_EMPTY = _sha256("")
+
+# sha256 of the stdout and of the stderr, and the exit code, of argparse's
+# help, usage and error output at 80 columns.  argparse words and wraps
+# these differently across Python versions; the digests are 3.11's.
+PINNED_USAGE = [
+    (("-h",),
+     "aa81b1b3cefd47f7ab009825aea07855c8b1a2b74cb749e4a97a61d3c5dbb2ed",
+     _EMPTY, 0),
+    (("tower", "-h"),
+     "9fb2bbc3b932065e87cd828685e02196e9c4041e768b4beb0836599ac5712fe7",
+     _EMPTY, 0),
+    (("parse", "-h"),
+     "9e20f479f8e968055b55bb32b86569dbd3486d05a46a385be05141f93fccc6fb",
+     _EMPTY, 0),
+    (("collapse", "-h"),
+     "3d4d5cd3608047eb55cf295b77a51ed28a8c8d524d1a390c2553a720e5309f25",
+     _EMPTY, 0),
+    (("bound", "-h"),
+     "52c23df5d639882881c6ba2c9aeb28bf62465db179edb29cdbcda15c2e887cc0",
+     _EMPTY, 0),
+    (("tower", "build", "-h"),
+     "f1c7c705c727a2b5d20e0dfb73b009bb8af8ee2b17052fc1cb51734e1b312dad",
+     _EMPTY, 0),
+    (("tower", "verify-all", "-h"),
+     "a95e0139b84d212a4d5040d302afec4891177f7f0e059102919da22dc3e67f24",
+     _EMPTY, 0),
+    (("separate", "-h"),
+     "fe28954639bb579deab5e3a55137a5975bae076de9e543f57205de4047828f41",
+     _EMPTY, 0),
+    (("run", "-h"),
+     "b082f74dad42e960c0668cf0f07f0036154726e523e7eb6940a9ce76d0f5db2d",
+     _EMPTY, 0),
+    (("run-all", "-h"),
+     "fc5712dc02c71cdf5403326ead324caa3c4a26eb2bda44758218d63bea4aa9be",
+     _EMPTY, 0),
+    ((), _EMPTY,
+     "a6fa8f6a85385ff00c4384b203b0c57b8126a00a980b584be9171455746d2347", 2),
+    (("bogus",), _EMPTY,
+     "f9731d33b31c3aca0407f764c16aff8a2e8d9bfaa4741c498ead785e4b000c0a", 2),
+    (("tower",), _EMPTY,
+     "6f6e201dc597eea7f9b70f6fd0e59908a4c4f97c58b8ab5a988573f837191599", 2),
+    # --json belongs to the leaf command: the top-level parser and the
+    # tower parser refuse it
+    (("--json", "tower", "verify-all"), _EMPTY,
+     "4649a4051d26c2f42c7df72db9f3396584174b69974d39c20a7b4dd6f9042fa3", 2),
+    (("tower", "--json", "verify-all"), _EMPTY,
+     "4649a4051d26c2f42c7df72db9f3396584174b69974d39c20a7b4dd6f9042fa3", 2),
+    (("run-all", "--m", "1"), _EMPTY,
+     "ba794d4a3fc62b62e9af3ace6be0a7c0875862c46f113aa052a9ecb8753bfd13", 2),
+    (("run-all", "--p", "3", "--n"), _EMPTY,
+     "87a69972a229ee5e251f7af7fdf647b49f5f5e6b4a4e1a745e04cbf0f2dab975", 2),
+    (("separate", "--word"), _EMPTY,
+     "9689cdd0ade7bdc16b8f2e7059457d526bf08fa4323a0c379a0bf565f4bfa971", 2),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse output digests are pinned on Python 3.11")
+@pytest.mark.parametrize("argv, out_digest, err_digest, exit_code",
+                         PINNED_USAGE,
+                         ids=[" ".join(argv) or "no-arguments"
+                              for argv, _, _, _ in PINNED_USAGE])
+def test_pinned_usage_bytes(capsys, monkeypatch, argv, out_digest,
+                            err_digest, exit_code):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, _sha256(out), _sha256(err)) == \
+        (exit_code, out_digest, err_digest)
+
+
 def run_entry(*argv):
     """Exit code and stdout bytes of `python -m pgog.cli ARGV` in a fresh
     process, through the process entry cli.run."""
