@@ -6,6 +6,8 @@ and execute registered examples.  Every subcommand renders a report as
 text or, with --json, as stable JSON; the exit code is 0 exactly when no
 check failed, and 2 without a report for unusable input.
 
+COMMANDS holds each command's help, handler, arguments, defaults and
+bounds, and a process builds the arguments of only the command it runs.
 Each command imports the layers it runs inside its handler, so a fresh
 process pays to load (and, without bytecode caches, to compile) only
 those: `tower verify-all` never loads the registry, the DSL, amalgams,
@@ -19,6 +21,7 @@ of walking every one of them.
 """
 
 import argparse
+import collections
 import gc
 import sys
 
@@ -112,8 +115,7 @@ def cmd_tower_build(args):
     from .tower import build_graphs, check_budget
     check_budget(args.p, args.n + args.m, witnesses=False)
     graphs = build_graphs(args.p, args.n, args.m)
-    report = reports.Report(
-        "tower build", {"p": args.p, "n": args.n, "m": args.m})
+    report = reports.Report("tower build", _params(args))
     for label, gog in (("path", graphs.path), ("tail", graphs.tail),
                        ("joined", graphs.joined)):
         report.add(label, reports.PASS,
@@ -153,8 +155,7 @@ def _tower_verify_checks(p, max_level):
 def cmd_tower_verify_all(args):
     from .tower import check_budget
     check_budget(args.p, args.max_level, witnesses=True)
-    report = reports.Report(
-        "tower verify-all", {"p": args.p, "max_level": args.max_level})
+    report = reports.Report("tower verify-all", _params(args))
     report.extend(_tower_verify_checks(args.p, args.max_level))
     return report
 
@@ -163,20 +164,17 @@ def cmd_separate(args):
     from .amalgam import check_search
     from .dsl import parse_word
     letters = parse_word(args.word)
-    levels = check_search(letters, args.p, args.start_level, args.max_level)
-    report = reports.Report(
-        "separate", {"word": args.word, "p": args.p,
-                     "start_level": args.start_level,
-                     "max_level": args.max_level})
+    params = _params(args)
+    levels = check_search(letters, **params)
+    report = reports.Report("separate", {"word": args.word, **params})
     report.extend(reports.guarded(
-        "separate", lambda: [_separation_check(letters, args, levels)]))
+        "separate", lambda: [_separation_check(letters, params, levels)]))
     return report
 
 
-def _separation_check(letters, args, levels):
+def _separation_check(letters, params, levels):
     from .amalgam import Verdict, separate
-    verdict, cert = separate(letters, args.p, start_level=args.start_level,
-                             max_level=args.max_level)
+    verdict, cert = separate(letters, **params)
     if verdict is Verdict.TRIVIAL:
         return reports.make_check("separate", reports.PASS,
                                   verdict="trivial element")
@@ -195,15 +193,6 @@ def _separation_check(letters, args, levels):
         reverified=reverified)
 
 
-def _params(args):
-    out = {}
-    for key in ("p", "n", "max_level"):
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
-
-
 def cmd_run(args):
     from . import registry
     return registry.run_example(args.id, **_params(args))
@@ -214,115 +203,106 @@ def cmd_run_all(args):
     return registry.run_all(args.examples, **_params(args))
 
 
-# -- wiring ----------------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
 
-def _add_json(sp):
-    sp.add_argument("--json", action="store_true",
-                    help="emit the report as stable JSON")
+# A command's help, then its handler, or for a group its subcommands' table.
+# An argument is (name or flag, add_argument keywords); an int option is
+# (flag, default, least value), where --p has no least value: it must be a
+# prime that PrimeLevel accepts.  Every leaf command also takes --json.
+Command = collections.namedtuple("Command", "help handler arguments ints",
+                                 defaults=((), ()))
+
+COMMANDS = {
+    "parse": Command("parse a DSL document and list it", cmd_parse,
+                     [("file", {"help": "document path, or - for stdin"})]),
+    "collapse": Command(
+        "divergence analysis of presentations and graphs", cmd_collapse,
+        [("file", {}),
+         ("--name", {"help": "restrict to one presentation or graph"})],
+        [("--p", None, None)]),
+    "bound": Command(
+        "verify witnesses and the edge-count bound", cmd_bound,
+        [("file", {}), ("--witness", {"help": "restrict to one witness"})]),
+    "tower": Command("build and verify tower levels", {
+        "build": Command("build the three splittings", cmd_tower_build, (),
+                         [("--p", 2, None), ("--n", 2, 1), ("--m", 0, 0)]),
+        "verify-all": Command(
+            "retraction squares, transitions, witnesses, bounds, and "
+            "two-generation up to a level", cmd_tower_verify_all, (),
+            [("--p", 2, None), ("--max-level", 3, 1)])}),
+    "separate": Command(
+        "certify a tagged word nontrivial in a finite quotient", cmd_separate,
+        [("--word", {"required": True, "help": "letters like 'G1:k1 L1:t' "
+                                               "(L<n> = lamplighter level)"})],
+        [("--p", 2, None), ("--start-level", 1, 1), ("--max-level", 4, 1)]),
+    "run": Command(
+        "run one registered example", cmd_run,
+        [("id", {"help": "example id; see run-all output for the list"})],
+        [("--p", None, None), ("--n", None, 1), ("--max-level", None, 1)]),
+    "run-all": Command(
+        "run registered examples", cmd_run_all,
+        [("--examples", {"default": "*",
+                         "help": "glob over example ids (default: all)"})],
+        [("--p", None, None), ("--n", None, 1), ("--max-level", None, 1)]),
+}
 
 
-def _add_params(sp):
-    for flag in ("--p", "--n", "--max-level"):
-        sp.add_argument(flag, type=int, default=None)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Full option names only: --m must not stand for --max-level."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
-def build_parser():
-    parser = _Parser(
-        prog="pgog",
+def build_parser(argv):
+    """A parser that knows every command's name and help, and the
+    arguments only of the command and subcommand that argv's first words
+    other than options name: no parser above a leaf takes an option with
+    a value.  Full option names only: --m must not stand for --max-level."""
+    parser = argparse.ArgumentParser(
+        prog="pgog", allow_abbrev=False,
         description="Verification tools for finite graphs of finite p-groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("parse", help="parse a DSL document and list it")
-    sp.add_argument("file", help="document path, or - for stdin")
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_parse)
-
-    sp = sub.add_parser("collapse",
-                        help="divergence analysis of presentations and graphs")
-    sp.add_argument("file")
-    sp.add_argument("--name", help="restrict to one presentation or graph")
-    sp.add_argument("--p", dest="p", type=int, default=None)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_collapse)
-
-    sp = sub.add_parser("bound",
-                        help="verify witnesses and the edge-count bound")
-    sp.add_argument("file")
-    sp.add_argument("--witness", help="restrict to one witness")
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_bound)
-
-    tower = sub.add_parser("tower", help="build and verify tower levels")
-    tsub = tower.add_subparsers(dest="tower_command", required=True)
-    sp = tsub.add_parser("build", help="build the three splittings")
-    sp.add_argument("--p", dest="p", type=int, default=2)
-    sp.add_argument("--n", dest="n", type=int, default=2)
-    sp.add_argument("--m", dest="m", type=int, default=0)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_tower_build)
-    sp = tsub.add_parser("verify-all",
-                         help="retraction squares, transitions, witnesses, "
-                              "bounds, and two-generation up to a level")
-    sp.add_argument("--p", dest="p", type=int, default=2)
-    sp.add_argument("--max-level", dest="max_level", type=int, default=3)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_tower_verify_all)
-
-    sp = sub.add_parser("separate",
-                        help="certify a tagged word nontrivial in a finite "
-                             "quotient")
-    sp.add_argument("--word", required=True,
-                    help="letters like 'G1:k1 L1:t' (L<n> = lamplighter level)")
-    sp.add_argument("--p", dest="p", type=int, default=2)
-    sp.add_argument("--start-level", dest="start_level", type=int, default=1)
-    sp.add_argument("--max-level", dest="max_level", type=int, default=4)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_separate)
-
-    sp = sub.add_parser("run", help="run one registered example")
-    sp.add_argument("id", help="example id; see run-all output for the list")
-    _add_params(sp)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_run)
-
-    sp = sub.add_parser("run-all", help="run registered examples")
-    sp.add_argument("--examples", default="*",
-                    help="glob over example ids (default: all)")
-    _add_params(sp)
-    _add_json(sp)
-    sp.set_defaults(handler=cmd_run_all)
-
+    words = (word for word in argv if not word.startswith("-"))
+    groups = [(parser, "command", COMMANDS)]
+    for group, dest, commands in groups:
+        sub = group.add_subparsers(dest=dest, required=True)
+        named = next(words, None)
+        for name, command in commands.items():
+            sp = sub.add_parser(name, help=command.help, allow_abbrev=False)
+            if name == named and isinstance(command.handler, dict):
+                groups.append((sp, f"{name}_command", command.handler))
+            elif name == named:
+                for flag, kwargs in command.arguments:
+                    sp.add_argument(flag, **kwargs)
+                for flag, default, _ in command.ints:
+                    sp.add_argument(flag, type=int, default=default)
+                sp.add_argument("--json", action="store_true",
+                                help="emit the report as stable JSON")
+                sp.set_defaults(handler=command.handler)
     return parser
 
 
-_LOWER_BOUNDS = (("n", "--n", 1), ("m", "--m", 0),
-                 ("max_level", "--max-level", 1),
-                 ("start_level", "--start-level", 1))
-
-
-def _check_params(args):
-    """Refuse an out-of-range --p, --n, --m, --max-level or --start-level
-    before any work."""
-    if getattr(args, "p", None) is not None:
-        PrimeLevel(args.p)
-    for key, flag, low in _LOWER_BOUNDS:
-        value = getattr(args, key, None)
-        if value is not None and value < low:
+def _params(args):
+    """By name, each int option that the command args ran declares and
+    was given.  ValueError for the first, in the command's order, below
+    its least value, or for a --p that PrimeLevel refuses: main calls
+    this before any work."""
+    command = COMMANDS[args.command]
+    if isinstance(command.handler, dict):
+        command = command.handler[getattr(args, f"{args.command}_command")]
+    params = {}
+    for flag, _, low in command.ints:
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if low is None:
+            PrimeLevel(value)
+        elif value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
+        params[name] = value
+    return params
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        _check_params(args)
+        _params(args)
         report = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

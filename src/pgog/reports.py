@@ -67,13 +67,23 @@ def collapse_check(name, report):
 
 def witness_checks(witness, label=""):
     """Check `witness[ label]` from the witness's report and, only for a
-    valid witness, check `edge-bound[ label]` from its edge bound."""
+    valid witness, check `edge-bound[ label]` from its edge bound.  The
+    bound presumes a reduced splitting, so on one that is not reduced the
+    edge-bound check is skipped with its reason."""
     from .analysis import check_edge_bound
+    from .gog import check_reduced
     label = f" {label}" if label else ""
     checks = [{**witness.report, "name": f"witness{label}"}]
-    if witness.valid:
+    if not witness.valid:
+        return checks
+    if check_reduced(witness.specialisation.gog):
         checks.append({**check_edge_bound(witness),
                        "name": f"edge-bound{label}"})
+    else:
+        checks.append(make_check(
+            f"edge-bound{label}", SKIP,
+            reason="splitting is not reduced; the edge bound presumes a "
+                   "reduced splitting"))
     return checks
 
 

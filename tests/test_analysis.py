@@ -19,8 +19,8 @@ from pgog.analysis import check_edge_bound, detect_collapse, fundamental_rank
 from pgog.collapse import extract_bracket_rules
 from pgog.dsl import parse_dsl
 from pgog.gog import (Graph, GraphOfGroups, Specialisation, VertexData,
-                      bracket_subgraph, fundamental_presentation,
-                      verify_properness_witness)
+                      bracket_subgraph, check_reduced,
+                      fundamental_presentation, verify_properness_witness)
 from pgog.registry import (free_product_line, improper_heisenberg_chain,
                            improper_two_edge_line, shipped_document)
 from pgog.words import commutator, from_letters, gen
@@ -265,13 +265,38 @@ def test_edge_bound_refuses_invalid_witness():
         check_edge_bound(witness)
 
 
-def test_edge_bound_fails_on_an_unreduced_splitting():
+def test_edge_bound_is_skipped_on_an_unreduced_splitting(monkeypatch):
     # three copies of Z/2 glued along isomorphisms: pi_1 is Z/2, of rank 1,
-    # so the bound allows 1 edge, and the splitting has 2
+    # so the bound would allow 1 edge, and the splitting has 2.  The bound
+    # presumes a reduced splitting, so it does not apply here
     path = Path(__file__).parent / "data" / "unreduced_line.gog"
     doc = parse_dsl(path.read_text())
     witness = verify_properness_witness(doc.witnesses["W"])
     assert witness.valid
+    assert not check_reduced(witness.specialisation.gog)
+
+    def refuse(witness):
+        raise AssertionError("the edge bound ran on an unreduced splitting")
+
+    monkeypatch.setattr("pgog.analysis.check_edge_bound", refuse)
+    _, bound = reports.witness_checks(witness, "W")
+    assert bound == reports.make_check(
+        "edge-bound W", reports.SKIP,
+        reason="splitting is not reduced; the edge bound presumes a "
+               "reduced splitting")
+
+
+def test_edge_bound_fails_on_a_reduced_splitting_over_its_bound(monkeypatch):
+    # the (2,2) joined splitting is reduced and has 2 edges; at a stubbed
+    # rank of 1 the bound allows 1 edge, so the check still reads fail
+    from pgog.gog import certified
+    from pgog.tower import joined_witness_specialisation
+    gog, spec = joined_witness_specialisation(2, 2)
+    witness = certified(spec)
+    assert check_reduced(gog)
+    _, bound = reports.witness_checks(witness, "W")
+    assert bound["status"] == reports.PASS
+    monkeypatch.setattr("pgog.analysis.fundamental_rank", lambda gog, p: 1)
     _, bound = reports.witness_checks(witness, "W")
     assert bound["name"] == "edge-bound W"
     assert bound["status"] == reports.FAIL
