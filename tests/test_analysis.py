@@ -273,6 +273,7 @@ def test_edge_bound_is_skipped_on_an_unreduced_splitting(monkeypatch):
     doc = parse_dsl(path.read_text())
     witness = verify_properness_witness(doc.witnesses["W"])
     assert witness.valid
+    assert fundamental_rank(witness.specialisation.gog, 2) == 1
     assert not check_reduced(witness.specialisation.gog)
 
     def refuse(witness):

@@ -715,8 +715,8 @@ def test_a_command_parses_to_its_namespace(argv, namespace):
 def test_a_parser_builds_only_the_command_it_runs(argv, namespace):
     # every command keeps its name and help; only the one named gets its
     # arguments, and every other parser takes -h alone
-    named = (namespace["command"], *([namespace["tower_command"]]
-                                     if "tower_command" in namespace else []))
+    named = tuple(value for key, value in namespace.items()
+                  if key.endswith("command"))
     parsers = dict(_parsers(cli.build_parser(list(argv))))
     assert set(parsers) >= {(name,) for name in cli.COMMANDS}
     assert [a.dest for a in parsers.pop(named)._actions] == \
